@@ -7,14 +7,15 @@ color: chains of type A carry color 1 on top, grids of type A carry their
 defining index, type B carries n (the short node), type C carries 1, type D
 standard carries 1, type D spin carries n, E6 carries 1 and E7 carries 6.
 
-`indexed` relabels these representatives through diagram automorphisms to
-produce one poset per minuscule weight index.
+`indexed` relabels these representatives through the automorphisms of the
+Kac-numbered diagram (`kac_automorphisms`) to produce one poset per minuscule
+weight index, and `family_of` names the family of each index.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Optional
 
 from .dynkin import DynkinDiagram, validate
 from .poset import ColoredPoset
@@ -25,6 +26,8 @@ __all__ = [
     "NotAMinusculeWeight",
     "build",
     "indexed",
+    "family_of",
+    "kac_automorphisms",
     "top_tree_Y",
     "all_family_ids",
     "minuscule_indices",
@@ -76,14 +79,6 @@ class FamilyId:
 
     def sort_key(self) -> tuple:
         return (_KINDS.index(self.kind), self.n, self.j)
-
-
-def a_standard(n: int) -> FamilyId:
-    return FamilyId("A_standard", n)
-
-
-def a_exterior(n: int, j: int) -> FamilyId:
-    return FamilyId("A_exterior", n, j)
 
 
 # -- diagram templates ---------------------------------------------------------
@@ -224,12 +219,10 @@ def _type_d_standard(n: int) -> ColoredPoset:
     return ColoredPoset(diagram, coloring, covers)
 
 
-def _type_d_spin(n: int, top_color: Optional[int] = None) -> ColoredPoset:
+def _type_d_spin(n: int) -> ColoredPoset:
     """Shifted staircase on cells (r, c), 1 <= r <= c <= n-1; the diagonal
-    alternates between the fork colors starting from the maximal cell (1,1)."""
-    if top_color is None:
-        top_color = n
-    other = 2 * n - 1 - top_color  # the partner fork color
+    alternates between the fork colors n and n-1 starting from the maximal
+    cell (1,1)."""
     ids = {}
     next_id = 1
     for r in range(1, n):
@@ -240,7 +233,7 @@ def _type_d_spin(n: int, top_color: Optional[int] = None) -> ColoredPoset:
     def color(r: int, c: int) -> int:
         x = c - r
         if x == 0:
-            return top_color if r % 2 == 1 else other
+            return n if r % 2 == 1 else n - 1
         if x == 1:
             return n - 2
         return n - 1 - x
@@ -352,6 +345,31 @@ def minuscule_indices(max_n: int) -> list[tuple[str, int, int]]:
     return out
 
 
+def kac_automorphisms(letter: str, n: int) -> list[dict[int, int]]:
+    """Every automorphism of the Kac-numbered diagram of type letter_n, the
+    identity first."""
+    identity = {i: i for i in range(1, n + 1)}
+    if letter == "A" and n >= 2:
+        return [identity, {i: n + 1 - i for i in identity}]
+    if letter == "D" and n == 4:
+        return [{1: a, 2: 2, 3: b, 4: c} for a, b, c in itertools.permutations((1, 3, 4))]
+    if letter == "D":
+        return [identity, {**identity, n - 1: n, n: n - 1}]
+    if letter == "E" and n == 6:
+        return [identity, {1: 5, 2: 4, 3: 3, 4: 2, 5: 1, 6: 6}]
+    return [identity]
+
+
+def family_of(letter: str, n: int, j: int) -> FamilyId:
+    """The family of indexed(letter, n, j): the two are equal up to the names
+    of the colors."""
+    if letter == "A":
+        return FamilyId("A_exterior", n, j) if 1 < j < n else FamilyId("A_standard", n)
+    if letter == "D":
+        return FamilyId("D_standard" if j == 1 or n == 4 else "D_spin", n)
+    return FamilyId(f"E{n}" if letter == "E" else letter, n)
+
+
 def indexed(letter: str, n: int, j: int) -> ColoredPoset:
     """
     The colored minuscule poset for the minuscule weight (letter, n, j); its
@@ -360,28 +378,13 @@ def indexed(letter: str, n: int, j: int) -> ColoredPoset:
     key = (letter, n, j)
     if key not in set(minuscule_indices(max(n, 7))):
         raise NotAMinusculeWeight(f"{letter}_{n}({j}) is not a minuscule weight index")
-    if letter == "A":
-        return _grid(n, j) if n > 1 else _chain(_path_diagram(1), [1])
-    if letter == "B":
-        return _type_b(n)
-    if letter == "C":
-        return _type_c(n)
-    if letter == "D":
-        if j == 1:
-            return _type_d_standard(n)
-        if n == 4:
-            swap = {1: j, j: 1, 2: 2, (7 - j): (7 - j)}
-            return _type_d_standard(4).relabel_colors(swap, _d_diagram(4))
-        return _type_d_spin(n, top_color=j)
-    if letter == "E" and n == 6:
-        base = _from_table(_e_diagram(6), _E6_TABLE)
-        if j == 1:
-            return base
-        flip = {1: 5, 2: 4, 3: 3, 4: 2, 5: 1, 6: 6}
-        return base.relabel_colors(flip, _e_diagram(6))
-    if letter == "E" and n == 7:
-        return _from_table(_e_diagram(7), _E7_TABLE)
-    raise NotAMinusculeWeight(f"{letter}_{n}({j})")
+    base = build(family_of(letter, n, j))
+    top = base.color(base.maximal_elements()[0])
+    if top == j:
+        return base
+    # the involution exchanging the two top colors
+    sigma = next(s for s in kac_automorphisms(letter, n) if s[top] == j and s[j] == top)
+    return base.relabel_colors(sigma, base.diagram)
 
 
 def top_tree_Y(i: int, j: int, k: int) -> ColoredPoset:

@@ -1,9 +1,14 @@
 """
 Decide whether a colored poset is minuscule and name its components.
 
-A connected minuscule poset matches exactly one family shape; candidates are
-filtered by cheap invariants (color count, size, color-class size multiset,
-chain versus slant-irreducible) before any isomorphism search runs.
+Connected finite minuscule posets are exactly Proctor's colored minuscule
+posets, one for each finite type and minuscule node: the finite type of the
+diagram and the Kac number j of the top color name the family, with no
+search.  The diagram isomorphisms onto the family's Kac-numbered diagram are
+sigma . nu for the recognized numbering nu and each diagram automorphism
+sigma, so the families matched are those of sigma(j).  The witness is forced
+too: by EC every color class is a chain, so once the colors are paired the
+k-th element of a class goes to the k-th element of its image class.
 """
 
 from __future__ import annotations
@@ -12,9 +17,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .axioms import AxiomReport, check, is_minuscule
-from .catalog import FamilyId, build
-from .dynkin import Color, is_simply_laced
-from .poset import ColoredPoset, colored_isomorphism, connected_components
+from .catalog import FamilyId, build, family_of, kac_automorphisms
+from .dynkin import Color, recognize_finite_type
+from .poset import ColoredPoset, connected_components
 
 __all__ = ["ComponentClassification", "Classification", "classify", "classify_connected"]
 
@@ -72,57 +77,42 @@ class Classification:
         return out
 
 
-def _candidate_families(p: ColoredPoset) -> list[FamilyId]:
-    n = len(p.diagram)
-    size = len(p)
-    simply = is_simply_laced(p.diagram)
-    is_chain = all(
-        p.comparable(x, y) for i, x in enumerate(p.elements) for y in p.elements[i + 1 :]
-    )
-    out: list[FamilyId] = []
-    if simply and is_chain and size == n:
-        out.append(FamilyId("A_standard", n))
-    if simply and n >= 3:
-        for j in range(2, n):
-            if size == j * (n + 1 - j):
-                out.append(FamilyId("A_exterior", n, j))
-    if not simply and n >= 2 and size == n * (n + 1) // 2:
-        out.append(FamilyId("B", n))
-    if not simply and is_chain and n >= 3 and size == 2 * n - 1:
-        out.append(FamilyId("C", n))
-    if simply and n >= 4 and size == 2 * n - 2:
-        out.append(FamilyId("D_standard", n))
-    if simply and n >= 5 and size == n * (n - 1) // 2:
-        out.append(FamilyId("D_spin", n))
-    if simply and n == 6 and size == 16:
-        out.append(FamilyId("E6", 6))
-    if simply and n == 7 and size == 27:
-        out.append(FamilyId("E7", 7))
-
-    sizes = sorted(len(p.color_class(a)) for a in p.diagram.colors)
-
-    def class_sizes(f: FamilyId) -> list[int]:
-        q = build(f)
-        return sorted(len(q.color_class(a)) for a in q.diagram.colors)
-
-    return [f for f in out if class_sizes(f) == sizes]
-
-
 def classify_connected(p: ColoredPoset) -> ComponentClassification:
-    """Match one connected poset against the family catalog."""
+    """Name the family of one connected poset, with an isomorphism witness."""
     ok, reports = is_minuscule(p)
     if not ok:
         return ComponentClassification(p, None, (), None, tuple(reports))
-    matches: list[tuple[FamilyId, tuple[dict, dict]]] = []
-    for fam in sorted(_candidate_families(p), key=FamilyId.sort_key):
-        iso = colored_isomorphism(p, build(fam))
-        if iso is not None:
-            matches.append((fam, iso))
-    if not matches:
+    ftype = recognize_finite_type(p.diagram)
+    maxima = p.maximal_elements()
+    if ftype is None or len(maxima) != 1:
         # cannot happen for minuscule inputs; classification is complete
         raise AssertionError("minuscule poset matched no family")
-    fam, iso = matches[0]
-    return ComponentClassification(p, fam, tuple(f for f, _ in matches), iso, ())
+    nu = ftype.numbering_map
+    j = nu[p.color(maxima[0])]
+    sigmas = kac_automorphisms(ftype.letter, ftype.rank)
+    matches = sorted(
+        {family_of(ftype.letter, ftype.rank, s[j]) for s in sigmas}, key=FamilyId.sort_key
+    )
+    q = build(matches[0])
+    top = q.color(q.maximal_elements()[0])
+    # of the pairings sending top to top, the least along p's color order: the
+    # one a search through p's colors in order meets first
+    gamma = min(
+        ({a: s[nu[a]] for a in p.diagram.colors} for s in sigmas if s[j] == top),
+        key=lambda g: [g[a] for a in p.diagram.colors],
+        default=None,
+    )
+
+    def chain(poset: ColoredPoset, a: Color) -> list[int]:
+        """The color class of a, top first; a chain by EC."""
+        return sorted(poset.color_class(a), key=lambda x: len(poset.up_set(x)))
+
+    pi = {} if gamma is None else {
+        x: y for a in p.diagram.colors for x, y in zip(chain(p, a), chain(q, gamma[a]))
+    }
+    if len(pi) != len(p) or len(p) != len(q) or {(pi[x], pi[y]) for x, y in p.covers} != q.covers:
+        raise AssertionError(f"minuscule poset does not match {matches[0]}")
+    return ComponentClassification(p, matches[0], tuple(matches), (pi, gamma), ())
 
 
 def classify(p: ColoredPoset) -> Classification:

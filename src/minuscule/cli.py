@@ -16,7 +16,7 @@ from typing import Optional
 from . import axioms, catalog, coroots, extension, heapwindow
 from .classify import classify as classify_poset
 from .poset import ColoredPoset, PosetError
-from .representation import build_operators, verify_relations, weight_of_split, splits
+from .representation import build_operators, verify_relations, splits
 
 SCHEMA_VERSION = 1
 
@@ -34,7 +34,9 @@ def _load_json(path: str) -> dict:
                 data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    if isinstance(data, dict) and data.get("version") != SCHEMA_VERSION:
+    if not isinstance(data, dict):
+        raise InputError(f"{path} does not hold a JSON object")
+    if data.get("version") != SCHEMA_VERSION:
         raise InputError(f"unsupported schema version {data.get('version')!r}")
     return data
 
@@ -152,17 +154,18 @@ def cmd_represent(args) -> int:
         report = verify_relations(p, full_sweep=args.full_sweep)
         out["relations"] = report.to_json()
         code = 0 if report.all_pass else 1
+    if args.weights or args.matrices:
+        basis, ops = build_operators(p)
     if args.weights:
-        basis, _ = build_operators(p)
+        # a split's weight is its eigenvalue under every diagonal operator
         out["weights"] = [
             {
                 "ideal": sorted(s.ideal),
-                "weight": {str(c): v for c, v in weight_of_split(p, s).items()},
+                "weight": {str(a): h.entries.get((i, i), 0) for a, (_, _, h) in ops.items()},
             }
-            for s in basis
+            for i, s in enumerate(basis)
         ]
     if args.matrices:
-        basis, ops = build_operators(p)
         out["operators"] = {
             str(a): {
                 "raising": x.to_coordinate_json(),
@@ -192,6 +195,8 @@ def cmd_coroots(args) -> int:
     }
     code = 0
     if args.j is not None:
+        if not 1 <= args.j <= args.n:
+            raise InputError(f"--j must lie in 1..{args.n}")
         filt = system.filter_at(args.j)
         out["filter"] = [list(b) for b in filt]
         if args.psi:

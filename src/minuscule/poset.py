@@ -262,7 +262,12 @@ class ColoredPoset:
         if data.get("version") != 1:
             raise PosetError(f"unsupported schema version {data.get('version')!r}")
         diagram = DynkinDiagram.from_json(data["diagram"])
-        coloring = {int(e["id"]): str(e["color"]) for e in data["elements"]}
+        elements = data["elements"]
+        if not isinstance(elements, list) or not all(isinstance(e, dict) for e in elements):
+            raise PosetError("elements must be a list of {id, color} objects")
+        coloring = {int(e["id"]): str(e["color"]) for e in elements}
+        if len(coloring) != len(elements):
+            raise PosetError("duplicate element ids")
         covers = [(int(x), int(y)) for x, y in data["covers"]]
         return ColoredPoset(diagram, coloring, covers)
 
@@ -585,8 +590,16 @@ def _component_element_sets(poset: ColoredPoset) -> list[frozenset[int]]:
 
 
 def connected_components(poset: ColoredPoset) -> list[ColoredPoset]:
-    """Connected components, each carrying its induced (surjective) sub-diagram."""
-    return [poset.subposet(comp) for comp in _component_element_sets(poset)]
+    """Connected components, each carrying its induced (surjective) sub-diagram.
+
+    A component is up- and down-closed, so its covers are exactly the covers
+    of the poset between its elements."""
+    out = []
+    for comp in _component_element_sets(poset):
+        coloring = {x: poset.coloring[x] for x in comp}
+        covers = [(x, y) for x, y in poset.covers if x in comp]
+        out.append(ColoredPoset(poset.diagram.restrict(set(coloring.values())), coloring, covers))
+    return out
 
 
 def disjoint_union(posets: Iterable[ColoredPoset]) -> ColoredPoset:

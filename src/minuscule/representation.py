@@ -29,7 +29,6 @@ __all__ = [
     "split_count_oracle",
     "build_operators",
     "verify_relations",
-    "weight_of_split",
 ]
 
 
@@ -217,25 +216,6 @@ def build_operators(
             IntMatrix.diagonal(h_values),
         )
     return basis, ops
-
-
-def weight_of_split(p: ColoredPoset, s: Split) -> dict[Color, int]:
-    """Diagonal eigenvalues of the split, keyed by color."""
-    out: dict[Color, int] = {}
-    for a in p.diagram.colors:
-        if any(
-            p.color(x) == a and all(z in s.ideal for z in p.covered_by_x(x))
-            for x in s.filter
-        ):
-            out[a] = -1
-        elif any(
-            p.color(x) == a and all(z in s.filter for z in p.covers_of(x))
-            for x in s.ideal
-        ):
-            out[a] = 1
-        else:
-            out[a] = 0
-    return out
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,11 @@ import itertools
 import os
 import random
 
-from minuscule.dynkin import DynkinDiagram, validate
-from minuscule.poset import ColoredPoset
+from minuscule.axioms import is_minuscule
+from minuscule.catalog import FamilyId, build
+from minuscule.classify import ComponentClassification
+from minuscule.dynkin import DynkinDiagram, is_simply_laced, validate
+from minuscule.poset import ColoredPoset, colored_isomorphism
 
 
 def seed_from_env(default: int = 20250808) -> int:
@@ -115,3 +118,74 @@ def brute_force_ideal_count(p: ColoredPoset) -> int:
         if all(set(p.covered_by_x(x)) <= members for x in members):
             count += 1
     return count
+
+
+def scrambled(p: ColoredPoset, rng: random.Random, order=None) -> ColoredPoset:
+    """The same colored poset up to colored isomorphism: element ids permuted,
+    colors renamed, and the diagram's colors listed in the given order of
+    their positions (a random order by default)."""
+    n = len(p.diagram)
+    names = [f"c{v}" for v in rng.sample(range(10 * n + 10), n)]
+    rename = dict(zip(p.diagram.colors, names))
+    if order is None:
+        order = rng.sample(range(n), n)
+    rows = [[p.diagram.matrix[a][b] for b in order] for a in order]
+    diagram = validate([names[i] for i in order], rows)
+    ids = dict(zip(p.elements, rng.sample(range(1, 4 * len(p) + 10), len(p))))
+    coloring = {ids[x]: rename[p.color(x)] for x in p.elements}
+    return ColoredPoset(diagram, coloring, [(ids[x], ids[y]) for x, y in p.covers])
+
+
+def candidate_families(p: ColoredPoset) -> list[FamilyId]:
+    """Families a connected poset might belong to, guessed from its size, its
+    color-class sizes, whether it is a chain and whether it is simply laced."""
+    n = len(p.diagram)
+    size = len(p)
+    simply = is_simply_laced(p.diagram)
+    is_chain = all(
+        p.comparable(x, y) for i, x in enumerate(p.elements) for y in p.elements[i + 1 :]
+    )
+    out: list[FamilyId] = []
+    if simply and is_chain and size == n:
+        out.append(FamilyId("A_standard", n))
+    if simply and n >= 3:
+        for j in range(2, n):
+            if size == j * (n + 1 - j):
+                out.append(FamilyId("A_exterior", n, j))
+    if not simply and n >= 2 and size == n * (n + 1) // 2:
+        out.append(FamilyId("B", n))
+    if not simply and is_chain and n >= 3 and size == 2 * n - 1:
+        out.append(FamilyId("C", n))
+    if simply and n >= 4 and size == 2 * n - 2:
+        out.append(FamilyId("D_standard", n))
+    if simply and n >= 5 and size == n * (n - 1) // 2:
+        out.append(FamilyId("D_spin", n))
+    if simply and n == 6 and size == 16:
+        out.append(FamilyId("E6", 6))
+    if simply and n == 7 and size == 27:
+        out.append(FamilyId("E7", 7))
+
+    sizes = sorted(len(p.color_class(a)) for a in p.diagram.colors)
+
+    def class_sizes(f: FamilyId) -> list[int]:
+        q = build(f)
+        return sorted(len(q.color_class(a)) for a in q.diagram.colors)
+
+    return [f for f in out if class_sizes(f) == sizes]
+
+
+def classify_connected_oracle(p: ColoredPoset) -> ComponentClassification:
+    """Reference classification by search: a colored isomorphism search
+    against every candidate family, the first match in family order named."""
+    ok, reports = is_minuscule(p)
+    if not ok:
+        return ComponentClassification(p, None, (), None, tuple(reports))
+    matches = []
+    for fam in sorted(candidate_families(p), key=FamilyId.sort_key):
+        iso = colored_isomorphism(p, build(fam))
+        if iso is not None:
+            matches.append((fam, iso))
+    if not matches:
+        raise AssertionError("minuscule poset matched no family")
+    fam, iso = matches[0]
+    return ComponentClassification(p, fam, tuple(f for f, _ in matches), iso, ())

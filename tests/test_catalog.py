@@ -7,10 +7,14 @@ from minuscule.catalog import (
     NotAMinusculeWeight,
     all_family_ids,
     build,
+    diagram_of_type,
+    family_of,
     indexed,
+    kac_automorphisms,
     minuscule_indices,
     top_tree_Y,
 )
+from minuscule.dynkin import automorphisms
 from minuscule.poset import colored_isomorphism, order_dual, rank_function, top_tree
 
 
@@ -162,6 +166,22 @@ def test_indexed_covers_all_minuscule_weights():
         assert is_minuscule(p)[0], (letter, n, j)
         mx = p.maximal_elements()
         assert len(mx) == 1 and p.color(mx[0]) == j
+
+
+def test_kac_automorphism_table_matches_exhaustive_search():
+    for letter, n in {(letter, n) for letter, n, _ in minuscule_indices(7)}:
+        table = kac_automorphisms(letter, n)
+        assert table[0] == {i: i for i in range(1, n + 1)}
+        found = automorphisms(diagram_of_type(letter, n))
+        assert sorted(map(sorted, map(dict.items, table))) == sorted(
+            map(sorted, map(dict.items, found))
+        ), (letter, n)
+
+
+def test_family_of_names_the_indexed_poset():
+    for letter, n, j in minuscule_indices(7):
+        fam = family_of(letter, n, j)
+        assert colored_isomorphism(indexed(letter, n, j), build(fam)) is not None
 
 
 def test_d4_triality():

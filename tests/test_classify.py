@@ -1,14 +1,28 @@
 import itertools
 import random
+import time
 
 from minuscule.axioms import is_minuscule
-from minuscule.catalog import FamilyId, all_family_ids, build, indexed, top_tree_Y
+from minuscule.catalog import (
+    FamilyId,
+    all_family_ids,
+    build,
+    indexed,
+    minuscule_indices,
+    top_tree_Y,
+)
 from minuscule.classify import classify, classify_connected
 from minuscule.dynkin import validate
 from minuscule.extension import run_extension
-from minuscule.poset import ColoredPoset, colored_isomorphism, disjoint_union, order_dual
+from minuscule.poset import (
+    ColoredPoset,
+    colored_isomorphism,
+    connected_components,
+    disjoint_union,
+    order_dual,
+)
 
-from helpers import random_colored_poset, seed_from_env
+from helpers import classify_connected_oracle, random_colored_poset, scrambled, seed_from_env
 
 
 def test_examples():
@@ -101,13 +115,8 @@ def _two_color_diagrams():
     yield validate([1, 2], [[2, -2], [-2, 2]])
 
 
-def test_completeness_exhaustive_small():
-    """Every connected minuscule poset on <= 4 elements over <= 2 colors
-    matches exactly one canonical family."""
-    from minuscule.poset import connected_components
-
-    checked = 0
-    minuscule_found = 0
+def _small_connected_posets():
+    """Every connected colored poset on <= 4 elements over <= 2 colors."""
     for n in range(1, 5):
         for covers in _all_labeled_posets(n):
             for diagram in itertools.chain(
@@ -124,19 +133,58 @@ def test_completeness_exhaustive_small():
                         p = ColoredPoset(diagram, coloring, covers)
                     except Exception:
                         continue
-                    if len(connected_components(p)) != 1:
-                        continue
-                    checked += 1
-                    ok, _ = is_minuscule(p)
-                    entry = classify_connected(p)
-                    assert (entry.family is not None) == ok
-                    if ok:
-                        minuscule_found += 1
-                        builds = [build(f) for f in entry.all_matches]
-                        for q in builds:
-                            assert colored_isomorphism(p, q) is not None
+                    if len(connected_components(p)) == 1:
+                        yield p
+
+
+def test_completeness_exhaustive_small():
+    """Every connected minuscule poset on <= 4 elements over <= 2 colors
+    matches exactly one canonical family."""
+    checked = 0
+    minuscule_found = 0
+    for p in _small_connected_posets():
+        checked += 1
+        ok, _ = is_minuscule(p)
+        entry = classify_connected(p)
+        assert (entry.family is not None) == ok
+        if ok:
+            minuscule_found += 1
+            builds = [build(f) for f in entry.all_matches]
+            for q in builds:
+                assert colored_isomorphism(p, q) is not None
     assert checked > 3000
     assert minuscule_found == 17
+
+
+def test_theorem_route_matches_search_oracle():
+    """Family, matches, witness and failures agree with the search on
+    scrambled catalog posets and on every small connected poset."""
+    catalog = [build(f) for f in all_family_ids(8)]
+    catalog += [indexed(*index) for index in minuscule_indices(8)]
+    for seed in range(3):
+        rng = random.Random(seed_from_env() + 30 + seed)
+        for p in catalog:
+            q = scrambled(p, rng)
+            assert classify_connected(q).to_json() == classify_connected_oracle(q).to_json()
+    for p in _small_connected_posets():
+        assert classify_connected(p).to_json() == classify_connected_oracle(p).to_json()
+
+
+def test_long_chains_with_colors_out_of_path_order():
+    """The isomorphism search needed seconds at 20 colors listed every fifth
+    along the path and grew exponentially; the theorem route is polynomial."""
+    rng = random.Random(seed_from_env() + 40)
+    started = time.perf_counter()
+    for kind in ("A_standard", "C"):
+        every_fifth = [i for r in range(5) for i in range(r, 40, 5)]
+        p = scrambled(build(FamilyId(kind, 40)), rng, every_fifth)
+        entry = classify_connected(p)
+        assert entry.family == FamilyId(kind, 40)
+        pi, gamma = entry.witness
+        q = build(entry.family)
+        assert {(pi[x], pi[y]) for x, y in p.covers} == q.covers
+        assert all(gamma[p.color(x)] == q.color(pi[x]) for x in p.elements)
+    assert time.perf_counter() - started < 10
 
 
 def test_completeness_random_five_elements_four_colors():
@@ -144,8 +192,6 @@ def test_completeness_random_five_elements_four_colors():
     found = 0
     for _ in range(400):
         p = random_colored_poset(rng, 5, 4)
-        from minuscule.poset import connected_components
-
         for comp in connected_components(p):
             ok, _ = is_minuscule(comp)
             entry = classify_connected(comp)

@@ -133,6 +133,13 @@ def test_coroots_verb():
     assert len(data["filter"]) == 6
 
 
+def test_coroots_j_out_of_range_exits_two():
+    for j in ("0", "7"):
+        code, out, err = capture(["coroots", "--type", "A", "--n", "3", "--j", j])
+        assert code == 2
+        assert "--j" in err and out == ""
+
+
 def test_coroots_psi_on_file(tmp_path):
     code, out, _ = capture(["catalog", "--index", "A,4,2"])
     path = tmp_path / "a42.json"
@@ -192,6 +199,20 @@ def test_input_errors_exit_two(tmp_path):
     assert code == 2
     code, _, _ = capture(["catalog", "--index", "A,4,9"])
     assert code == 2
+
+    _, out, _ = capture(["catalog", "--family", "b", "--n", "2"])
+    good = json.loads(out)
+    duplicate = dict(good, elements=good["elements"] + [good["elements"][0]])
+    for doc, message in (
+        ([good], "object"),
+        (dict(good, elements="xx"), "elements"),
+        (duplicate, "duplicate"),
+    ):
+        path.write_text(json.dumps(doc))
+        for verb in ("verify", "classify"):
+            code, out, err = capture([verb, str(path)])
+            assert code == 2, (verb, doc)
+            assert message in err and out == ""
 
 
 def test_byte_for_byte_determinism():

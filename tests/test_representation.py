@@ -13,7 +13,6 @@ from minuscule.representation import (
     split_count_oracle,
     splits,
     verify_relations,
-    weight_of_split,
 )
 
 from helpers import brute_force_ideal_count
@@ -79,19 +78,24 @@ def test_operator_shapes():
         assert all(r == c for (r, c) in h.entries)
 
 
+def diagonal_weight(ops, i: int) -> dict:
+    """The eigenvalues of basis vector i under every diagonal operator."""
+    return {a: h.entries.get((i, i), 0) for a, (_, _, h) in ops.items()}
+
+
 def test_h_rule_on_extreme_splits():
     p = build(FamilyId("A_standard", 2))
-    basis, _ = build_operators(p)
+    basis, ops = build_operators(p)
     full_filter = basis[0]
     assert full_filter.ideal == frozenset()
-    w = weight_of_split(p, full_filter)
+    w = diagonal_weight(ops, 0)
     min_color = p.color(p.minimal_elements()[0])
     assert w[min_color] == -1
     assert all(v == 0 for c, v in w.items() if c != min_color)
 
     single = indexed("A", 1, 1)
-    b1, _ = build_operators(single)
-    assert weight_of_split(single, b1[-1]) == {1: 1}
+    b1, ops1 = build_operators(single)
+    assert diagonal_weight(ops1, len(b1) - 1) == {1: 1}
 
 
 def test_x_step_changes_weights_along_theta_row():
@@ -104,8 +108,8 @@ def test_x_step_changes_weights_along_theta_row():
             for (r, c), v in x.entries.items():
                 src, dst = basis[c], basis[r]
                 assert len(dst.ideal) == len(src.ideal) + 1
-                w_src = weight_of_split(p, src)
-                w_dst = weight_of_split(p, dst)
+                w_src = diagonal_weight(ops, c)
+                w_dst = diagonal_weight(ops, r)
                 for b in p.diagram.colors:
                     assert w_dst[b] - w_src[b] == p.diagram.theta(a, b)
 
