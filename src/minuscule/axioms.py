@@ -123,7 +123,7 @@ def _check_ice2(p: ColoredPoset) -> list[Witness]:
     bad = []
     for a in p.diagram.colors:
         for x, y in p.consecutive_same_color_pairs(a):
-            census = sum(-p.diagram.theta(p.color(z), a) for z in p.open_interval(x, y))
+            census = p.census(a, p.open_interval(x, y))
             if census != 2:
                 bad.append(Witness((x, y), value=census, note=f"interval census for {a!r}"))
     return bad
@@ -141,7 +141,7 @@ def _frontier_censuses(p: ColoredPoset, upper: bool) -> list[tuple[Color, int, i
             if not upper and any(p.lt(y, x) for y in cls):
                 continue
             frontier = p.upper_frontier(x) if upper else p.lower_frontier(x)
-            census = sum(-p.diagram.theta(p.color(z), a) for z in frontier)
+            census = p.census(a, frontier)
             out.append((a, x, census))
     return out
 

@@ -15,7 +15,7 @@ from typing import Optional
 
 from . import axioms, catalog, coroots, extension, heapwindow
 from .classify import classify as classify_poset
-from .poset import ColoredPoset, PosetError
+from .poset import ColoredPoset
 from .representation import build_operators, verify_relations, splits
 
 SCHEMA_VERSION = 1
@@ -42,12 +42,7 @@ def _load_json(path: str) -> dict:
 
 
 def _load_poset(path: str) -> ColoredPoset:
-    try:
-        return ColoredPoset.from_json(_load_json(path))
-    except (PosetError, KeyError, ValueError) as exc:
-        if isinstance(exc, InputError):
-            raise
-        raise InputError(f"bad poset file {path}: {exc}") from exc
+    return ColoredPoset.from_json(_load_json(path))
 
 
 def _emit(data: dict) -> None:
@@ -318,10 +313,7 @@ def run(argv: list[str]) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (PosetError, ValueError) as exc:
+    except (InputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -40,7 +40,6 @@ __all__ = [
     "coroot_poset",
     "heap_to_word",
     "inversion_sequence",
-    "inversion_set_oracle",
     "psi",
     "PsiRealization",
 ]
@@ -214,10 +213,6 @@ def inversion_sequence(diagram: DynkinDiagram, word: Sequence[int]) -> list[Coro
         out.append(beta)
         prefix.append(i)
     return out
-
-
-def inversion_set_oracle(diagram: DynkinDiagram, word: Sequence[int]) -> frozenset[Coroot]:
-    return _system(diagram).inversion_set(word)
 
 
 @dataclass(frozen=True)

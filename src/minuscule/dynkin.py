@@ -16,7 +16,6 @@ follow it.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Mapping, Optional, Sequence
 
@@ -35,7 +34,6 @@ __all__ = [
     "is_simply_laced",
     "is_acyclic",
     "recognize_finite_type",
-    "automorphisms",
 ]
 
 
@@ -223,26 +221,6 @@ class FiniteTypeId:
 
     def __str__(self) -> str:
         return f"{self.letter}{self.rank}"
-
-
-def automorphisms(diagram: DynkinDiagram) -> list[dict[Color, Color]]:
-    """All color bijections preserving the pairing table, by exhaustive search."""
-    n = len(diagram.colors)
-    sig = {
-        a: tuple(sorted((diagram.theta(a, b), diagram.theta(b, a)) for b in diagram.colors if b != a))
-        for a in diagram.colors
-    }
-    out: list[dict[Color, Color]] = []
-    for perm in itertools.permutations(range(n)):
-        if any(sig[diagram.colors[i]] != sig[diagram.colors[perm[i]]] for i in range(n)):
-            continue
-        if all(
-            diagram.matrix[i][j] == diagram.matrix[perm[i]][perm[j]]
-            for i in range(n)
-            for j in range(n)
-        ):
-            out.append({diagram.colors[i]: diagram.colors[perm[i]] for i in range(n)})
-    return out
 
 
 def _path_order(diagram: DynkinDiagram) -> Optional[list[Color]]:

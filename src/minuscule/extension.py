@@ -58,7 +58,7 @@ def lower_frontier_census(p: ColoredPoset, b: Color) -> int:
     """Weighted count of adjacent-colored elements below the minimal element
     of the color class of b."""
     y = _min_of_color(p, b)
-    return sum(-p.diagram.theta(p.color(x), b) for x in p.lower_frontier(y))
+    return p.census(b, p.lower_frontier(y))
 
 
 def extend_by(p: ColoredPoset, a: Color) -> ColoredPoset:
@@ -157,7 +157,7 @@ class ExtensionOutcome:
         return out
 
 
-def run_extension(seed: ColoredPoset, *, check_seed: bool = True) -> ExtensionOutcome:
+def run_extension(seed: ColoredPoset) -> ExtensionOutcome:
     """
     Grow the seed downward until the process terminates.
 
@@ -166,10 +166,9 @@ def run_extension(seed: ColoredPoset, *, check_seed: bool = True) -> ExtensionOu
     behind the process only covers simply laced ones, so those outcomes are
     flagged extrapolated.
     """
-    if check_seed:
-        ok, _ = is_d_complete(seed)
-        if not ok:
-            raise ValueError("extension seed must be d-complete")
+    ok, _ = is_d_complete(seed)
+    if not ok:
+        raise ValueError("extension seed must be d-complete")
     cap = len(seed.diagram) * STAGE_CAP_FACTOR
     p = seed
     trace: list[StageRecord] = []

@@ -3,9 +3,7 @@ Finite colored posets stored by their Hasse covers.
 
 Elements are small integer ids.  A cover ``(x, y)`` means x is covered by y
 (x below y).  The coloring maps elements onto the colors of an attached
-Dynkin diagram; it is surjective unless the poset was built with
-``allow_partial_coloring=True`` (used when restricting to filters while
-keeping the ambient diagram).
+Dynkin diagram and is surjective.
 """
 
 from __future__ import annotations
@@ -19,23 +17,15 @@ __all__ = [
     "ColoredPoset",
     "TopTree",
     "PosetError",
-    "NotRanked",
     "order_dual",
     "top_tree",
-    "ch_set",
-    "linear_extensions",
     "colored_isomorphism",
-    "rank_function",
     "connected_components",
 ]
 
 
 class PosetError(ValueError):
     pass
-
-
-class NotRanked(PosetError):
-    """The poset admits no rank function with unit steps along covers."""
 
 
 class ColoredPoset:
@@ -46,8 +36,6 @@ class ColoredPoset:
         diagram: DynkinDiagram,
         coloring: Mapping[int, Color],
         covers: Iterable[tuple[int, int]],
-        *,
-        allow_partial_coloring: bool = False,
     ) -> None:
         self.diagram = diagram
         self.elements: tuple[int, ...] = tuple(sorted(coloring))
@@ -61,10 +49,9 @@ class ColoredPoset:
         for x, c in self.coloring.items():
             if c not in diagram:
                 raise PosetError(f"element {x} has color {c!r} outside the diagram")
-        if not allow_partial_coloring:
-            missing = set(diagram.colors) - set(self.coloring.values())
-            if missing:
-                raise PosetError(f"coloring is not surjective; missing {sorted(map(str, missing))}")
+        missing = set(diagram.colors) - set(self.coloring.values())
+        if missing:
+            raise PosetError(f"coloring is not surjective; missing {sorted(map(str, missing))}")
 
         self._up: dict[int, tuple[int, ...]] = {x: () for x in self.elements}
         self._down: dict[int, tuple[int, ...]] = {x: () for x in self.elements}
@@ -153,9 +140,6 @@ class ColoredPoset:
     def open_interval(self, x: int, y: int) -> frozenset[int]:
         return self._above[x] & self._below[y]
 
-    def closed_interval(self, x: int, y: int) -> frozenset[int]:
-        return self.open_interval(x, y) | {x, y}
-
     def maximal_elements(self) -> tuple[int, ...]:
         return tuple(x for x in self.elements if not self._up[x])
 
@@ -190,6 +174,10 @@ class ColoredPoset:
             y for y in sorted(self._below[x]) if self.diagram.adjacent(self.coloring[y], a)
         )
 
+    def census(self, a: Color, elements: Iterable[int]) -> int:
+        """The census of a set for color a: the sum of -theta(color(z), a)."""
+        return sum(-self.diagram.theta(self.coloring[z], a) for z in elements)
+
     def __len__(self) -> int:
         return len(self.elements)
 
@@ -209,14 +197,9 @@ class ColoredPoset:
 
     # -- derived posets ------------------------------------------------------
 
-    def subposet(self, keep: Iterable[int], *, keep_diagram: bool = False) -> "ColoredPoset":
-        """
-        Induced subposet on a subset, with the covers of the induced order.
-
-        With keep_diagram=True the ambient diagram is retained and the induced
-        coloring may be non-surjective; otherwise the diagram is restricted to
-        the colors that appear.
-        """
+    def subposet(self, keep: Iterable[int]) -> "ColoredPoset":
+        """Induced subposet on a subset, with the covers of the induced order,
+        over the diagram restricted to the colors that appear."""
         kept = sorted(set(keep))
         kset = set(kept)
         coloring = {x: self.coloring[x] for x in kept}
@@ -226,8 +209,6 @@ class ColoredPoset:
         for x, y in itertools.permutations(kept, 2):
             if self.lt(x, y) and not any(z in kset for z in self.open_interval(x, y)):
                 covers.add((x, y))
-        if keep_diagram:
-            return ColoredPoset(self.diagram, coloring, covers, allow_partial_coloring=True)
         sub = self.diagram.restrict(set(coloring.values()))
         return ColoredPoset(sub, coloring, covers)
 
@@ -261,15 +242,24 @@ class ColoredPoset:
     def from_json(data: Mapping) -> "ColoredPoset":
         if data.get("version") != 1:
             raise PosetError(f"unsupported schema version {data.get('version')!r}")
-        diagram = DynkinDiagram.from_json(data["diagram"])
+        missing = [key for key in ("diagram", "elements", "covers") if key not in data]
+        if missing:
+            raise PosetError(f"missing keys {missing}")
+        d = data["diagram"]
+        colors, theta = (d.get("colors"), d.get("theta")) if isinstance(d, dict) else (None, None)
+        if not isinstance(colors, list) or not _int_rows(theta):
+            raise PosetError("diagram must hold a colors list and a theta table of integers")
         elements = data["elements"]
-        if not isinstance(elements, list) or not all(isinstance(e, dict) for e in elements):
+        if not isinstance(elements, list) or not all(
+            isinstance(e, dict) and isinstance(e.get("id"), int) and "color" in e for e in elements
+        ):
             raise PosetError("elements must be a list of {id, color} objects")
-        coloring = {int(e["id"]): str(e["color"]) for e in elements}
+        coloring = {e["id"]: str(e["color"]) for e in elements}
         if len(coloring) != len(elements):
             raise PosetError("duplicate element ids")
-        covers = [(int(x), int(y)) for x, y in data["covers"]]
-        return ColoredPoset(diagram, coloring, covers)
+        if not _int_rows(data["covers"], width=2):
+            raise PosetError("covers must be a list of integer pairs")
+        return ColoredPoset(DynkinDiagram.from_json(d), coloring, data["covers"])
 
     def to_dot(self) -> str:
         lines = ["digraph hasse {", "  rankdir=BT;", "  node [shape=box];"]
@@ -279,6 +269,14 @@ class ColoredPoset:
             lines.append(f"  {x} -> {y};")
         lines.append("}")
         return "\n".join(lines) + "\n"
+
+
+def _int_rows(value, width: Optional[int] = None) -> bool:
+    """Whether value is a list of integer lists, each of the given width."""
+    return isinstance(value, list) and all(
+        isinstance(row, list) and width in (None, len(row)) and all(isinstance(v, int) for v in row)
+        for row in value
+    )
 
 
 class TopTree:
@@ -363,38 +361,6 @@ def top_tree(poset: ColoredPoset) -> TopTree:
             raise PosetError(f"color {a!r} has {len(tops)} maximal elements")
         picks.append(tops[0])
     return TopTree(poset, tuple(sorted(picks)))
-
-
-def ch_set(poset: ColoredPoset) -> frozenset[int]:
-    """Elements whose principal filter is a chain."""
-    out = []
-    for x in poset.elements:
-        ups = sorted(poset.up_set(x))
-        if all(poset.comparable(u, v) for u, v in itertools.combinations(ups, 2)):
-            out.append(x)
-    return frozenset(out)
-
-
-def linear_extensions(poset: ColoredPoset) -> Iterator[tuple[int, ...]]:
-    """All linear extensions, each exactly once, in lexicographic id order."""
-    down = {x: set(poset.covered_by_x(x)) for x in poset.elements}
-    taken: list[int] = []
-    used: set[int] = set()
-
-    def rec() -> Iterator[tuple[int, ...]]:
-        if len(taken) == len(poset.elements):
-            yield tuple(taken)
-            return
-        for x in poset.elements:
-            if x in used or not down[x] <= used:
-                continue
-            used.add(x)
-            taken.append(x)
-            yield from rec()
-            taken.pop()
-            used.discard(x)
-
-    return rec()
 
 
 def first_linear_extension(poset: ColoredPoset, within: Optional[Iterable[int]] = None) -> tuple[int, ...]:
@@ -512,62 +478,6 @@ def colored_isomorphism(
         if pi is not None:
             return pi, gamma
     return None
-
-
-def rank_function(poset: ColoredPoset) -> dict[int, int]:
-    """
-    The rank map with unit steps along covers, ranks increasing downward.
-
-    Anchors: rank(splitting element of the top tree) = -1 when the poset is
-    connected with such an element (so the unique maximal element sits at -i);
-    connected posets with a chain top tree put their maximum at -height; any
-    other ranked poset is normalized per component with minimum rank 0.
-    Raises NotRanked when covers cannot all have unit length.
-    """
-    rank: dict[int, int] = {}
-    components = _component_element_sets(poset)
-    for comp in components:
-        comp_rank: dict[int, int] = {}
-        root = min(comp)
-        comp_rank[root] = 0
-        queue = [root]
-        while queue:
-            x = queue.pop()
-            for y in poset.covers_of(x):
-                if y in comp:
-                    r = comp_rank[x] - 1
-                    if comp_rank.get(y, r) != r:
-                        raise NotRanked(f"elements {x},{y} witness unequal chain lengths")
-                    if y not in comp_rank:
-                        comp_rank[y] = r
-                        queue.append(y)
-            for y in poset.covered_by_x(x):
-                if y in comp:
-                    r = comp_rank[x] + 1
-                    if comp_rank.get(y, r) != r:
-                        raise NotRanked(f"elements {y},{x} witness unequal chain lengths")
-                    if y not in comp_rank:
-                        comp_rank[y] = r
-                        queue.append(y)
-        for x, y in poset.covers:
-            if x in comp and comp_rank[x] != comp_rank[y] + 1:
-                raise NotRanked(f"cover ({x},{y}) spans more than one rank")
-
-        shift = -min(comp_rank.values())
-        if len(components) == 1:
-            maxima = poset.maximal_elements()
-            if len(maxima) == 1:
-                try:
-                    tree = top_tree(poset)
-                except PosetError:
-                    tree = None
-                s = tree.splitting_element() if tree is not None else None
-                if s is not None:
-                    shift = -1 - comp_rank[s]
-                else:
-                    shift = -(max(comp_rank.values()) - min(comp_rank.values())) - min(comp_rank.values())
-        rank.update({x: r + shift for x, r in comp_rank.items()})
-    return rank
 
 
 def _component_element_sets(poset: ColoredPoset) -> list[frozenset[int]]:

@@ -26,7 +26,6 @@ __all__ = [
     "RelationReport",
     "ECViolated",
     "splits",
-    "split_count_oracle",
     "build_operators",
     "verify_relations",
 ]
@@ -72,27 +71,6 @@ def splits(p: ColoredPoset) -> list[Split]:
     out = [Split(all_elements - ideal, ideal) for ideal in seen]
     out.sort(key=Split.key)
     return out
-
-
-def split_count_oracle(p: ColoredPoset) -> int:
-    """
-    Independent ideal count via the deletion recurrence: for a minimal element
-    m, ideals either avoid the filter above m or contain m.
-    """
-    from functools import lru_cache
-
-    up = {x: p.up_set(x) for x in p.elements}
-
-    @lru_cache(maxsize=None)
-    def count(members: frozenset[int]) -> int:
-        if not members:
-            return 1
-        m = min(
-            x for x in members if not any(y in members for y in p.covered_by_x(x))
-        )
-        return count(members - up[m]) + count(members - {m})
-
-    return count(frozenset(p.elements))
 
 
 class IntMatrix:

@@ -5,12 +5,21 @@ from __future__ import annotations
 import itertools
 import os
 import random
+from functools import lru_cache
+from typing import Iterator
 
-from minuscule.axioms import is_minuscule
+from minuscule.axioms import AxiomReport, Witness, is_minuscule
 from minuscule.catalog import FamilyId, build
 from minuscule.classify import ComponentClassification
-from minuscule.dynkin import DynkinDiagram, is_simply_laced, validate
-from minuscule.poset import ColoredPoset, colored_isomorphism
+from minuscule.dynkin import Color, DynkinDiagram, is_simply_laced, validate
+from minuscule.heapwindow import PeriodicWindow
+from minuscule.poset import (
+    ColoredPoset,
+    PosetError,
+    colored_isomorphism,
+    connected_components,
+    top_tree,
+)
 
 
 def seed_from_env(default: int = 20250808) -> int:
@@ -189,3 +198,185 @@ def classify_connected_oracle(p: ColoredPoset) -> ComponentClassification:
         raise AssertionError("minuscule poset matched no family")
     fam, iso = matches[0]
     return ComponentClassification(p, fam, tuple(f for f, _ in matches), iso, ())
+
+
+def split_count_oracle(p: ColoredPoset) -> int:
+    """
+    Independent ideal count via the deletion recurrence: for a minimal element
+    m, ideals either avoid the filter above m or contain m.
+    """
+    up = {x: p.up_set(x) for x in p.elements}
+
+    @lru_cache(maxsize=None)
+    def count(members: frozenset[int]) -> int:
+        if not members:
+            return 1
+        m = min(
+            x for x in members if not any(y in members for y in p.covered_by_x(x))
+        )
+        return count(members - up[m]) + count(members - {m})
+
+    return count(frozenset(p.elements))
+
+
+def automorphisms(diagram: DynkinDiagram) -> list[dict[Color, Color]]:
+    """All color bijections preserving the pairing table, by exhaustive search."""
+    n = len(diagram.colors)
+    sig = {
+        a: tuple(sorted((diagram.theta(a, b), diagram.theta(b, a)) for b in diagram.colors if b != a))
+        for a in diagram.colors
+    }
+    out: list[dict[Color, Color]] = []
+    for perm in itertools.permutations(range(n)):
+        if any(sig[diagram.colors[i]] != sig[diagram.colors[perm[i]]] for i in range(n)):
+            continue
+        if all(
+            diagram.matrix[i][j] == diagram.matrix[perm[i]][perm[j]]
+            for i in range(n)
+            for j in range(n)
+        ):
+            out.append({diagram.colors[i]: diagram.colors[perm[i]] for i in range(n)})
+    return out
+
+
+def ch_set(poset: ColoredPoset) -> frozenset[int]:
+    """Elements whose principal filter is a chain."""
+    out = []
+    for x in poset.elements:
+        ups = sorted(poset.up_set(x))
+        if all(poset.comparable(u, v) for u, v in itertools.combinations(ups, 2)):
+            out.append(x)
+    return frozenset(out)
+
+
+def linear_extensions(poset: ColoredPoset) -> Iterator[tuple[int, ...]]:
+    """All linear extensions, each exactly once, in lexicographic id order."""
+    down = {x: set(poset.covered_by_x(x)) for x in poset.elements}
+    taken: list[int] = []
+    used: set[int] = set()
+
+    def rec() -> Iterator[tuple[int, ...]]:
+        if len(taken) == len(poset.elements):
+            yield tuple(taken)
+            return
+        for x in poset.elements:
+            if x in used or not down[x] <= used:
+                continue
+            used.add(x)
+            taken.append(x)
+            yield from rec()
+            taken.pop()
+            used.discard(x)
+
+    return rec()
+
+
+class NotRanked(PosetError):
+    """The poset admits no rank function with unit steps along covers."""
+
+
+def rank_function(poset: ColoredPoset) -> dict[int, int]:
+    """
+    The rank map with unit steps along covers, ranks increasing downward.
+
+    Anchors: rank(splitting element of the top tree) = -1 when the poset is
+    connected with such an element (so the unique maximal element sits at -i);
+    connected posets with a chain top tree put their maximum at -height; any
+    other ranked poset is normalized per component with minimum rank 0.
+    Raises NotRanked when covers cannot all have unit length.
+    """
+    rank: dict[int, int] = {}
+    components = [frozenset(c.elements) for c in connected_components(poset)]
+    for comp in components:
+        comp_rank: dict[int, int] = {}
+        root = min(comp)
+        comp_rank[root] = 0
+        queue = [root]
+        while queue:
+            x = queue.pop()
+            for y in poset.covers_of(x):
+                if y in comp:
+                    r = comp_rank[x] - 1
+                    if comp_rank.get(y, r) != r:
+                        raise NotRanked(f"elements {x},{y} witness unequal chain lengths")
+                    if y not in comp_rank:
+                        comp_rank[y] = r
+                        queue.append(y)
+            for y in poset.covered_by_x(x):
+                if y in comp:
+                    r = comp_rank[x] + 1
+                    if comp_rank.get(y, r) != r:
+                        raise NotRanked(f"elements {y},{x} witness unequal chain lengths")
+                    if y not in comp_rank:
+                        comp_rank[y] = r
+                        queue.append(y)
+        for x, y in poset.covers:
+            if x in comp and comp_rank[x] != comp_rank[y] + 1:
+                raise NotRanked(f"cover ({x},{y}) spans more than one rank")
+
+        shift = -min(comp_rank.values())
+        if len(components) == 1:
+            maxima = poset.maximal_elements()
+            if len(maxima) == 1:
+                try:
+                    tree = top_tree(poset)
+                except PosetError:
+                    tree = None
+                s = tree.splitting_element() if tree is not None else None
+                if s is not None:
+                    shift = -1 - comp_rank[s]
+                else:
+                    shift = -(max(comp_rank.values()) - min(comp_rank.values())) - min(comp_rank.values())
+        rank.update({x: r + shift for x, r in comp_rank.items()})
+    return rank
+
+
+def verify_window_oracle(w: PeriodicWindow) -> list[AxiomReport]:
+    """Reference window checks: hand-written interior scans for EC, NA, AC
+    and ICE2, and the window chain axiom scanning each color class."""
+    p = w.poset
+    reports: list[AxiomReport] = []
+    inner = [x for x in p.elements if x not in w.boundary]
+
+    ec, na, ac = [], [], []
+    for x, y in itertools.combinations(inner, 2):
+        a, b = p.color(x), p.color(y)
+        if a == b and not p.comparable(x, y):
+            ec.append(Witness((x, y), note="equal colors, incomparable"))
+        if p.diagram.adjacent(a, b) and not p.comparable(x, y):
+            ac.append(Witness((x, y), note="adjacent colors, incomparable"))
+    for x, y in sorted(p.covers):
+        if x in w.boundary or y in w.boundary:
+            continue
+        if not p.diagram.adjacent(p.color(x), p.color(y)):
+            na.append(Witness((x, y), note="cover with non-adjacent colors"))
+    reports.append(AxiomReport("EC", not ec, tuple(ec)))
+    reports.append(AxiomReport("NA", not na, tuple(na)))
+    reports.append(AxiomReport("AC", not ac, tuple(ac)))
+
+    ice = []
+    for a in p.diagram.colors:
+        for x, y in p.consecutive_same_color_pairs(a):
+            interval = p.open_interval(x, y)
+            if interval & w.boundary:
+                continue
+            census = sum(-p.diagram.theta(p.color(z), a) for z in interval)
+            if census != 2:
+                ice.append(Witness((x, y), value=census, note=f"interior census for {a!r}"))
+    reports.append(AxiomReport("ICE2", not ice, tuple(ice)))
+
+    g3 = []
+    for a in p.diagram.colors:
+        cls = p.color_class(a)
+        if len(cls) < 2:
+            g3.append(Witness(cls, value=len(cls), note=f"color {a!r} occurs fewer than twice"))
+            continue
+        for i, x in enumerate(cls):
+            for y in cls[i + 1 :]:
+                if not p.comparable(x, y):
+                    g3.append(Witness((x, y), note=f"color class {a!r} is not a chain"))
+    for x in p.maximal_elements() + p.minimal_elements():
+        if x not in w.boundary:
+            g3.append(Witness((x,), note="window extreme is not boundary-marked"))
+    reports.append(AxiomReport("G3-window", not g3, tuple(g3)))
+    return reports

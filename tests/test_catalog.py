@@ -14,8 +14,9 @@ from minuscule.catalog import (
     minuscule_indices,
     top_tree_Y,
 )
-from minuscule.dynkin import automorphisms
-from minuscule.poset import colored_isomorphism, order_dual, rank_function, top_tree
+from minuscule.poset import colored_isomorphism, order_dual, top_tree
+
+from helpers import automorphisms, rank_function, split_count_oracle
 
 
 def test_family_id_validation():
@@ -54,8 +55,6 @@ def test_c3_is_five_chain():
 
 
 def test_e7_has_27_elements_and_56_ideals():
-    from minuscule.representation import split_count_oracle
-
     p = build(FamilyId("E7", 7))
     assert len(p) == 27
     assert split_count_oracle(p) == 56

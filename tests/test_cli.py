@@ -6,6 +6,7 @@ import pytest
 
 from minuscule.catalog import FamilyId, all_family_ids, build
 from minuscule.cli import run
+from minuscule.heapwindow import cyclic_chain_window
 
 
 def capture(argv):
@@ -187,6 +188,33 @@ def test_classify_window_file_is_out_of_scope(tmp_path):
     assert json.loads(out)["classification"] == "infinite-out-of-scope"
 
 
+POSET_VERBS = (
+    ["verify"], ["classify"], ["represent"], ["window"],
+    ["coroots", "--type", "B", "--n", "2", "--j", "2", "--psi"],
+)
+WINDOW_VERBS = (["window"], ["classify"])
+
+
+def malformed_documents():
+    """(document, message, verbs that read it, whether the schema rejects it
+    too) for each input fault the loaders must report."""
+    _, out, _ = capture(["catalog", "--family", "b", "--n", "2"])
+    good = json.loads(out)
+    window = dict(good, boundary=[1])
+    duplicate = dict(good, elements=good["elements"] + [good["elements"][0]])
+    return [
+        ([good], "object", POSET_VERBS, True),
+        (dict(good, elements="xx"), "elements", POSET_VERBS, True),
+        (duplicate, "duplicate", POSET_VERBS, False),
+        ({k: v for k, v in good.items() if k != "diagram"}, "diagram", POSET_VERBS, True),
+        (dict(good, covers=5), "covers", POSET_VERBS, True),
+        (dict(good, covers=[[1, 2, 3]]), "covers", POSET_VERBS, True),
+        ({k: v for k, v in window.items() if k != "diagram"}, "diagram", WINDOW_VERBS, True),
+        (dict(window, boundary="12"), "boundary", WINDOW_VERBS, True),
+        (dict(window, boundary=[99]), "boundary", WINDOW_VERBS, False),
+    ]
+
+
 def test_input_errors_exit_two(tmp_path):
     code, _, err = capture(["classify", "/does/not/exist.json"])
     assert code == 2
@@ -200,26 +228,23 @@ def test_input_errors_exit_two(tmp_path):
     code, _, _ = capture(["catalog", "--index", "A,4,9"])
     assert code == 2
 
-    _, out, _ = capture(["catalog", "--family", "b", "--n", "2"])
-    good = json.loads(out)
-    duplicate = dict(good, elements=good["elements"] + [good["elements"][0]])
-    for doc, message in (
-        ([good], "object"),
-        (dict(good, elements="xx"), "elements"),
-        (duplicate, "duplicate"),
-    ):
+    for doc, message, verbs, _ in malformed_documents():
         path.write_text(json.dumps(doc))
-        for verb in ("verify", "classify"):
-            code, out, err = capture([verb, str(path)])
+        for verb in verbs:
+            code, out, err = capture(verb + [str(path)])
             assert code == 2, (verb, doc)
-            assert message in err and out == ""
+            assert message in err and out == "", (verb, doc, err)
 
 
-def test_byte_for_byte_determinism():
+def test_byte_for_byte_determinism(tmp_path):
+    path = tmp_path / "window.json"
+    path.write_text(json.dumps(cyclic_chain_window(4, 2).to_json()))
     for argv in (
         ["catalog", "--family", "d-spin", "--n", "6"],
         ["extend", "--shape", "4,1,2", "--trace"],
         ["coroots", "--type", "E", "--n", "6", "--j", "1"],
+        ["window", "--chain", "5,3"],
+        ["classify", str(path)],
     ):
         _, first, _ = capture(argv)
         _, second, _ = capture(argv)
@@ -256,6 +281,11 @@ def test_poset_files_validate_against_published_schema(tmp_path):
             payload = json.loads(out)
             payload["boundary"] = [1]
         jsonschema.validate(payload, schema)
+    # every fault the schema can express fails it as it fails the loaders
+    for doc, _, _, in_schema in malformed_documents():
+        if in_schema:
+            with pytest.raises(jsonschema.ValidationError):
+                jsonschema.validate(doc, schema)
 
 
 def test_classify_reads_stdin(monkeypatch):

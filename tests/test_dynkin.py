@@ -9,14 +9,13 @@ from minuscule.dynkin import (
     DynkinDiagram,
     NotConnected,
     PositiveOffDiagonal,
-    automorphisms,
     is_acyclic,
     is_simply_laced,
     recognize_finite_type,
     validate,
 )
 
-from helpers import random_diagram, seed_from_env
+from helpers import automorphisms, random_diagram, seed_from_env
 
 
 def a4():

@@ -10,7 +10,9 @@ from minuscule.extension import (
     lower_frontier_census,
     run_extension,
 )
-from minuscule.poset import colored_isomorphism, rank_function, top_tree
+from minuscule.poset import colored_isomorphism, top_tree
+
+from helpers import rank_function
 
 
 def splitting_color(seed):

@@ -1,9 +1,14 @@
+import random
+from collections import Counter
+
 import pytest
 
-from minuscule.catalog import BadParameters, FamilyId, build
+from minuscule.catalog import BadParameters, FamilyId, all_family_ids, build
 from minuscule.heapwindow import PeriodicWindow, cyclic_chain_window, verify_window, window_of
 from minuscule.dynkin import validate
 from minuscule.poset import ColoredPoset
+
+from helpers import seed_from_env, verify_window_oracle
 
 
 def by_name(reports):
@@ -82,3 +87,48 @@ def test_window_json_round_trip():
     again = PeriodicWindow.from_json(data)
     assert again.boundary == window.boundary
     assert len(again.poset) == len(window.poset)
+
+
+def _differential_windows():
+    rng = random.Random(seed_from_env() + 53)
+
+    def marked(p):
+        return frozenset(x for x in p.elements if rng.random() < 0.25)
+
+    for n in range(3, 9):
+        for periods in range(2, 5):
+            yield cyclic_chain_window(n, periods)
+    for fam in all_family_ids(8):
+        p = build(fam)
+        yield window_of(p)
+        for _ in range(3):
+            yield PeriodicWindow(p, marked(p))
+    for fam in all_family_ids(6):
+        p = build(fam)
+        for dropped in sorted(p.covers):
+            q = ColoredPoset(p.diagram, p.coloring, p.covers - {dropped})
+            yield PeriodicWindow(q, marked(q))
+    # a cover joining equal colors makes NA and EC fail inside the chain
+    for n in range(3, 7):
+        w = cyclic_chain_window(n, 3)
+        p = w.poset
+        for m in (1, n + 1):
+            coloring = {x: p.color(m + 1) if x == m else c for x, c in p.coloring.items()}
+            q = ColoredPoset(p.diagram, coloring, p.covers)
+            yield PeriodicWindow(q, w.boundary)
+            yield PeriodicWindow(q, marked(q))
+
+
+def test_verify_window_matches_oracle():
+    failing = Counter()
+    for w in _differential_windows():
+        got, want = verify_window(w), verify_window_oracle(w)
+        assert [r.property for r in got] == [r.property for r in want]
+        for r, o in zip(got, want):
+            assert r.holds == o.holds, (r.property, w.to_json())
+            assert Counter((v.elements, v.value) for v in r.witnesses) == Counter(
+                (v.elements, v.value) for v in o.witnesses
+            ), (r.property, w.to_json())
+        assert got[-1].to_json() == want[-1].to_json()
+        failing.update(r.property for r in got[:-1] if not r.holds)
+    assert set(failing) == {"EC", "NA", "AC", "ICE2"}, failing

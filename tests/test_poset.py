@@ -7,23 +7,23 @@ from minuscule.catalog import FamilyId, build, indexed, top_tree_Y
 from minuscule.dynkin import is_simply_laced, validate
 from minuscule.poset import (
     ColoredPoset,
-    NotRanked,
     PosetError,
-    ch_set,
     colored_isomorphism,
     connected_components,
     disjoint_union,
     first_linear_extension,
-    linear_extensions,
     order_dual,
-    rank_function,
     top_tree,
 )
 
 from helpers import (
+    NotRanked,
     brute_force_colored_isomorphic,
     brute_force_linear_extension_count,
+    ch_set,
+    linear_extensions,
     random_colored_poset,
+    rank_function,
     seed_from_env,
 )
 
@@ -49,7 +49,6 @@ def test_constructor_rejects_cycle_and_nonsurjective():
         ColoredPoset(d, {1: "a", 2: "b"}, [(1, 2), (2, 1)])
     with pytest.raises(PosetError):
         ColoredPoset(d, {1: "a"}, [])
-    ColoredPoset(d, {1: "a"}, [], allow_partial_coloring=True)
 
 
 def test_order_dual_involution():
@@ -305,16 +304,6 @@ def test_json_rejects_unknown_version():
     data["version"] = 99
     with pytest.raises(PosetError):
         ColoredPoset.from_json(data)
-
-
-def test_subposet_keep_diagram_flag():
-    p = indexed("A", 4, 2)
-    mx = p.maximal_elements()[0]
-    filt = p.subposet(p.up_set(mx), keep_diagram=True)
-    assert filt.diagram == p.diagram
-    assert len(filt) == 1
-    small = p.subposet(p.up_set(mx))
-    assert len(small.diagram) == 1
 
 
 def test_dot_export():

@@ -10,12 +10,11 @@ from minuscule.representation import (
     IntMatrix,
     Split,
     build_operators,
-    split_count_oracle,
     splits,
     verify_relations,
 )
 
-from helpers import brute_force_ideal_count
+from helpers import brute_force_ideal_count, split_count_oracle
 
 
 def test_split_counts_small():
