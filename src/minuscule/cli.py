@@ -143,14 +143,15 @@ def cmd_extend(args) -> int:
 
 def cmd_represent(args) -> int:
     p = _load_poset(args.file)
-    out: dict = {"version": SCHEMA_VERSION, "splits": len(splits(p))}
+    basis = splits(p)
+    out: dict = {"version": SCHEMA_VERSION, "splits": len(basis)}
     code = 0
     if args.relations:
-        report = verify_relations(p, full_sweep=args.full_sweep)
+        report = verify_relations(p, full_sweep=args.full_sweep, basis=basis)
         out["relations"] = report.to_json()
         code = 0 if report.all_pass else 1
     if args.weights or args.matrices:
-        basis, ops = build_operators(p)
+        _, ops = build_operators(p, basis=basis)
     if args.weights:
         # a split's weight is its eigenvalue under every diagonal operator
         out["weights"] = [
@@ -179,7 +180,7 @@ def cmd_coroots(args) -> int:
     except catalog.BadParameters as exc:
         raise InputError(str(exc)) from exc
     try:
-        system = coroots.CorootSystem(diagram)
+        system = coroots.coroot_system(diagram)
     except coroots.NotFiniteType as exc:
         raise InputError(str(exc)) from exc
     out: dict = {
@@ -189,6 +190,7 @@ def cmd_coroots(args) -> int:
         "highest": list(system.highest_coroot()),
     }
     code = 0
+    real = None
     if args.j is not None:
         if not 1 <= args.j <= args.n:
             raise InputError(f"--j must lie in 1..{args.n}")
@@ -213,17 +215,17 @@ def cmd_coroots(args) -> int:
         else:
             # filter colored through the indexed poset when one exists
             try:
-                p = catalog.indexed(args.type.upper(), args.n, args.j)
-                real = coroots.psi(p)
+                real = coroots.psi(catalog.indexed(args.type.upper(), args.n, args.j))
                 out["colors_in_order"] = [
                     str(real.coloring_of(b)) for b in real.coroot_ids
                 ]
-            except catalog.NotAMinusculeWeight:
+            except catalog.NotAMinusculeWeight as exc:
+                if args.dot:
+                    print(f"error: no colored filter to draw: {exc}", file=sys.stderr)
                 code = 1
     if args.dot and args.j is not None:
-        p = catalog.indexed(args.type.upper(), args.n, args.j)
-        real = coroots.psi(p)
-        print(real.coroot_poset.to_dot(), end="")
+        if real is not None:
+            print(real.coroot_poset.to_dot(), end="")
         return code
     _emit(out)
     return code

@@ -14,13 +14,19 @@ Weyl group element of its principal filter; the last coroot of the word's
 inversion sequence realizes x inside the filter of positive coroots above
 alpha_j, and transporting the coloring along this map yields a colored
 minuscule poset of coroots dual isomorphic to P.
+
+Each diagram's `CorootSystem` is built once (`coroot_system`) and shared by
+the command line and `psi`; it computes its positive coroots once, and a
+reflection reads only the nonzero entries of its row.  `psi` applies each
+element's word to every positive coroot once, and both the inversion-set and
+the outside-coroot certificates read those images.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .axioms import is_minuscule
 from .dynkin import DynkinDiagram, FiniteTypeId, recognize_finite_type
@@ -33,6 +39,7 @@ __all__ = [
     "NotReduced",
     "NotMinusculeInput",
     "CorootSystem",
+    "coroot_system",
     "simple_reflection",
     "positive_coroots",
     "highest_coroot",
@@ -96,13 +103,17 @@ class CorootSystem:
         self.theta = [
             [diagram.theta(a, b) for b in order] for a in order
         ]
+        # the nonzero entries of each row: node i and its neighbours
+        self._row_support = [[(j, v) for j, v in enumerate(row) if v] for row in self.theta]
+        self._positive: Optional[tuple[Coroot, ...]] = None
 
     # -- reflections ----------------------------------------------------------
 
     def reflect(self, i: int, beta: Coroot) -> Coroot:
         """Apply the simple reflection for node i (1-based)."""
-        row = self.theta[i - 1]
-        coeff = sum(row[j] * beta[j] for j in range(self.n))
+        coeff = 0
+        for j, v in self._row_support[i - 1]:
+            coeff += v * beta[j]
         if coeff == 0:
             return beta
         out = list(beta)
@@ -122,7 +133,9 @@ class CorootSystem:
 
     def positive_coroots(self) -> tuple[Coroot, ...]:
         """Closure of the simple coroots under reflections, positive cone only,
-        sorted by height then coordinates."""
+        sorted by height then coordinates; computed once per system."""
+        if self._positive is not None:
+            return self._positive
         found = {self.simple(i) for i in range(1, self.n + 1)}
         frontier = set(found)
         while frontier:
@@ -134,7 +147,8 @@ class CorootSystem:
                         found.add(img)
                         nxt.add(img)
             frontier = nxt
-        return tuple(sorted(found, key=_display_key))
+        self._positive = tuple(sorted(found, key=_display_key))
+        return self._positive
 
     def highest_coroot(self) -> Coroot:
         return max(self.positive_coroots(), key=lambda b: _height(b))
@@ -144,39 +158,44 @@ class CorootSystem:
         alpha = self.simple(j)
         return tuple(b for b in self.positive_coroots() if _leq(alpha, b))
 
+    def word_images(self, word: Sequence[int]) -> dict[Coroot, Coroot]:
+        """Every positive coroot's image under the word."""
+        return {beta: self.apply_word(word, beta) for beta in self.positive_coroots()}
+
     def inversion_set(self, word: Sequence[int]) -> frozenset[Coroot]:
         """Positive coroots sent negative by the word (independent of any
         reduced expression bookkeeping)."""
-        out = set()
-        for beta in self.positive_coroots():
-            if _is_negative(self.apply_word(word, beta)):
-                out.add(beta)
-        return frozenset(out)
+        return _inverted(self.word_images(word))
+
+
+def _inverted(images: dict[Coroot, Coroot]) -> frozenset[Coroot]:
+    return frozenset(beta for beta, img in images.items() if _is_negative(img))
 
 
 _SYSTEMS: dict[DynkinDiagram, CorootSystem] = {}
 
 
-def _system(diagram: DynkinDiagram) -> CorootSystem:
+def coroot_system(diagram: DynkinDiagram) -> CorootSystem:
+    """The coroot system of a diagram, built once and shared."""
     if diagram not in _SYSTEMS:
         _SYSTEMS[diagram] = CorootSystem(diagram)
     return _SYSTEMS[diagram]
 
 
 def simple_reflection(diagram: DynkinDiagram, i: int, beta: Coroot) -> Coroot:
-    return _system(diagram).reflect(i, beta)
+    return coroot_system(diagram).reflect(i, beta)
 
 
 def positive_coroots(diagram: DynkinDiagram) -> tuple[Coroot, ...]:
-    return _system(diagram).positive_coroots()
+    return coroot_system(diagram).positive_coroots()
 
 
 def highest_coroot(diagram: DynkinDiagram) -> Coroot:
-    return _system(diagram).highest_coroot()
+    return coroot_system(diagram).highest_coroot()
 
 
 def coroot_filter(diagram: DynkinDiagram, j: int) -> tuple[Coroot, ...]:
-    return _system(diagram).filter_at(j)
+    return coroot_system(diagram).filter_at(j)
 
 
 def heap_to_word(p: ColoredPoset, x: int) -> ReducedWord:
@@ -187,7 +206,7 @@ def heap_to_word(p: ColoredPoset, x: int) -> ReducedWord:
     the filter, so the word ends with the maximal element's node.  The word is
     applied rightmost letter first.
     """
-    system = _system(p.diagram)
+    system = coroot_system(p.diagram)
     numbering = system.type.numbering_map
     extension = first_linear_extension(p, within=p.up_set(x))
     return tuple(numbering[p.color(z)] for z in extension)
@@ -201,7 +220,7 @@ def inversion_sequence(diagram: DynkinDiagram, word: Sequence[int]) -> list[Coro
     For a reduced word these are exactly the word's inversions; a repeat or a
     negative entry witnesses non-reducedness and raises NotReduced.
     """
-    system = _system(diagram)
+    system = coroot_system(diagram)
     out: list[Coroot] = []
     prefix: list[int] = []  # letters i_1 .. i_{t-1}, leftmost acting last
     for i in reversed(word):
@@ -259,10 +278,12 @@ def psi(p: ColoredPoset) -> PsiRealization:
     maxima = p.maximal_elements()
     if len(maxima) != 1:
         raise NotMinusculeInput("coroot realization needs a connected poset")
-    system = _system(p.diagram)
+    system = coroot_system(p.diagram)
     numbering = system.type.numbering_map
     j = numbering[p.color(maxima[0])]
 
+    filt = set(coroot_filter(p.diagram, j))
+    outside = [b for b in system.positive_coroots() if b not in filt]
     words: dict[int, ReducedWord] = {}
     assignment: dict[int, Coroot] = {}
     for x in p.elements:
@@ -270,11 +291,14 @@ def psi(p: ColoredPoset) -> PsiRealization:
         seq = inversion_sequence(p.diagram, word)
         words[x] = word
         assignment[x] = seq[-1]
-        assert frozenset(seq) == system.inversion_set(word), "inversion sequence mismatch"
+        images = system.word_images(word)
+        assert frozenset(seq) == _inverted(images), "inversion sequence mismatch"
+        # membership certificate for the parabolic quotient: everything outside
+        # the filter stays positive under each element's word
+        assert all(_is_positive(images[b]) for b in outside), "word moves an outside coroot negative"
 
-    filt = coroot_filter(p.diagram, j)
     image = set(assignment.values())
-    assert image == set(filt), "image is not the coroot filter"
+    assert image == filt, "image is not the coroot filter"
     assert len(image) == len(p.elements), "coroot assignment is not injective"
 
     for x, y in itertools.combinations(p.elements, 2):
@@ -282,14 +306,6 @@ def psi(p: ColoredPoset) -> PsiRealization:
         bwd = p.leq(y, x)
         assert fwd == _leq(assignment[y], assignment[x]), "psi not order reversing"
         assert bwd == _leq(assignment[x], assignment[y]), "psi not order reversing"
-
-    # membership certificate for the parabolic quotient: everything outside the
-    # filter stays positive under each element's word
-    outside = [b for b in system.positive_coroots() if b not in set(filt)]
-    for x in p.elements:
-        for beta in outside:
-            img = system.apply_word(words[x], beta)
-            assert _is_positive(img), "word moves an outside coroot negative"
 
     coloring = {assignment[x]: p.color(x) for x in p.elements}
     cposet, ids = coroot_poset(p.diagram, j, coloring)

@@ -39,7 +39,7 @@ class PeriodicWindow:
         poset = ColoredPoset.from_json(data)
         boundary = data.get("boundary", [])
         if not isinstance(boundary, list) or not all(
-            isinstance(x, int) and x in poset.coloring for x in boundary
+            type(x) is int and x in poset.coloring for x in boundary
         ):
             raise PosetError("boundary must be a list of element ids")
         return PeriodicWindow(poset, frozenset(boundary))

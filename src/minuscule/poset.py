@@ -251,7 +251,7 @@ class ColoredPoset:
             raise PosetError("diagram must hold a colors list and a theta table of integers")
         elements = data["elements"]
         if not isinstance(elements, list) or not all(
-            isinstance(e, dict) and isinstance(e.get("id"), int) and "color" in e for e in elements
+            isinstance(e, dict) and type(e.get("id")) is int and "color" in e for e in elements
         ):
             raise PosetError("elements must be a list of {id, color} objects")
         coloring = {e["id"]: str(e["color"]) for e in elements}
@@ -272,9 +272,12 @@ class ColoredPoset:
 
 
 def _int_rows(value, width: Optional[int] = None) -> bool:
-    """Whether value is a list of integer lists, each of the given width."""
+    """Whether value is a list of integer lists, each of the given width.
+
+    Integers are tested by exact type throughout the loaders: JSON true and
+    false decode to bool, a subclass of int."""
     return isinstance(value, list) and all(
-        isinstance(row, list) and width in (None, len(row)) and all(isinstance(v, int) for v in row)
+        isinstance(row, list) and width in (None, len(row)) and all(type(v) is int for v in row)
         for row in value
     )
 

@@ -7,12 +7,21 @@ element of F into the ideal, the lowering operator moves a maximal element of
 I into the filter, and the diagonal operator has eigenvalue -1, +1 or 0
 according to whether the color marks a minimal element of F, a maximal
 element of I, or neither.  All arithmetic is exact integer arithmetic.
+
+The split basis is enumerated once, as ideal bitmasks.  Under EC each color
+class is a chain, so a raising or lowering operator sends a basis vector to at
+most one basis vector: it is stored as a partial map on split indices, and the
+diagonal operator as a vector.  The generator relations are verified by
+applying them to every basis vector along these maps, with no matrix products;
+`IntMatrix` serves the matrix export.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass
+from math import comb
 from typing import Iterable, Mapping, Optional
 
 from .axioms import check
@@ -21,11 +30,14 @@ from .poset import ColoredPoset
 
 __all__ = [
     "Split",
+    "SplitBasis",
+    "OperatorMaps",
     "IntMatrix",
     "RelationCheck",
     "RelationReport",
     "ECViolated",
     "splits",
+    "operator_maps",
     "build_operators",
     "verify_relations",
 ]
@@ -46,31 +58,103 @@ class Split:
         return (len(self.ideal), tuple(sorted(self.ideal)))
 
 
-def splits(p: ColoredPoset) -> list[Split]:
+class SplitBasis(Sequence):
+    """
+    The splits of a poset in canonical order (ideal size, then ideal
+    contents), held as ideal bitmasks; indexing yields `Split` objects.
+
+    `bit[x]` is element x's bit.  The k-th smallest of n ids owns bit n-1-k,
+    so among ideals of one size the canonical order is descending mask order.
+    """
+
+    def __init__(self, bit: dict[int, int], masks: list[int]):
+        self.elements = frozenset(bit)
+        self.bit = bit
+        self.masks = masks
+        self.position = {m: i for i, m in enumerate(masks)}
+
+    def __len__(self) -> int:
+        return len(self.masks)
+
+    def __getitem__(self, i: int) -> Split:
+        m = self.masks[i]
+        ideal = frozenset(x for x, b in self.bit.items() if m & b)
+        return Split(self.elements - ideal, ideal)
+
+
+def splits(p: ColoredPoset) -> SplitBasis:
     """
     All splits, in canonical order (ideal size, then ideal contents).
 
-    Enumerated by breadth-first growth of ideals: minimal elements of the
-    remaining filter may be moved into the ideal one at a time.
+    Enumerated by breadth-first growth of ideal bitmasks: minimal elements of
+    the remaining filter may be moved into the ideal one at a time.
     """
-    all_elements = frozenset(p.elements)
-    seen = {frozenset()}
-    frontier = [frozenset()]
-    while frontier:
-        nxt = []
-        for ideal in frontier:
-            for x in p.elements:
-                if x in ideal:
-                    continue
-                if all(z in ideal for z in p.covered_by_x(x)):
-                    grown = ideal | {x}
-                    if grown not in seen:
-                        seen.add(grown)
-                        nxt.append(grown)
-        frontier = nxt
-    out = [Split(all_elements - ideal, ideal) for ideal in seen]
-    out.sort(key=Split.key)
-    return out
+    n = len(p.elements)
+    bit = {x: 1 << (n - 1 - k) for k, x in enumerate(p.elements)}
+    growth = [(bit[x], sum(bit[z] for z in p.covered_by_x(x))) for x in p.elements]
+    masks = [0]
+    level = [0]
+    while level:
+        grown = {m | b for m in level for b, below in growth if not m & b and below & m == below}
+        level = sorted(grown, reverse=True)
+        masks.extend(level)
+    return SplitBasis(bit, masks)
+
+
+@dataclass(frozen=True)
+class OperatorMaps:
+    """
+    Each color's operators on a split basis: `up[a][s]` and `down[a][s]` are
+    the indices of X_a e_s and Y_a e_s (-1 where the image is zero), and
+    `h[a][s]` is the eigenvalue of e_s under H_a.
+    """
+
+    basis: SplitBasis
+    up: dict[Color, list[int]]
+    down: dict[Color, list[int]]
+    h: dict[Color, list[int]]
+
+
+def operator_maps(p: ColoredPoset, *, basis: Optional[SplitBasis] = None) -> OperatorMaps:
+    """
+    The operator maps of every color over the canonical split basis.  Requires
+    EC so that the defining sums have at most one term per basis vector.
+    """
+    if not check(p, "EC").holds:
+        raise ECViolated("equal-colored incomparable elements; operator sums are ambiguous")
+    if basis is None:
+        basis = splits(p)
+    bit, position = basis.bit, basis.position
+    up: dict[Color, list[int]] = {}
+    down: dict[Color, list[int]] = {}
+    h: dict[Color, list[int]] = {}
+    for a in p.diagram.colors:
+        # by EC the class is a chain, and an ideal holds an initial segment of it:
+        # only the next element can be minimal in the filter, only the last
+        # maximal in the ideal
+        chain = sorted(p.color_class(a), key=lambda x: len(p.down_set(x)))
+        class_mask = sum(bit[x] for x in chain)
+        steps = [
+            (bit[x], sum(bit[z] for z in p.covered_by_x(x)), sum(bit[z] for z in p.covers_of(x)))
+            for x in chain
+        ]
+        ups, downs, hs = [], [], []
+        for m in basis.masks:
+            t = (m & class_mask).bit_count()
+            raised = lowered = -1
+            if t < len(steps):
+                b, below, _ = steps[t]
+                if below & m == below:
+                    raised = position[m | b]
+            if t:
+                b, _, above = steps[t - 1]
+                if not above & m:
+                    lowered = position[m ^ b]
+            ups.append(raised)
+            downs.append(lowered)
+            hs.append(-1 if raised >= 0 else 1 if lowered >= 0 else 0)
+        up[a], down[a], h[a] = ups, downs, hs
+    return OperatorMaps(basis, up, down, h)
 
 
 class IntMatrix:
@@ -85,10 +169,6 @@ class IntMatrix:
             for k, v in entries.items():
                 if v:
                     self.entries[k] = v
-
-    @staticmethod
-    def zero(n: int) -> "IntMatrix":
-        return IntMatrix(n)
 
     @staticmethod
     def diagonal(values: Iterable[int]) -> "IntMatrix":
@@ -127,9 +207,6 @@ class IntMatrix:
     def transpose(self) -> "IntMatrix":
         return IntMatrix(self.n, {(c, r): v for (r, c), v in self.entries.items()})
 
-    def is_zero(self) -> bool:
-        return not self.entries
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, IntMatrix) and self.n == other.n and self.entries == other.entries
@@ -137,63 +214,27 @@ class IntMatrix:
 
     __hash__ = None
 
-    def first_nonzero_column(self) -> Optional[int]:
-        """Index of a basis vector on which the matrix acts nontrivially."""
-        if not self.entries:
-            return None
-        return min(c for _, c in self.entries)
-
     def to_coordinate_json(self) -> list[list[int]]:
         return sorted([r, c, v] for (r, c), v in self.entries.items())
 
 
 def build_operators(
-    p: ColoredPoset,
-) -> tuple[list[Split], dict[Color, tuple[IntMatrix, IntMatrix, IntMatrix]]]:
+    p: ColoredPoset, *, basis: Optional[SplitBasis] = None
+) -> tuple[SplitBasis, dict[Color, tuple[IntMatrix, IntMatrix, IntMatrix]]]:
     """
     The (raising, lowering, diagonal) operator triple for every color, over
-    the canonical split basis.  Requires EC so that the defining sums have at
-    most one term per basis vector.
+    the canonical split basis, as matrices.  Requires EC (see `operator_maps`).
     """
-    if not check(p, "EC").holds:
-        raise ECViolated("equal-colored incomparable elements; operator sums are ambiguous")
-    basis = splits(p)
-    index = {s: i for i, s in enumerate(basis)}
-    n = len(basis)
+    maps = operator_maps(p, basis=basis)
+    n = len(maps.basis)
     ops: dict[Color, tuple[IntMatrix, IntMatrix, IntMatrix]] = {}
     for a in p.diagram.colors:
-        x_entries: dict[tuple[int, int], int] = {}
-        y_entries: dict[tuple[int, int], int] = {}
-        h_values: list[int] = []
-        for i, s in enumerate(basis):
-            mins_f = [
-                x
-                for x in s.filter
-                if p.color(x) == a and all(z in s.ideal for z in p.covered_by_x(x))
-            ]
-            maxs_i = [
-                x
-                for x in s.ideal
-                if p.color(x) == a and all(z in s.filter for z in p.covers_of(x))
-            ]
-            for x in mins_f:
-                target = Split(s.filter - {x}, s.ideal | {x})
-                x_entries[(index[target], i)] = 1
-            for x in maxs_i:
-                target = Split(s.filter | {x}, s.ideal - {x})
-                y_entries[(index[target], i)] = 1
-            if mins_f:
-                h_values.append(-1)
-            elif maxs_i:
-                h_values.append(1)
-            else:
-                h_values.append(0)
         ops[a] = (
-            IntMatrix(n, x_entries),
-            IntMatrix(n, y_entries),
-            IntMatrix.diagonal(h_values),
+            IntMatrix(n, {(t, s): 1 for s, t in enumerate(maps.up[a]) if t >= 0}),
+            IntMatrix(n, {(t, s): 1 for s, t in enumerate(maps.down[a]) if t >= 0}),
+            IntMatrix.diagonal(maps.h[a]),
         )
-    return basis, ops
+    return maps.basis, ops
 
 
 @dataclass(frozen=True)
@@ -237,30 +278,97 @@ class RelationReport:
         }
 
 
-def _serre_depth_bracket(xa: IntMatrix, xb: IntMatrix, depth: int) -> IntMatrix:
-    acc = xb
-    for _ in range(depth):
-        acc = xa.commutator(acc)
-    return acc
+def _bracket_terms(a: Color, b: Color, letter: str, depth: int) -> list[tuple[int, tuple]]:
+    """ad(Z_a)^depth (Z_b) = sum over k of (-1)^k C(depth, k) Z_a^(depth-k) Z_b Z_a^k."""
+    za, zb = (letter, a), (letter, b)
+    return [
+        ((-1) ** k * comb(depth, k), (za,) * (depth - k) + (zb,) + (za,) * k)
+        for k in range(depth + 1)
+    ]
 
 
-def verify_relations(p: ColoredPoset, *, full_sweep: bool = False) -> RelationReport:
+def verify_relations(
+    p: ColoredPoset, *, full_sweep: bool = False, basis: Optional[SplitBasis] = None
+) -> RelationReport:
     """
-    Exact matrix verification of the generator relations on the split basis.
+    Exact verification of the generator relations on the split basis.
 
     The nested raising/lowering relations are verified at depth 1 - theta(b,a)
     for all adjacent-or-sampled distant pairs (every pair with full_sweep);
     the diagonal relations run over all pairs.  Also checks that diagonal
     eigenvalues lie in {-1, 0, 1}.
+
+    Each relation is a sum of coefficient * word terms, a word being a product
+    of operators ("X", "Y" or "H" with a color, rightmost acting first).  It is
+    applied to every basis vector: a word sends e_s along the operator maps to
+    a multiple of one basis vector or to zero, so no matrix is formed.  A
+    failing check records the least basis index on which the relation is
+    nonzero.
     """
-    basis, ops = build_operators(p)
+    maps = operator_maps(p, basis=basis)
+    n = len(maps.basis)
     colors = p.diagram.colors
+    # Slot n stands for the zero vector: every map sends it, and index -1, to
+    # itself, and every factor vanishes on it.
+    step: dict[tuple[str, Color], list[int]] = {}  # where a map letter sends each index
+    factor: dict[tuple[str, Color], list[int]] = {}  # H: the eigenvalue; X, Y: 1 where defined
+    for a in colors:
+        for letter, image in ((("X", a), maps.up[a]), (("Y", a), maps.down[a])):
+            step[letter] = image + [-1]
+            factor[letter] = [int(t >= 0) for t in image] + [0]
+        factor["H", a] = maps.h[a] + [0]
+    identity, ones = list(range(n + 1)), [1] * (n + 1)
+
+    def times(values: list[int], targets: list[int], table: list[int]) -> list[int]:
+        """values[s] * table[targets[s]] for every s."""
+        if targets is identity:
+            return table if values is ones else [v * f for v, f in zip(values, table)]
+        if values is ones:
+            return [table[t] for t in targets]
+        return [v * table[t] for v, t in zip(values, targets)]
+
+    def coefficients(word: tuple) -> list[int]:
+        """c with word e_s = c[s] e_t, read from the right; 0 where it is zero."""
+        targets, values = identity, ones
+        for letter in reversed(word[1:]):
+            if letter[0] == "H":
+                values = times(values, targets, factor[letter])
+            else:
+                image = step[letter]
+                targets = image if targets is identity else [image[t] for t in targets]
+        # the leftmost letter only contributes its factor
+        return times(values, targets, factor[word[0]])
+
+    def total(columns: list[list[int]]) -> list[int]:
+        if len(columns) == 1:
+            return columns[0]
+        return list(map(sum, zip(*columns))) if columns else [0] * (n + 1)
+
+    def first_nonzero(terms: list[tuple[int, tuple]]) -> Optional[int]:
+        # The words of a relation all change each color's count in the ideal
+        # by the same amounts, and under EC an ideal is fixed by these counts
+        # (it holds an initial segment of each color chain).  So every word
+        # sends e_s to a multiple of one and the same basis vector, and the
+        # relation vanishes on e_s exactly when the multiples of its terms
+        # with positive coefficients sum to those with negative ones.
+        sides: tuple[list, list] = ([], [])
+        for coef, word in terms:
+            if coef:
+                column = coefficients(word)
+                scale = abs(coef)
+                if scale != 1:
+                    column = [scale * c for c in column]
+                sides[coef < 0].append(column)
+        left, right = total(sides[0]), total(sides[1])
+        if left == right:
+            return None
+        return next(s for s, (x, y) in enumerate(zip(left, right)) if x != y)
+
     checks: list[RelationCheck] = []
 
-    def record(relation: str, a: Color, b: Color, mat: IntMatrix) -> None:
-        checks.append(
-            RelationCheck(relation, a, b, mat.is_zero(), mat.first_nonzero_column())
-        )
+    def record(relation: str, a: Color, b: Color, terms: list[tuple[int, tuple]]) -> None:
+        s = first_nonzero(terms)
+        checks.append(RelationCheck(relation, a, b, s is None, s))
 
     pairs: list[tuple[Color, Color]] = []
     for a, b in itertools.permutations(colors, 2):
@@ -276,28 +384,26 @@ def verify_relations(p: ColoredPoset, *, full_sweep: bool = False) -> RelationRe
 
     for a, b in pairs:
         depth = 1 - p.diagram.theta(b, a)
-        xa, ya, _ = ops[a]
-        xb, yb, _ = ops[b]
-        record("XX", a, b, _serre_depth_bracket(xa, xb, depth))
-        record("YY", a, b, _serre_depth_bracket(ya, yb, depth))
+        record("XX", a, b, _bracket_terms(a, b, "X", depth))
+        record("YY", a, b, _bracket_terms(a, b, "Y", depth))
 
     for a in colors:
-        xa, ya, ha = ops[a]
+        xa, ya, ha = ("X", a), ("Y", a), ("H", a)
         for b in colors:
-            xb, yb, hb = ops[b]
-            record("HH", a, b, hb.commutator(ha))
-            record("HX", a, b, hb.commutator(xa) - xa.scale(p.diagram.theta(a, b)))
-            record("HY", a, b, hb.commutator(ya) + ya.scale(p.diagram.theta(a, b)))
-            delta = ops[a][2] if a == b else IntMatrix.zero(len(basis))
-            record("XY", a, b, xa.commutator(yb) - delta)
+            hb, yb = ("H", b), ("Y", b)
+            theta = p.diagram.theta(a, b)
+            record("HH", a, b, [(1, (hb, ha)), (-1, (ha, hb))])
+            record("HX", a, b, [(1, (hb, xa)), (-1, (xa, hb)), (-theta, (xa,))])
+            record("HY", a, b, [(1, (hb, ya)), (-1, (ya, hb)), (theta, (ya,))])
+            record("XY", a, b, [(1, (xa, yb)), (-1, (yb, xa)), (-(a == b), (ha,))])
 
     eig_ok = True
     witness = None
     for a in colors:
-        for (r, c), v in ops[a][2].entries.items():
+        for s, v in enumerate(maps.h[a]):
             if v not in (-1, 0, 1):
                 eig_ok = False
-                witness = (a, r)
+                witness = (a, s)
                 break
         if not eig_ok:
             break

@@ -8,11 +8,18 @@ import random
 from functools import lru_cache
 from typing import Iterator
 
-from minuscule.axioms import AxiomReport, Witness, is_minuscule
+from minuscule.axioms import AxiomReport, Witness, check, is_minuscule
 from minuscule.catalog import FamilyId, build
 from minuscule.classify import ComponentClassification
 from minuscule.dynkin import Color, DynkinDiagram, is_simply_laced, validate
 from minuscule.heapwindow import PeriodicWindow
+from minuscule.representation import (
+    ECViolated,
+    IntMatrix,
+    RelationCheck,
+    RelationReport,
+    Split,
+)
 from minuscule.poset import (
     ColoredPoset,
     PosetError,
@@ -380,3 +387,130 @@ def verify_window_oracle(w: PeriodicWindow) -> list[AxiomReport]:
             g3.append(Witness((x,), note="window extreme is not boundary-marked"))
     reports.append(AxiomReport("G3-window", not g3, tuple(g3)))
     return reports
+
+
+def splits_oracle(p: ColoredPoset) -> list[Split]:
+    """All splits in canonical order, grown as frozensets (the reference
+    enumeration)."""
+    all_elements = frozenset(p.elements)
+    seen = {frozenset()}
+    frontier = [frozenset()]
+    while frontier:
+        nxt = []
+        for ideal in frontier:
+            for x in p.elements:
+                if x in ideal:
+                    continue
+                if all(z in ideal for z in p.covered_by_x(x)):
+                    grown = ideal | {x}
+                    if grown not in seen:
+                        seen.add(grown)
+                        nxt.append(grown)
+        frontier = nxt
+    out = [Split(all_elements - ideal, ideal) for ideal in seen]
+    out.sort(key=Split.key)
+    return out
+
+
+def build_operators_oracle(
+    p: ColoredPoset,
+) -> tuple[list[Split], dict[Color, tuple[IntMatrix, IntMatrix, IntMatrix]]]:
+    """Reference operators: every minimal element of the filter and maximal
+    element of the ideal of each color, scanned split by split."""
+    if not check(p, "EC").holds:
+        raise ECViolated("equal-colored incomparable elements; operator sums are ambiguous")
+    basis = splits_oracle(p)
+    index = {s: i for i, s in enumerate(basis)}
+    n = len(basis)
+    ops: dict[Color, tuple[IntMatrix, IntMatrix, IntMatrix]] = {}
+    for a in p.diagram.colors:
+        x_entries: dict[tuple[int, int], int] = {}
+        y_entries: dict[tuple[int, int], int] = {}
+        h_values: list[int] = []
+        for i, s in enumerate(basis):
+            mins_f = [
+                x
+                for x in s.filter
+                if p.color(x) == a and all(z in s.ideal for z in p.covered_by_x(x))
+            ]
+            maxs_i = [
+                x
+                for x in s.ideal
+                if p.color(x) == a and all(z in s.filter for z in p.covers_of(x))
+            ]
+            for x in mins_f:
+                target = Split(s.filter - {x}, s.ideal | {x})
+                x_entries[(index[target], i)] = 1
+            for x in maxs_i:
+                target = Split(s.filter | {x}, s.ideal - {x})
+                y_entries[(index[target], i)] = 1
+            if mins_f:
+                h_values.append(-1)
+            elif maxs_i:
+                h_values.append(1)
+            else:
+                h_values.append(0)
+        ops[a] = (
+            IntMatrix(n, x_entries),
+            IntMatrix(n, y_entries),
+            IntMatrix.diagonal(h_values),
+        )
+    return basis, ops
+
+
+def verify_relations_oracle(p: ColoredPoset, *, full_sweep: bool = False) -> RelationReport:
+    """Reference relation check: each relation formed as a sparse matrix from
+    nested commutators of the oracle operators."""
+    basis, ops = build_operators_oracle(p)
+    colors = p.diagram.colors
+    checks: list[RelationCheck] = []
+
+    def record(relation: str, a: Color, b: Color, mat: IntMatrix) -> None:
+        first = min((c for _, c in mat.entries), default=None)
+        checks.append(RelationCheck(relation, a, b, not mat.entries, first))
+
+    def nested(xa: IntMatrix, xb: IntMatrix, depth: int) -> IntMatrix:
+        acc = xb
+        for _ in range(depth):
+            acc = xa.commutator(acc)
+        return acc
+
+    pairs: list[tuple[Color, Color]] = []
+    for a, b in itertools.permutations(colors, 2):
+        if full_sweep or p.diagram.adjacent(a, b):
+            pairs.append((a, b))
+    if not full_sweep:
+        for a in colors:
+            for b in colors:
+                if a != b and p.diagram.distant(a, b):
+                    pairs.append((a, b))
+                    break
+
+    for a, b in pairs:
+        depth = 1 - p.diagram.theta(b, a)
+        xa, ya, _ = ops[a]
+        xb, yb, _ = ops[b]
+        record("XX", a, b, nested(xa, xb, depth))
+        record("YY", a, b, nested(ya, yb, depth))
+
+    for a in colors:
+        xa, ya, ha = ops[a]
+        for b in colors:
+            xb, yb, hb = ops[b]
+            record("HH", a, b, hb.commutator(ha))
+            record("HX", a, b, hb.commutator(xa) - xa.scale(p.diagram.theta(a, b)))
+            record("HY", a, b, hb.commutator(ya) + ya.scale(p.diagram.theta(a, b)))
+            delta = ops[a][2] if a == b else IntMatrix(len(basis))
+            record("XY", a, b, xa.commutator(yb) - delta)
+
+    eig_ok = True
+    witness = None
+    for a in colors:
+        for (r, c), v in ops[a][2].entries.items():
+            if v not in (-1, 0, 1):
+                eig_ok = False
+                witness = (a, r)
+                break
+        if not eig_ok:
+            break
+    return RelationReport(tuple(checks), eig_ok, witness)

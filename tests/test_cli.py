@@ -141,6 +141,25 @@ def test_coroots_j_out_of_range_exits_two():
         assert "--j" in err and out == ""
 
 
+def test_coroots_dot_on_non_minuscule_index_exits_one():
+    code, out, _ = capture(["coroots", "--type", "B", "--n", "3", "--j", "1"])
+    assert code == 1 and "colors_in_order" not in json.loads(out)
+    code, out, err = capture(["coroots", "--type", "B", "--n", "3", "--j", "1", "--dot"])
+    assert code == 1
+    assert out == "" and "not a minuscule weight" in err
+
+
+def test_coroots_dot_draws_the_realized_file(tmp_path):
+    code, out, _ = capture(["catalog", "--index", "A,4,2"])
+    path = tmp_path / "a42.json"
+    path.write_text(out)
+    code, drawn, _ = capture(
+        ["coroots", "--type", "A", "--n", "4", "--j", "2", "--psi", str(path), "--dot"]
+    )
+    assert code == 0
+    assert drawn == capture(["coroots", "--type", "A", "--n", "4", "--j", "2", "--dot"])[1]
+
+
 def test_coroots_psi_on_file(tmp_path):
     code, out, _ = capture(["catalog", "--index", "A,4,2"])
     path = tmp_path / "a42.json"
@@ -202,6 +221,13 @@ def malformed_documents():
     good = json.loads(out)
     window = dict(good, boundary=[1])
     duplicate = dict(good, elements=good["elements"] + [good["elements"][0]])
+    # JSON true and false must not pass for the integers 1 and 0
+    true_id = dict(good, elements=[dict(good["elements"][0], id=True)] + good["elements"][1:])
+    _, out, _ = capture(["catalog", "--family", "a-standard", "--n", "3"])
+    chain = json.loads(out)
+    theta = [row[:] for row in chain["diagram"]["theta"]]
+    theta[0][2] = False
+    false_theta = dict(chain, diagram=dict(chain["diagram"], theta=theta))
     return [
         ([good], "object", POSET_VERBS, True),
         (dict(good, elements="xx"), "elements", POSET_VERBS, True),
@@ -212,6 +238,10 @@ def malformed_documents():
         ({k: v for k, v in window.items() if k != "diagram"}, "diagram", WINDOW_VERBS, True),
         (dict(window, boundary="12"), "boundary", WINDOW_VERBS, True),
         (dict(window, boundary=[99]), "boundary", WINDOW_VERBS, False),
+        (true_id, "elements", POSET_VERBS, True),
+        (dict(good, covers=[[2, True], [3, 2]]), "covers", POSET_VERBS, True),
+        (false_theta, "theta", POSET_VERBS, True),
+        (dict(window, boundary=[True]), "boundary", WINDOW_VERBS, True),
     ]
 
 

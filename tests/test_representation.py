@@ -1,7 +1,9 @@
 import math
+import random
 
 import pytest
 
+from minuscule.axioms import check
 from minuscule.catalog import FamilyId, all_family_ids, build, indexed
 from minuscule.dynkin import validate
 from minuscule.poset import ColoredPoset, order_dual
@@ -14,7 +16,14 @@ from minuscule.representation import (
     verify_relations,
 )
 
-from helpers import brute_force_ideal_count, split_count_oracle
+from helpers import (
+    brute_force_ideal_count,
+    build_operators_oracle,
+    random_colored_poset,
+    seed_from_env,
+    split_count_oracle,
+    verify_relations_oracle,
+)
 
 
 def test_split_counts_small():
@@ -166,3 +175,33 @@ def test_hh_holds_identically():
     p = build(FamilyId("D_standard", 4))
     report = verify_relations(p)
     assert all(c.ok for c in report.checks if c.relation == "HH")
+
+
+def _failing_ec_posets(count: int) -> list[ColoredPoset]:
+    """Seeded random posets that satisfy EC but fail some relation."""
+    rng = random.Random(seed_from_env())
+    out = []
+    while len(out) < count:
+        p = random_colored_poset(rng, 8, 4)
+        if check(p, "EC").holds and not verify_relations_oracle(p).all_pass:
+            out.append(p)
+    return out
+
+
+def test_operator_maps_match_matrix_oracle():
+    posets = []
+    for fam in all_family_ids(8):
+        p = build(fam)
+        if len(splits(p)) <= 512:
+            posets += [p, order_dual(p)]
+    failing = _failing_ec_posets(60)
+    for p in posets + failing:
+        for full_sweep in (False, True):
+            got = verify_relations(p, full_sweep=full_sweep)
+            assert got == verify_relations_oracle(p, full_sweep=full_sweep), (p, full_sweep)
+        basis, ops = build_operators(p)
+        oracle_basis, oracle_ops = build_operators_oracle(p)
+        assert list(basis) == oracle_basis and ops == oracle_ops, p
+    # the failing posets fail checks at several basis indices
+    indices = {c.failing_basis_index for p in failing for c in verify_relations(p).failures()}
+    assert len(indices) > 3
