@@ -384,7 +384,7 @@ def indexed(letter: str, n: int, j: int) -> ColoredPoset:
         return base
     # the involution exchanging the two top colors
     sigma = next(s for s in kac_automorphisms(letter, n) if s[top] == j and s[j] == top)
-    return base.relabel_colors(sigma, base.diagram)
+    return base.relabel_colors(sigma)
 
 
 def top_tree_Y(i: int, j: int, k: int) -> ColoredPoset:

@@ -175,6 +175,8 @@ def cmd_represent(args) -> int:
 
 
 def cmd_coroots(args) -> int:
+    if args.psi and args.j is None:
+        raise InputError("--psi needs --j")
     try:
         diagram = catalog.diagram_of_type(args.type.upper(), args.n)
     except catalog.BadParameters as exc:
@@ -202,6 +204,11 @@ def cmd_coroots(args) -> int:
                 real = coroots.psi(p)
             except (coroots.NotMinusculeInput, coroots.NotFiniteType) as exc:
                 raise InputError(str(exc)) from exc
+            found = coroots.coroot_system(p.diagram).type
+            if (found.letter, found.rank, real.j) != (system.type.letter, system.type.rank, args.j):
+                raise InputError(
+                    f"--psi poset realizes {found}, j={real.j}, not {system.type}, j={args.j}"
+                )
             out["psi"] = {
                 "j": real.j,
                 "assignment": {
@@ -295,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     k.add_argument("--type", required=True)
     k.add_argument("--n", type=int, required=True)
     k.add_argument("--j", type=int)
-    k.add_argument("--psi", help="poset file to realize")
+    k.add_argument("--psi", help="poset file to realize at --j (same type, rank and top node)")
     k.add_argument("--dot", action="store_true")
     k.set_defaults(func=cmd_coroots)
 

@@ -13,7 +13,8 @@ For a minuscule poset P with maximal color j, each element x determines the
 Weyl group element of its principal filter; the last coroot of the word's
 inversion sequence realizes x inside the filter of positive coroots above
 alpha_j, and transporting the coloring along this map yields a colored
-minuscule poset of coroots dual isomorphic to P.
+minuscule poset of coroots dual isomorphic to P.  Its covers are the steps
+beta -> beta + alpha_i inside the filter.
 
 Each diagram's `CorootSystem` is built once (`coroot_system`) and shared by
 the command line and `psi`; it computes its positive coroots once, and a
@@ -250,14 +251,19 @@ class PsiRealization:
 
 
 def coroot_poset(diagram: DynkinDiagram, j: int, coloring: dict[Coroot, object]) -> tuple[ColoredPoset, dict[Coroot, int]]:
-    """The filter above alpha_j as a colored poset under the coroot order."""
+    """The filter above alpha_j as a colored poset under the coroot order.
+
+    A cover of the root poset adds one simple coroot, and a filter holds every
+    chain between two of its members, so the covers are the steps
+    beta -> beta + alpha_i that stay in the filter."""
     members = coroot_filter(diagram, j)
     ids = {beta: i + 1 for i, beta in enumerate(members)}
-    covers = []
-    for a, b in itertools.permutations(members, 2):
-        if a != b and _leq(a, b):
-            if not any(c != a and c != b and _leq(a, c) and _leq(c, b) for c in members):
-                covers.append((ids[a], ids[b]))
+    covers = [
+        (ids[beta], ids[step])
+        for beta in members
+        for i in range(len(beta))
+        if (step := beta[:i] + (beta[i] + 1,) + beta[i + 1 :]) in ids
+    ]
     poset_coloring = {ids[beta]: coloring[beta] for beta in members}
     return ColoredPoset(diagram, poset_coloring, covers), ids
 

@@ -85,14 +85,15 @@ class DynkinDiagram:
                         f"theta[{a!r}][{b!r}] = {self.matrix[i][j]} but "
                         f"theta[{b!r}][{a!r}] = {self.matrix[j][i]}"
                     )
+        object.__setattr__(self, "_index", {a: i for i, a in enumerate(self.colors)})
 
     # -- basic queries ----------------------------------------------------
 
     def index(self, a: Color) -> int:
-        return self.colors.index(a)
+        return self._index[a]
 
     def theta(self, a: Color, b: Color) -> int:
-        return self.matrix[self.index(a)][self.index(b)]
+        return self.matrix[self._index[a]][self._index[b]]
 
     def adjacent(self, a: Color, b: Color) -> bool:
         return a != b and self.theta(a, b) < 0
@@ -110,7 +111,7 @@ class DynkinDiagram:
         return len(self.colors)
 
     def __contains__(self, a: Color) -> bool:
-        return a in self.colors
+        return a in self._index
 
     # -- structure ---------------------------------------------------------
 

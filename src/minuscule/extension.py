@@ -6,10 +6,14 @@ that color's lower frontier census is 2; the new bottom element's covers are
 forced.  Iterating "assess, then extend every census-2 color" either stops at
 a minuscule poset (all censuses at most 1) or proves that no minuscule poset
 has the given top tree (a census above 2, or two adjacent census-2 colors).
+The census-2 colors of a stage are pairwise non-adjacent, so their new
+elements are independent, and `extend_by` adjoins the whole stage in one
+poset.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -61,24 +65,32 @@ def lower_frontier_census(p: ColoredPoset, b: Color) -> int:
     return p.census(b, p.lower_frontier(y))
 
 
-def extend_by(p: ColoredPoset, a: Color) -> ColoredPoset:
+def extend_by(p: ColoredPoset, *colors: Color) -> ColoredPoset:
     """
-    Adjoin one new minimal element of color a (census of a must equal 2).
+    Adjoin one new minimal element of each color (each census must equal 2).
 
-    The new element is covered exactly by the minimal elements of L(y, P),
-    where y is the minimal element of color a, which pins the extension
-    uniquely.
+    The new element of color a is covered exactly by the minimal elements of
+    L(y, P), where y is the minimal element of color a, which pins the
+    extension uniquely.  The colors must be distinct and pairwise
+    non-adjacent, as the census-2 colors of a stage are; then no new element
+    lies in another's frontier, and adjoining them at once equals adjoining
+    them one by one.  New ids follow max(p.elements) in the order given.
     """
-    census = lower_frontier_census(p, a)
-    if census != 2:
-        raise NotExtendable(a, census)
-    y = _min_of_color(p, a)
-    frontier = set(p.lower_frontier(y))
-    mins = [u for u in frontier if not any(p.lt(v, u) for v in frontier)]
-    x = max(p.elements) + 1
+    if len(set(colors)) != len(colors):
+        raise ValueError(f"repeated color in {colors!r}")
+    if any(p.diagram.adjacent(b, c) for b, c in itertools.combinations(colors, 2)):
+        raise ValueError(f"adjacent colors in {colors!r}")
     coloring = dict(p.coloring)
-    coloring[x] = a
-    covers = set(p.covers) | {(x, u) for u in mins}
+    covers = set(p.covers)
+    x = max(p.elements)
+    for a in colors:
+        frontier = p.lower_frontier(_min_of_color(p, a))
+        census = p.census(a, frontier)
+        if census != 2:
+            raise NotExtendable(a, census)
+        x += 1
+        coloring[x] = a
+        covers |= {(x, u) for u in frontier if not any(p.lt(v, u) for v in frontier)}
     return ColoredPoset(p.diagram, coloring, covers)
 
 
@@ -140,7 +152,7 @@ class StageRecord:
 class ExtensionOutcome:
     poset: ColoredPoset
     verdict: str  # "minuscule" | "blocked"
-    reason: Optional[Assessment]
+    reason: Assessment  # the terminal assessment
     trace: tuple[StageRecord, ...]
     assessments: int
     extrapolated: bool = False
@@ -152,7 +164,7 @@ class ExtensionOutcome:
             "stages": [s.to_json() for s in self.trace],
             "extrapolated": self.extrapolated,
         }
-        if self.reason is not None and self.verdict == "blocked":
+        if self.verdict == "blocked":
             out["reason"] = self.reason.to_json()
         return out
 
@@ -176,21 +188,16 @@ def run_extension(seed: ColoredPoset) -> ExtensionOutcome:
     for stage in range(1, cap + 2):
         assessments += 1
         a = assess(p)
-        if a.kind == "minuscule":
+        if a.kind != "continue":
             return ExtensionOutcome(
-                p, "minuscule", None, tuple(trace), assessments,
-                extrapolated=not is_simply_laced(seed.diagram),
+                p, "minuscule" if a.kind == "minuscule" else "blocked", a, tuple(trace),
+                assessments, extrapolated=not is_simply_laced(seed.diagram),
             )
-        if a.kind in ("census_exceeded", "adjacent_pair"):
-            return ExtensionOutcome(
-                p, "blocked", a, tuple(trace), assessments,
-                extrapolated=not is_simply_laced(seed.diagram),
-            )
-        added = []
-        for b in a.extension_set:
-            p = extend_by(p, b)
-            added.append((max(p.elements), b))
-        trace.append(StageRecord(stage, a.extension_set, tuple(added)))
+        size = len(p)
+        p = extend_by(p, *a.extension_set)
+        # the new ids exceed every old one, so they end the sorted elements
+        added = tuple((x, p.color(x)) for x in p.elements[size:])
+        trace.append(StageRecord(stage, a.extension_set, added))
     raise RuntimeError(
         f"extension did not terminate within {cap} stages; the seed violates "
         "the boundedness guarantee or the census bookkeeping is broken"

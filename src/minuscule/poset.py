@@ -3,12 +3,14 @@ Finite colored posets stored by their Hasse covers.
 
 Elements are small integer ids.  A cover ``(x, y)`` means x is covered by y
 (x below y).  The coloring maps elements onto the colors of an attached
-Dynkin diagram and is surjective.
+Dynkin diagram and is surjective.  One topological pass up from the minimal
+elements checks the covers for cycles and closes every down-set; the up-sets
+close on the way back.  `induced_covers` gives the covers of the order
+induced on any subset.
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import Iterable, Iterator, Mapping, Optional
 
 from .dynkin import Color, DynkinDiagram, validate
@@ -53,60 +55,41 @@ class ColoredPoset:
         if missing:
             raise PosetError(f"coloring is not surjective; missing {sorted(map(str, missing))}")
 
-        self._up: dict[int, tuple[int, ...]] = {x: () for x in self.elements}
-        self._down: dict[int, tuple[int, ...]] = {x: () for x in self.elements}
         up: dict[int, list[int]] = {x: [] for x in self.elements}
         down: dict[int, list[int]] = {x: [] for x in self.elements}
         for x, y in self.covers:
             up[x].append(y)
             down[y].append(x)
-        for x in self.elements:
-            self._up[x] = tuple(sorted(up[x]))
-            self._down[x] = tuple(sorted(down[x]))
+        self._up = {x: tuple(sorted(up[x])) for x in self.elements}
+        self._down = {x: tuple(sorted(down[x])) for x in self.elements}
 
-        self._above = self._reachability(self._up)
-        if any(x in self._above[x] for x in self.elements):
+        # Kahn's algorithm: place an element once all its lower covers are
+        # placed; its down-set closes in the same pass, its up-set on the way back
+        waiting = {x: len(down[x]) for x in self.elements}
+        order = [x for x in self.elements if not waiting[x]]
+        below: dict[int, frozenset[int]] = {}
+        for x in order:  # order grows as elements are placed
+            acc = set(down[x])
+            for z in down[x]:
+                acc |= below[z]
+            below[x] = frozenset(acc)
+            for y in up[x]:
+                waiting[y] -= 1
+                if not waiting[y]:
+                    order.append(y)
+        if len(order) < len(self.elements):
             raise PosetError("covers contain a cycle")
-        self._below = self._reachability(self._down)
+        above: dict[int, frozenset[int]] = {}
+        for x in reversed(order):
+            acc = set(up[x])
+            for y in up[x]:
+                acc |= above[y]
+            above[x] = frozenset(acc)
+        self._below, self._above = below, above
         for x, y in self.covers:
             # Hasse property: no cover may be implied by a longer path
             if any(y in self._above[z] for z in self._up[x] if z != y):
                 raise PosetError(f"cover ({x},{y}) is transitively redundant")
-
-    def _reachability(self, step: Mapping[int, tuple[int, ...]]) -> dict[int, frozenset[int]]:
-        order: list[int] = []
-        seen: set[int] = set()
-
-        def visit(x: int) -> None:
-            stack = [(x, iter(step[x]))]
-            on_stack = {x}
-            while stack:
-                node, it = stack[-1]
-                advanced = False
-                for nxt in it:
-                    if nxt not in seen and nxt not in on_stack:
-                        stack.append((nxt, iter(step[nxt])))
-                        on_stack.add(nxt)
-                        advanced = True
-                        break
-                if not advanced:
-                    stack.pop()
-                    on_stack.discard(node)
-                    if node not in seen:
-                        seen.add(node)
-                        order.append(node)
-
-        for x in self.elements:
-            if x not in seen:
-                visit(x)
-        reach: dict[int, frozenset[int]] = {}
-        for x in order:
-            acc: set[int] = set()
-            for y in step[x]:
-                acc.add(y)
-                acc |= reach.get(y, frozenset())
-            reach[x] = frozenset(acc)
-        return reach
 
     # -- order primitives ---------------------------------------------------
 
@@ -149,16 +132,19 @@ class ColoredPoset:
     def color_class(self, a: Color) -> tuple[int, ...]:
         return tuple(x for x in self.elements if self.coloring[x] == a)
 
+    def induced_covers(self, keep: Iterable[int]) -> list[tuple[int, int]]:
+        """Covers of the order induced on a subset: pairs x < y in it with no
+        element of it strictly between, sorted."""
+        kept = sorted(set(keep))
+        out = []
+        for x in kept:
+            above = [y for y in kept if self.lt(x, y)]
+            out += [(x, y) for y in above if not any(self.lt(z, y) for z in above)]
+        return out
+
     def consecutive_same_color_pairs(self, a: Color) -> list[tuple[int, int]]:
         """Pairs x < y of color a with no color-a element strictly between."""
-        cls = self.color_class(a)
-        out = []
-        for x in cls:
-            for y in cls:
-                if x != y and self.lt(x, y):
-                    if not any(z in self.open_interval(x, y) for z in cls):
-                        out.append((x, y))
-        return out
+        return self.induced_covers(self.color_class(a))
 
     def upper_frontier(self, x: int) -> tuple[int, ...]:
         """U(x, P): elements above x with color adjacent to x's color."""
@@ -200,33 +186,14 @@ class ColoredPoset:
     def subposet(self, keep: Iterable[int]) -> "ColoredPoset":
         """Induced subposet on a subset, with the covers of the induced order,
         over the diagram restricted to the colors that appear."""
-        kept = sorted(set(keep))
-        kset = set(kept)
-        coloring = {x: self.coloring[x] for x in kept}
-        covers = {(x, y) for (x, y) in self.covers if x in kset and y in kset}
-        # non-convex subsets may induce new covers through dropped elements;
-        # recover them from the restricted order
-        for x, y in itertools.permutations(kept, 2):
-            if self.lt(x, y) and not any(z in kset for z in self.open_interval(x, y)):
-                covers.add((x, y))
+        coloring = {x: self.coloring[x] for x in sorted(set(keep))}
         sub = self.diagram.restrict(set(coloring.values()))
-        return ColoredPoset(sub, coloring, covers)
+        return ColoredPoset(sub, coloring, self.induced_covers(coloring))
 
-    def relabel_colors(
-        self, gamma: Mapping[Color, Color], diagram: Optional[DynkinDiagram] = None
-    ) -> "ColoredPoset":
-        """Replace every color c by gamma[c]; the target diagram defaults to
-        the image of the current one under gamma."""
-        if diagram is None:
-            order = [gamma[c] for c in self.diagram.colors]
-            idx = {c: i for i, c in enumerate(self.diagram.colors)}
-            rows = tuple(
-                tuple(self.diagram.matrix[idx[a]][idx[b]] for b in self.diagram.colors)
-                for a in self.diagram.colors
-            )
-            diagram = validate(order, rows)
+    def relabel_colors(self, gamma: Mapping[Color, Color]) -> "ColoredPoset":
+        """Replace every color c by gamma[c], an automorphism of the diagram."""
         coloring = {x: gamma[c] for x, c in self.coloring.items()}
-        return ColoredPoset(diagram, coloring, self.covers)
+        return ColoredPoset(self.diagram, coloring, self.covers)
 
     # -- serialization --------------------------------------------------------
 
@@ -288,13 +255,7 @@ class TopTree:
     def __init__(self, poset: ColoredPoset, elements: tuple[int, ...]):
         self.poset = poset
         self.elements = elements
-        eset = set(elements)
-        self.covers = frozenset(
-            (x, y)
-            for x in elements
-            for y in elements
-            if poset.lt(x, y) and not any(z in eset for z in poset.open_interval(x, y))
-        )
+        self.covers = frozenset(poset.induced_covers(elements))
 
     def as_poset(self) -> ColoredPoset:
         return self.poset.subposet(self.elements)

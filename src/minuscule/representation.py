@@ -54,9 +54,6 @@ class Split:
     filter: frozenset[int]
     ideal: frozenset[int]
 
-    def key(self) -> tuple:
-        return (len(self.ideal), tuple(sorted(self.ideal)))
-
 
 class SplitBasis(Sequence):
     """

@@ -11,6 +11,7 @@ from typing import Iterator
 from minuscule.axioms import AxiomReport, Witness, check, is_minuscule
 from minuscule.catalog import FamilyId, build
 from minuscule.classify import ComponentClassification
+from minuscule.coroots import Coroot, coroot_filter
 from minuscule.dynkin import Color, DynkinDiagram, is_simply_laced, validate
 from minuscule.heapwindow import PeriodicWindow
 from minuscule.representation import (
@@ -407,9 +408,9 @@ def splits_oracle(p: ColoredPoset) -> list[Split]:
                         seen.add(grown)
                         nxt.append(grown)
         frontier = nxt
-    out = [Split(all_elements - ideal, ideal) for ideal in seen]
-    out.sort(key=Split.key)
-    return out
+    # canonical order: ideal size, then ideal contents
+    ordered = sorted(seen, key=lambda ideal: (len(ideal), sorted(ideal)))
+    return [Split(all_elements - ideal, ideal) for ideal in ordered]
 
 
 def build_operators_oracle(
@@ -514,3 +515,18 @@ def verify_relations_oracle(p: ColoredPoset, *, full_sweep: bool = False) -> Rel
         if not eig_ok:
             break
     return RelationReport(tuple(checks), eig_ok, witness)
+
+
+def coroot_covers_oracle(diagram: DynkinDiagram, j: int) -> set[tuple[Coroot, Coroot]]:
+    """Covers of the coroot filter above alpha_j by testing every triple of
+    its members (the reference for `coroots.coroot_poset`)."""
+    members = coroot_filter(diagram, j)
+
+    def leq(a: Coroot, b: Coroot) -> bool:
+        return all(x <= y for x, y in zip(a, b))
+
+    return {
+        (a, b)
+        for a, b in itertools.permutations(members, 2)
+        if leq(a, b) and not any(c != a and c != b and leq(a, c) and leq(c, b) for c in members)
+    }

@@ -156,7 +156,7 @@ def test_indexed_isomorphism_pairs():
     # the same index through either diagram automorphism gives the same poset
     a53 = indexed("A", 5, 3)
     flip = {1: 5, 2: 4, 3: 3, 4: 2, 5: 1}
-    assert colored_isomorphism(a53, a53.relabel_colors(flip, a53.diagram)) is not None
+    assert colored_isomorphism(a53, a53.relabel_colors(flip)) is not None
 
 
 def test_indexed_covers_all_minuscule_weights():

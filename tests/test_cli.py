@@ -173,6 +173,30 @@ def test_coroots_psi_on_file(tmp_path):
     assert data["psi"]["colors_in_order"] == ["2", "1", "3", "2", "4", "3"]
 
 
+def test_coroots_psi_refuses_a_file_of_another_system(tmp_path):
+    code, out, _ = capture(["catalog", "--index", "D,4,1"])
+    path = tmp_path / "d4.json"
+    path.write_text(out)
+    for argv in (
+        ["--type", "A", "--n", "3", "--j", "2"],  # another type and rank
+        ["--type", "D", "--n", "4", "--j", "3"],  # the right type, another j
+    ):
+        code, out, err = capture(["coroots", *argv, "--psi", str(path)])
+        assert code == 2, argv
+        assert out == "" and "D4, j=1" in err
+    code, out, _ = capture(["coroots", "--type", "D", "--n", "4", "--j", "1", "--psi", str(path)])
+    assert code == 0 and json.loads(out)["psi"]["j"] == 1
+
+
+def test_coroots_psi_needs_j(tmp_path):
+    code, out, _ = capture(["catalog", "--index", "A,4,2"])
+    path = tmp_path / "a42.json"
+    path.write_text(out)
+    code, out, err = capture(["coroots", "--type", "A", "--n", "4", "--psi", str(path)])
+    assert code == 2
+    assert out == "" and "--psi needs --j" in err
+
+
 def test_window_verb():
     code, out, _ = capture(["window", "--chain", "4,3"])
     assert code == 0

@@ -9,6 +9,7 @@ from minuscule.coroots import (
     NotMinusculeInput,
     NotReduced,
     coroot_filter,
+    coroot_poset,
     heap_to_word,
     highest_coroot,
     inversion_sequence,
@@ -18,7 +19,7 @@ from minuscule.coroots import (
 )
 from minuscule.poset import first_linear_extension, order_dual
 
-from helpers import linear_extensions, seed_from_env
+from helpers import coroot_covers_oracle, linear_extensions, seed_from_env
 
 
 A4 = diagram_of_type("A", 4)
@@ -226,6 +227,18 @@ def test_psi_all_small_indices():
 
         ok, _ = is_minuscule(real.coroot_poset)
         assert ok, (letter, n, j)
+
+
+def test_coroot_poset_covers_match_triple_scan():
+    for (letter, n, j) in minuscule_indices(8):
+        diagram = diagram_of_type(letter, n)
+        members = coroot_filter(diagram, j)
+        # any surjective coloring: only the covers are compared
+        coloring = {beta: diagram.colors[k % n] for k, beta in enumerate(members)}
+        cposet, ids = coroot_poset(diagram, j, coloring)
+        coroot_of = {i: beta for beta, i in ids.items()}
+        covers = {(coroot_of[x], coroot_of[y]) for x, y in cposet.covers}
+        assert covers == coroot_covers_oracle(diagram, j), (letter, n, j)
 
 
 def test_inversion_sets_are_ideals_of_the_filter_with_unique_max():

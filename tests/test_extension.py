@@ -1,3 +1,6 @@
+import functools
+import itertools
+
 import pytest
 
 from minuscule.axioms import is_d_complete, is_minuscule
@@ -10,7 +13,8 @@ from minuscule.extension import (
     lower_frontier_census,
     run_extension,
 )
-from minuscule.poset import colored_isomorphism, top_tree
+from minuscule.dynkin import validate
+from minuscule.poset import ColoredPoset, colored_isomorphism, top_tree
 
 from helpers import rank_function
 
@@ -96,6 +100,39 @@ def test_distant_extensions_commute():
     assert colored_isomorphism(one_way, other_way) is not None
 
 
+def test_stage_at_once_equals_one_color_at_a_time():
+    stages = 0
+    for i, j, k in itertools.product(range(1, 11), repeat=3):
+        if j > k or i + j + k > 12:
+            continue
+        p = top_tree_Y(i, j, k)
+        while (a := assess(p)).kind == "continue":
+            grown = extend_by(p, *a.extension_set)
+            assert grown == functools.reduce(extend_by, a.extension_set, p), (i, j, k)
+            p = grown
+            stages += 1
+    assert stages > 500
+
+
+def test_extend_by_rejects_repeated_and_adjacent_colors():
+    # a and b are adjacent and both have census 2, so only the stage checks
+    # stand between these calls and a poset
+    colors = ["a", "b", "c", "e", "d", "f"]
+    edges = {("a", "b"), ("a", "c"), ("a", "e"), ("b", "d"), ("b", "f")}
+    d = validate(colors, [
+        [2 if x == y else -1 if (x, y) in edges or (y, x) in edges else 0 for y in colors]
+        for x in colors
+    ])
+    p = ColoredPoset(
+        d, dict(enumerate(colors, start=1)), [(3, 1), (4, 1), (5, 2), (6, 2)]
+    )
+    assert lower_frontier_census(p, "a") == lower_frontier_census(p, "b") == 2
+    with pytest.raises(ValueError, match="repeated color"):
+        extend_by(p, "a", "a")
+    with pytest.raises(ValueError, match="adjacent colors"):
+        extend_by(p, "a", "b")
+
+
 def test_assess_cases():
     assert assess(build(FamilyId("E6", 6))).kind == "minuscule"
 
@@ -164,9 +201,6 @@ def test_run_extension_multiply_laced_seed_extrapolated():
 
 
 def test_run_extension_rejects_bad_seed():
-    from minuscule.dynkin import validate
-    from minuscule.poset import ColoredPoset
-
     d = validate(["a"], [[2]])
     bad = ColoredPoset(d, {1: "a", 2: "a"}, [(2, 1)])
     with pytest.raises(ValueError):

@@ -39,16 +39,55 @@ def chain(colors):
 
 def test_constructor_rejects_redundant_cover():
     d = validate(["a", "b", "c"], [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]])
-    with pytest.raises(PosetError):
+    with pytest.raises(PosetError, match=r"cover \(3,1\) is transitively redundant"):
         ColoredPoset(d, {1: "a", 2: "b", 3: "c"}, [(3, 2), (2, 1), (3, 1)])
 
 
 def test_constructor_rejects_cycle_and_nonsurjective():
     d = validate(["a", "b"], [[2, -1], [-1, 2]])
-    with pytest.raises(PosetError):
+    with pytest.raises(PosetError, match="covers contain a cycle"):
         ColoredPoset(d, {1: "a", 2: "b"}, [(1, 2), (2, 1)])
-    with pytest.raises(PosetError):
+    with pytest.raises(PosetError, match="covers contain a cycle"):
+        ColoredPoset(d, {1: "a", 2: "b"}, [(1, 1), (1, 2)])
+    with pytest.raises(PosetError, match="covers contain a cycle"):
+        ColoredPoset(d, {1: "a", 2: "b", 3: "a"}, [(1, 2), (2, 3), (3, 1)])
+    with pytest.raises(PosetError, match="not surjective"):
         ColoredPoset(d, {1: "a"}, [])
+
+
+def brute_force_less(elements, covers) -> set[tuple[int, int]]:
+    """The strict order generated by the covers, closed by Warshall's algorithm."""
+    less = set(covers)
+    for z in elements:
+        less |= {(x, y) for x in elements if (x, z) in less for y in elements if (z, y) in less}
+    return less
+
+
+def test_order_and_induced_covers_match_brute_force():
+    rng = random.Random(seed_from_env())
+    for _ in range(60):
+        base = random_colored_poset(rng, 10, 4)
+        # rename the ids so that they no longer follow any linear extension
+        ids = list(range(1, len(base) + 1))
+        rng.shuffle(ids)
+        rename = dict(zip(base.elements, ids))
+        p = ColoredPoset(
+            base.diagram,
+            {rename[x]: c for x, c in base.coloring.items()},
+            [(rename[x], rename[y]) for x, y in base.covers],
+        )
+        less = brute_force_less(p.elements, p.covers)
+        for x, y in itertools.product(p.elements, repeat=2):
+            assert p.lt(x, y) == ((x, y) in less)
+        keep = [x for x in p.elements if rng.random() < 0.6]
+        expected = sorted(
+            (x, y) for x, y in less
+            if x in keep and y in keep
+            and not any((x, z) in less and (z, y) in less for z in keep)
+        )
+        assert p.induced_covers(keep) == expected
+        if keep:
+            assert sorted(p.subposet(keep).covers) == expected
 
 
 def test_order_dual_involution():

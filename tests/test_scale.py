@@ -1,19 +1,22 @@
 """
-Relation verification at thousands of splits.
+Work at the sizes the toolkit promises, against wall-clock budgets.
 
-Criterion 4 of the acceptance suite keeps its 60-split cap; this test runs the
-default relation sweep on three representations 29 to 68 times larger.  The
-three together took about 0.95 s on a 2-vCPU container (Python 3.11.7); the
-budget is three times that.
+Criterion 4 of the acceptance suite keeps its 60-split cap; the first test
+runs the default relation sweep on three representations 29 to 68 times
+larger.  The second classifies a 400-element chain and the 465-element
+staircase B(30).  Each budget is three times the time measured on a 2-vCPU
+container (Python 3.11.7): 0.95 s and 0.75 s.
 """
 
 import math
 import time
 
 from minuscule.catalog import FamilyId, build
+from minuscule.classify import classify
 from minuscule.representation import splits, verify_relations
 
 BUDGET_S = 2.85
+CLASSIFY_BUDGET_S = 2.25
 
 
 def test_relations_hold_at_thousands_of_splits():
@@ -29,3 +32,12 @@ def test_relations_hold_at_thousands_of_splits():
         assert report.all_pass, (str(fam), [c.to_json() for c in report.failures()])
     elapsed = time.monotonic() - started
     assert elapsed <= BUDGET_S, f"{elapsed:.2f} s over the {BUDGET_S} s budget"
+
+
+def test_classify_a_long_chain_and_a_large_staircase():
+    started = time.monotonic()
+    for fam in [FamilyId("A_standard", 400), FamilyId("B", 30)]:
+        result = classify(build(fam))
+        assert [c.family for c in result.components] == [fam], str(fam)
+    elapsed = time.monotonic() - started
+    assert elapsed <= CLASSIFY_BUDGET_S, f"{elapsed:.2f} s over the {CLASSIFY_BUDGET_S} s budget"
