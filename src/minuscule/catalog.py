@@ -129,16 +129,24 @@ def _e_diagram(n: int) -> DynkinDiagram:
     return validate(list(range(1, n + 1)), rows)
 
 
+# the ranks of each type letter, least and most, as `minuscule_indices` lists them
+_RANKS = {"A": (1, None), "B": (2, None), "C": (3, None), "D": (4, None), "E": (6, 7)}
+
+
 def diagram_of_type(letter: str, n: int) -> DynkinDiagram:
+    if letter not in _RANKS:
+        raise BadParameters(f"unknown type letter {letter!r}")
+    least, most = _RANKS[letter]
+    if n < least or (most is not None and n > most):
+        span = f"n >= {least}" if most is None else f"{least} <= n <= {most}"
+        raise BadParameters(f"type {letter} needs {span}, got n={n}")
     if letter == "A":
         return _path_diagram(n)
     if letter in ("B", "C"):
         return _bc_diagram(n, letter)
     if letter == "D":
         return _d_diagram(n)
-    if letter == "E":
-        return _e_diagram(n)
-    raise BadParameters(f"unknown type letter {letter!r}")
+    return _e_diagram(n)
 
 
 # -- poset constructors --------------------------------------------------------

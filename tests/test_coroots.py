@@ -19,7 +19,14 @@ from minuscule.coroots import (
 )
 from minuscule.poset import first_linear_extension, order_dual
 
-from helpers import coroot_covers_oracle, linear_extensions, seed_from_env
+from helpers import (
+    coroot_covers_oracle,
+    inversion_set_oracle,
+    linear_extensions,
+    positive_coroots_oracle,
+    psi_oracle,
+    seed_from_env,
+)
 
 
 A4 = diagram_of_type("A", 4)
@@ -63,6 +70,20 @@ def test_highest_coroot_heights_by_type():
         assert sum(highest_coroot(diagram_of_type("D", n))) == 2 * n - 3
     assert sum(highest_coroot(diagram_of_type("E", 6))) == 11
     assert sum(highest_coroot(diagram_of_type("E", 7))) == 17
+
+
+def test_positive_coroots_match_oracle():
+    ranks = (
+        [("A", n) for n in range(1, 31)]
+        + [("B", n) for n in range(2, 13)]
+        + [("C", n) for n in range(3, 13)]
+        + [("D", n) for n in range(4, 13)]
+        + [("E", 6), ("E", 7)]
+    )
+    for letter, n in ranks:
+        diagram = diagram_of_type(letter, n)
+        expected = positive_coroots_oracle(CorootSystem(diagram))
+        assert CorootSystem(diagram).positive_coroots() == expected, (letter, n)
 
 
 def test_rank_one():
@@ -127,7 +148,7 @@ def test_inversion_sequence_anchor():
     assert seq[0] == (0, 1, 0, 0)
     assert seq[-1] == (1, 1, 1, 1)
     assert len(seq) == 6
-    assert frozenset(seq) == CorootSystem(A4).inversion_set(word)
+    assert frozenset(seq) == inversion_set_oracle(A4, word)
 
 
 def test_inversion_sequence_rejects_non_reduced():
@@ -147,7 +168,7 @@ def test_inversion_sequence_matches_oracle_on_heap_words():
             word = heap_to_word(p, x)
             seq = inversion_sequence(d, word)
             assert len(seq) == len(set(seq)) == len(word)
-            assert frozenset(seq) == CorootSystem(d).inversion_set(word)
+            assert frozenset(seq) == inversion_set_oracle(d, word)
 
 
 def test_word_set_independent_of_linear_extension():
@@ -206,9 +227,36 @@ def test_psi_minimal_element_exhausts_filter():
         p = indexed(letter, n, j)
         real = psi(p)
         bottom = p.minimal_elements()[0]
-        word = real.words[bottom]
+        word = heap_to_word(p, bottom)
         assert len(word) == len(coroot_filter(p.diagram, real.j))
         assert real.assignment[bottom] == highest_coroot(p.diagram)
+
+
+def test_psi_matches_per_element_oracle():
+    posets = [indexed(letter, n, j) for letter, n, j in minuscule_indices(8)]
+    posets += [build(FamilyId("B", 12)), build(FamilyId("D_spin", 12))]
+    for p in posets:
+        real, expected = psi(p), psi_oracle(p)
+        assert real.j == expected.j
+        assert real.assignment == expected.assignment
+        assert real.coroot_ids == expected.coroot_ids
+        assert real.coroot_poset == expected.coroot_poset
+
+
+def test_psi_refuses_a_word_that_moves_an_outside_coroot_negative(monkeypatch):
+    # no valid poset trips the certificate, so the whole word's action is
+    # sabotaged on the coroots outside the filter
+    p = indexed("A", 4, 2)
+    filt = set(coroot_filter(p.diagram, 2))
+    apply_word = CorootSystem.apply_word
+
+    def sabotaged(self, word, beta):
+        image = apply_word(self, word, beta)
+        return tuple(-v for v in image) if len(word) == len(p) and beta not in filt else image
+
+    monkeypatch.setattr(CorootSystem, "apply_word", sabotaged)
+    with pytest.raises(AssertionError, match="outside coroot"):
+        psi(p)
 
 
 def test_psi_rejects_bad_inputs():
@@ -247,7 +295,7 @@ def test_inversion_sets_are_ideals_of_the_filter_with_unique_max():
         real = psi(p)
         filt = set(coroot_filter(p.diagram, real.j))
         for x in p.elements:
-            seq = inversion_sequence(p.diagram, real.words[x])
+            seq = inversion_sequence(p.diagram, heap_to_word(p, x))
             chunk = set(seq)
             assert chunk <= filt
             # downward closed inside the filter: nothing outside sits below it

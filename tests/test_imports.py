@@ -1,13 +1,16 @@
 """
-Every name a module of ``minuscule`` imports is used in that module.
+Every name a module of ``minuscule`` imports is used in that module, and
+every name it exports exists.
 
 No linter ships with the toolkit, so this reads each module's syntax tree.
 A name counts as used when it is read anywhere in the module, appears in a
 quoted annotation, or is re-exported through ``__all__``.  ``__init__.py``
-and ``__future__`` imports are skipped.
+and ``__future__`` imports are skipped.  Since ``__all__`` counts as a use,
+each of its entries must name an attribute of the imported module.
 """
 
 import ast
+import importlib
 import pathlib
 
 import pytest
@@ -61,6 +64,15 @@ def test_every_import_is_used(path):
         f"{name} (line {line})" for name, line in imported_names(tree).items() if name not in used
     )
     assert not unused, f"{path.name} imports unused names: {', '.join(unused)}"
+
+
+@pytest.mark.parametrize(
+    "name", ["__init__"] + [path.stem for path in MODULES], ids=lambda name: name
+)
+def test_every_export_exists(name):
+    module = importlib.import_module("minuscule" if name == "__init__" else f"minuscule.{name}")
+    missing = [entry for entry in getattr(module, "__all__", ()) if not hasattr(module, entry)]
+    assert not missing, f"{name}.__all__ names missing attributes: {', '.join(missing)}"
 
 
 def test_the_check_sees_an_unused_import():

@@ -4,19 +4,23 @@ Work at the sizes the toolkit promises, against wall-clock budgets.
 Criterion 4 of the acceptance suite keeps its 60-split cap; the first test
 runs the default relation sweep on three representations 29 to 68 times
 larger.  The second classifies a 400-element chain and the 465-element
-staircase B(30).  Each budget is three times the time measured on a 2-vCPU
-container (Python 3.11.7): 0.95 s and 0.75 s.
+staircase B(30).  The third closes the 5050 positive coroots of A100 and
+realizes B(12) and D_spin(12) as coroot filters.  Each budget is three times
+the time measured on a 2-vCPU container (Python 3.11.7): 0.95 s, 0.75 s and
+0.37 s.
 """
 
 import math
 import time
 
-from minuscule.catalog import FamilyId, build
+from minuscule.catalog import FamilyId, build, diagram_of_type
 from minuscule.classify import classify
+from minuscule.coroots import CorootSystem, psi
 from minuscule.representation import splits, verify_relations
 
 BUDGET_S = 2.85
 CLASSIFY_BUDGET_S = 2.25
+COROOT_BUDGET_S = 1.1
 
 
 def test_relations_hold_at_thousands_of_splits():
@@ -41,3 +45,13 @@ def test_classify_a_long_chain_and_a_large_staircase():
         assert [c.family for c in result.components] == [fam], str(fam)
     elapsed = time.monotonic() - started
     assert elapsed <= CLASSIFY_BUDGET_S, f"{elapsed:.2f} s over the {CLASSIFY_BUDGET_S} s budget"
+
+
+def test_positive_coroots_and_psi_at_rank_100_and_12():
+    started = time.monotonic()
+    assert len(CorootSystem(diagram_of_type("A", 100)).positive_coroots()) == 5050
+    for fam in [FamilyId("B", 12), FamilyId("D_spin", 12)]:
+        p = build(fam)
+        assert len(psi(p).assignment) == len(p), str(fam)
+    elapsed = time.monotonic() - started
+    assert elapsed <= COROOT_BUDGET_S, f"{elapsed:.2f} s over the {COROOT_BUDGET_S} s budget"
