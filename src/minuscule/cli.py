@@ -304,10 +304,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser: Optional[argparse.ArgumentParser] = None
+
+
 def run(argv: list[str]) -> int:
-    parser = build_parser()
+    # built on the first call, not at import, and kept: each parse starts
+    # from a fresh namespace, so one parser serves every call in a process
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

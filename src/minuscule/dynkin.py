@@ -86,6 +86,10 @@ class DynkinDiagram:
                         f"theta[{b!r}][{a!r}] = {self.matrix[j][i]}"
                     )
         object.__setattr__(self, "_index", {a: i for i, a in enumerate(self.colors)})
+        object.__setattr__(self, "_neighbors", {
+            a: tuple(b for j, b in enumerate(self.colors) if j != i and self.matrix[i][j] < 0)
+            for i, a in enumerate(self.colors)
+        })
 
     # -- basic queries ----------------------------------------------------
 
@@ -102,10 +106,11 @@ class DynkinDiagram:
         return a != b and self.theta(a, b) == 0
 
     def neighbors(self, a: Color) -> tuple[Color, ...]:
-        return tuple(b for b in self.colors if self.adjacent(a, b))
+        """The colors adjacent to a, in canonical order."""
+        return self._neighbors[a]
 
     def degree(self, a: Color) -> int:
-        return len(self.neighbors(a))
+        return len(self._neighbors[a])
 
     def __len__(self) -> int:
         return len(self.colors)

@@ -1,97 +1,40 @@
 """
 Downward extension of d-complete posets, driven by lower frontier censuses.
 
-A connected finite d-complete poset P is extendable by a color exactly when
-that color's lower frontier census is 2; the new bottom element's covers are
-forced.  Iterating "assess, then extend every census-2 color" either stops at
-a minuscule poset (all censuses at most 1) or proves that no minuscule poset
-has the given top tree (a census above 2, or two adjacent census-2 colors).
-The census-2 colors of a stage are pairwise non-adjacent, so their new
-elements are independent, and `extend_by` adjoins the whole stage in one
-poset.
+The census of a color b is the weighted count, sum of -theta(c, b), of the
+elements of adjacent colors c below the minimal element of color b.  A
+connected finite d-complete poset P is extendable by a color exactly when its
+census is 2; the new bottom element's covers are forced.  Iterating "assess,
+then extend every census-2 color" either stops at a minuscule poset (all
+censuses at most 1) or proves that no minuscule poset has the given top tree
+(a census above 2, or two adjacent census-2 colors).
+
+A stage only adds minimal elements, one x_a per census-2 color a, and these
+colors are pairwise non-adjacent.  So a stage changes few censuses:
+census(a) drops to 0, and census(c) grows by -theta(a, c) for each color c
+adjacent to a whose minimal element lies above x_a.  `run_extension` keeps
+the censuses and the order as bitmasks in one private state, updated stage
+by stage, and builds one `ColoredPoset` at the end.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Mapping, Optional
 
 from .axioms import is_d_complete
-from .dynkin import Color, is_simply_laced
+from .dynkin import Color, DynkinDiagram, is_simply_laced
 from .poset import ColoredPoset
 
 __all__ = [
-    "ColorAbsent",
-    "NotExtendable",
     "Assessment",
     "StageRecord",
     "ExtensionOutcome",
-    "lower_frontier_census",
-    "extend_by",
-    "assess",
     "run_extension",
     "STAGE_CAP_FACTOR",
 ]
 
 STAGE_CAP_FACTOR = 64
-
-
-class ColorAbsent(ValueError):
-    pass
-
-
-class NotExtendable(ValueError):
-    def __init__(self, color: Color, census: int):
-        self.color = color
-        self.census = census
-        super().__init__(f"census for {color!r} is {census}, extension needs 2")
-
-
-def _min_of_color(p: ColoredPoset, b: Color) -> int:
-    cls = p.color_class(b)
-    if not cls:
-        raise ColorAbsent(f"color {b!r} does not appear in the poset")
-    mins = [x for x in cls if not any(p.lt(y, x) for y in cls)]
-    if len(mins) != 1:
-        raise ValueError(f"color class {b!r} has {len(mins)} minimal elements")
-    return mins[0]
-
-
-def lower_frontier_census(p: ColoredPoset, b: Color) -> int:
-    """Weighted count of adjacent-colored elements below the minimal element
-    of the color class of b."""
-    y = _min_of_color(p, b)
-    return p.census(b, p.lower_frontier(y))
-
-
-def extend_by(p: ColoredPoset, *colors: Color) -> ColoredPoset:
-    """
-    Adjoin one new minimal element of each color (each census must equal 2).
-
-    The new element of color a is covered exactly by the minimal elements of
-    L(y, P), where y is the minimal element of color a, which pins the
-    extension uniquely.  The colors must be distinct and pairwise
-    non-adjacent, as the census-2 colors of a stage are; then no new element
-    lies in another's frontier, and adjoining them at once equals adjoining
-    them one by one.  New ids follow max(p.elements) in the order given.
-    """
-    if len(set(colors)) != len(colors):
-        raise ValueError(f"repeated color in {colors!r}")
-    if any(p.diagram.adjacent(b, c) for b, c in itertools.combinations(colors, 2)):
-        raise ValueError(f"adjacent colors in {colors!r}")
-    coloring = dict(p.coloring)
-    covers = set(p.covers)
-    x = max(p.elements)
-    for a in colors:
-        frontier = p.lower_frontier(_min_of_color(p, a))
-        census = p.census(a, frontier)
-        if census != 2:
-            raise NotExtendable(a, census)
-        x += 1
-        coloring[x] = a
-        covers |= {(x, u) for u in frontier if not any(p.lt(v, u) for v in frontier)}
-    return ColoredPoset(p.diagram, coloring, covers)
 
 
 @dataclass(frozen=True)
@@ -116,22 +59,104 @@ class Assessment:
         return out
 
 
-def assess(p: ColoredPoset) -> Assessment:
-    """Decide whether extension terminates, and with which color set it
-    continues otherwise."""
-    censuses = {b: lower_frontier_census(p, b) for b in p.diagram.colors}
-    if all(v <= 1 for v in censuses.values()):
+def _decide(diagram: DynkinDiagram, census: Mapping[Color, int]) -> Assessment:
+    """Decide from every color's census whether extension terminates, and
+    with which color set it continues otherwise; ties go to the first colors
+    in canonical order."""
+    if all(v <= 1 for v in census.values()):
         return Assessment("minuscule")
-    over = [b for b in p.diagram.colors if censuses[b] > 2]
+    over = [b for b in diagram.colors if census[b] > 2]
     if over:
         b = over[0]
-        return Assessment("census_exceeded", witness_color=b, witness_census=censuses[b])
-    twos = [b for b in p.diagram.colors if censuses[b] == 2]
+        return Assessment("census_exceeded", witness_color=b, witness_census=census[b])
+    twos = [b for b in diagram.colors if census[b] == 2]
     for i, b in enumerate(twos):
         for c in twos[i + 1 :]:
-            if p.diagram.adjacent(b, c):
+            if diagram.adjacent(b, c):
                 return Assessment("adjacent_pair", witness_pair=(b, c))
     return Assessment("continue", extension_set=tuple(twos))
+
+
+def _bits(mask: int) -> Iterator[int]:
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+class _Growth:
+    """
+    A d-complete poset under downward extension, as bitmasks over positions:
+    bit i is the i-th smallest element id, and each new element takes the
+    next position and the next id.  Kept: every element's up-mask (the
+    elements strictly above it), every color's class mask, its minimal
+    element (a position; each class is a chain by EC), the down-mask of that
+    minimal element, and its census.
+    """
+
+    def __init__(self, seed: ColoredPoset) -> None:
+        d = self.diagram = seed.diagram
+        self.ids = list(seed.elements)
+        self.colors = [seed.color(x) for x in self.ids]
+        self.covers = list(seed.covers)
+        pos = {x: i for i, x in enumerate(self.ids)}
+
+        def mask(elements) -> int:
+            return sum(1 << pos[x] for x in elements)
+
+        self.up = [mask(seed.up_set(x)) ^ (1 << i) for i, x in enumerate(self.ids)]
+        self.members = {a: 0 for a in d.colors}
+        for i, a in enumerate(self.colors):
+            self.members[a] |= 1 << i
+        self.minimum = {
+            a: next(i for i in _bits(m) if (m & ~self.up[i]) == 1 << i)
+            for a, m in self.members.items()
+        }
+        self.below = {
+            a: mask(seed.down_set(self.ids[i])) ^ (1 << i) for a, i in self.minimum.items()
+        }
+        self.census = {
+            b: sum(
+                -d.theta(c, b) * (self.below[b] & self.members[c]).bit_count()
+                for c in d.neighbors(b)
+            )
+            for b in d.colors
+        }
+
+    def extend(self, colors: tuple[Color, ...]) -> tuple[tuple[int, Color], ...]:
+        """Adjoin one new minimal element of each census-2 color, the colors
+        pairwise non-adjacent; returns the (id, color) pairs added."""
+        d = self.diagram
+        added = []
+        for a in colors:
+            adjacent = 0
+            for c in d.neighbors(a):
+                adjacent |= self.members[c]
+            frontier = self.below[a] & adjacent
+            reach = 0
+            for u in _bits(frontier):
+                reach |= self.up[u]
+            i, x = len(self.ids), self.ids[-1] + 1
+            # x is covered by the minimal elements of its frontier
+            self.covers += [(x, self.ids[u]) for u in _bits(frontier & ~reach)]
+            up = frontier | reach
+            self.ids.append(x)
+            self.colors.append(a)
+            self.up.append(up)
+            self.members[a] |= 1 << i
+            for c, y in self.minimum.items():
+                if up >> y & 1:
+                    self.below[c] |= 1 << i
+            # x joins the lower frontier of every adjacent color's minimum above it
+            for c in d.neighbors(a):
+                if up >> self.minimum[c] & 1:
+                    self.census[c] -= d.theta(a, c)
+            self.minimum[a], self.below[a], self.census[a] = i, 0, 0
+            added.append((x, a))
+        return tuple(added)
+
+    def poset(self) -> ColoredPoset:
+        return ColoredPoset(self.diagram, dict(zip(self.ids, self.colors)), self.covers)
 
 
 @dataclass(frozen=True)
@@ -182,22 +207,18 @@ def run_extension(seed: ColoredPoset) -> ExtensionOutcome:
     if not ok:
         raise ValueError("extension seed must be d-complete")
     cap = len(seed.diagram) * STAGE_CAP_FACTOR
-    p = seed
+    growth = _Growth(seed)
     trace: list[StageRecord] = []
     assessments = 0
     for stage in range(1, cap + 2):
         assessments += 1
-        a = assess(p)
+        a = _decide(seed.diagram, growth.census)
         if a.kind != "continue":
             return ExtensionOutcome(
-                p, "minuscule" if a.kind == "minuscule" else "blocked", a, tuple(trace),
-                assessments, extrapolated=not is_simply_laced(seed.diagram),
+                growth.poset(), "minuscule" if a.kind == "minuscule" else "blocked", a,
+                tuple(trace), assessments, extrapolated=not is_simply_laced(seed.diagram),
             )
-        size = len(p)
-        p = extend_by(p, *a.extension_set)
-        # the new ids exceed every old one, so they end the sorted elements
-        added = tuple((x, p.color(x)) for x in p.elements[size:])
-        trace.append(StageRecord(stage, a.extension_set, added))
+        trace.append(StageRecord(stage, a.extension_set, growth.extend(a.extension_set)))
     raise RuntimeError(
         f"extension did not terminate within {cap} stages; the seed violates "
         "the boundedness guarantee or the census bookkeeping is broken"

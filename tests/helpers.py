@@ -8,7 +8,7 @@ import random
 from functools import lru_cache
 from typing import Iterator
 
-from minuscule.axioms import AxiomReport, Witness, check, is_minuscule
+from minuscule.axioms import AxiomReport, Witness, check, is_d_complete, is_minuscule
 from minuscule.catalog import FamilyId, build
 from minuscule.classify import ComponentClassification
 from minuscule.coroots import (
@@ -23,6 +23,12 @@ from minuscule.coroots import (
     inversion_sequence,
 )
 from minuscule.dynkin import Color, DynkinDiagram, is_simply_laced, validate
+from minuscule.extension import (
+    STAGE_CAP_FACTOR,
+    Assessment,
+    ExtensionOutcome,
+    StageRecord,
+)
 from minuscule.heapwindow import PeriodicWindow
 from minuscule.representation import (
     ECViolated,
@@ -635,3 +641,102 @@ def psi_oracle(p: ColoredPoset) -> PsiRealization:
     cposet, ids = coroot_poset(p.diagram, j, coloring)
     assert is_minuscule(cposet)[0], "colored coroot filter is not minuscule"
     return PsiRealization(p, j, assignment, cposet, ids)
+
+
+# -- the downward extension, one poset per stage ------------------------------
+
+
+class ColorAbsent(ValueError):
+    pass
+
+
+class NotExtendable(ValueError):
+    def __init__(self, color: Color, census: int):
+        self.color = color
+        self.census = census
+        super().__init__(f"census for {color!r} is {census}, extension needs 2")
+
+
+def _min_of_color(p: ColoredPoset, b: Color) -> int:
+    cls = p.color_class(b)
+    if not cls:
+        raise ColorAbsent(f"color {b!r} does not appear in the poset")
+    mins = [x for x in cls if not any(p.lt(y, x) for y in cls)]
+    if len(mins) != 1:
+        raise ValueError(f"color class {b!r} has {len(mins)} minimal elements")
+    return mins[0]
+
+
+def lower_frontier_census(p: ColoredPoset, b: Color) -> int:
+    """Weighted count of adjacent-colored elements below the minimal element
+    of the color class of b."""
+    y = _min_of_color(p, b)
+    return p.census(b, p.lower_frontier(y))
+
+
+def extend_by(p: ColoredPoset, *colors: Color) -> ColoredPoset:
+    """
+    Adjoin one new minimal element of each color (each census must equal 2).
+
+    The new element of color a is covered exactly by the minimal elements of
+    L(y, P), where y is the minimal element of color a, which pins the
+    extension uniquely.  The colors must be distinct and pairwise
+    non-adjacent, as the census-2 colors of a stage are; then no new element
+    lies in another's frontier, and adjoining them at once equals adjoining
+    them one by one.  New ids follow max(p.elements) in the order given.
+    """
+    if len(set(colors)) != len(colors):
+        raise ValueError(f"repeated color in {colors!r}")
+    if any(p.diagram.adjacent(b, c) for b, c in itertools.combinations(colors, 2)):
+        raise ValueError(f"adjacent colors in {colors!r}")
+    coloring = dict(p.coloring)
+    covers = set(p.covers)
+    x = max(p.elements)
+    for a in colors:
+        frontier = p.lower_frontier(_min_of_color(p, a))
+        census = p.census(a, frontier)
+        if census != 2:
+            raise NotExtendable(a, census)
+        x += 1
+        coloring[x] = a
+        covers |= {(x, u) for u in frontier if not any(p.lt(v, u) for v in frontier)}
+    return ColoredPoset(p.diagram, coloring, covers)
+
+
+def assess(p: ColoredPoset) -> Assessment:
+    """Decide whether extension terminates, and with which color set it
+    continues otherwise, recounting every census."""
+    censuses = {b: lower_frontier_census(p, b) for b in p.diagram.colors}
+    if all(v <= 1 for v in censuses.values()):
+        return Assessment("minuscule")
+    over = [b for b in p.diagram.colors if censuses[b] > 2]
+    if over:
+        b = over[0]
+        return Assessment("census_exceeded", witness_color=b, witness_census=censuses[b])
+    twos = [b for b in p.diagram.colors if censuses[b] == 2]
+    for i, b in enumerate(twos):
+        for c in twos[i + 1 :]:
+            if p.diagram.adjacent(b, c):
+                return Assessment("adjacent_pair", witness_pair=(b, c))
+    return Assessment("continue", extension_set=tuple(twos))
+
+
+def run_extension_oracle(seed: ColoredPoset) -> ExtensionOutcome:
+    """Reference `run_extension`: assess and extend with a new poset per stage."""
+    if not is_d_complete(seed)[0]:
+        raise ValueError("extension seed must be d-complete")
+    cap = len(seed.diagram) * STAGE_CAP_FACTOR
+    p = seed
+    trace: list[StageRecord] = []
+    for stage in range(1, cap + 2):
+        a = assess(p)
+        if a.kind != "continue":
+            return ExtensionOutcome(
+                p, "minuscule" if a.kind == "minuscule" else "blocked", a, tuple(trace),
+                stage, extrapolated=not is_simply_laced(seed.diagram),
+            )
+        size = len(p)
+        p = extend_by(p, *a.extension_set)
+        added = tuple((x, p.color(x)) for x in p.elements[size:])
+        trace.append(StageRecord(stage, a.extension_set, added))
+    raise RuntimeError(f"extension did not terminate within {cap} stages")

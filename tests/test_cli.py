@@ -1,9 +1,13 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import minuscule
 from minuscule.catalog import FamilyId, all_family_ids, build
 from minuscule.cli import run
 from minuscule.heapwindow import cyclic_chain_window
@@ -341,6 +345,31 @@ def test_byte_for_byte_determinism(tmp_path):
         _, first, _ = capture(argv)
         _, second, _ = capture(argv)
         assert first == second
+
+
+def test_one_parser_serves_a_sequence_of_calls(tmp_path, monkeypatch):
+    # help text wraps at the terminal width, so both sides get the same one
+    monkeypatch.setenv("COLUMNS", "80")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(minuscule.__file__)))
+    path = tmp_path / "b3.json"
+    path.write_text(json.dumps(build(FamilyId("B", 3)).to_json()))
+    steps = [
+        ["verify", "--property", "EC", str(path)],
+        ["verify", str(path)],
+        ["verify", "--property"],
+        ["--help"],
+        ["extend", "--shape", "3,1,2"],
+    ]
+    fresh = []
+    for argv in steps:
+        done = subprocess.run(
+            [sys.executable, "-m", "minuscule.cli", *argv], capture_output=True, text=True, env=env
+        )
+        fresh.append((done.returncode, done.stdout, done.stderr))
+    assert [code for code, _, _ in fresh] == [0, 0, 2, 0, 0]
+    for _ in range(2):
+        for argv, expected in zip(steps, fresh):
+            assert capture(argv) == expected, argv
 
 
 def test_dot_outputs():

@@ -259,6 +259,21 @@ def test_psi_refuses_a_word_that_moves_an_outside_coroot_negative(monkeypatch):
         psi(p)
 
 
+def test_psi_refuses_an_assignment_that_breaks_the_order(monkeypatch):
+    # swapping the top's coroot with the bottom's keeps a bijection onto the
+    # filter, so only the cover certificate stands in the way
+    p = indexed("A", 4, 2)
+
+    def swapped(diagram, word):
+        seq = list(inversion_sequence(diagram, word))
+        seq[0], seq[-1] = seq[-1], seq[0]
+        return tuple(seq)
+
+    monkeypatch.setattr("minuscule.coroots.inversion_sequence", swapped)
+    with pytest.raises(AssertionError, match="psi not order reversing"):
+        psi(p)
+
+
 def test_psi_rejects_bad_inputs():
     from minuscule.extension import run_extension
     from minuscule.catalog import top_tree_Y

@@ -1,22 +1,30 @@
+import contextlib
 import functools
+import io
 import itertools
+import json
+import random
 
 import pytest
 
 from minuscule.axioms import is_d_complete, is_minuscule
-from minuscule.catalog import FamilyId, build, indexed, top_tree_Y
-from minuscule.extension import (
+from minuscule.catalog import FamilyId, all_family_ids, build, indexed, top_tree_Y
+from minuscule.cli import run
+from minuscule.extension import run_extension
+from minuscule.dynkin import validate
+from minuscule.poset import ColoredPoset, colored_isomorphism, top_tree
+
+from helpers import (
     ColorAbsent,
     NotExtendable,
     assess,
     extend_by,
     lower_frontier_census,
-    run_extension,
+    random_colored_poset,
+    rank_function,
+    run_extension_oracle,
+    seed_from_env,
 )
-from minuscule.dynkin import validate
-from minuscule.poset import ColoredPoset, colored_isomorphism, top_tree
-
-from helpers import rank_function
 
 
 def splitting_color(seed):
@@ -214,3 +222,65 @@ def test_run_extension_reconstructs_catalog_from_top_trees():
         outcome = run_extension(seed)
         assert outcome.verdict == "minuscule"
         assert colored_isomorphism(outcome.poset, p) is not None, str(fam)
+
+
+def y_shapes(total):
+    return [
+        (i, j, k)
+        for i, j, k in itertools.product(range(1, total), repeat=3)
+        if j <= k and i + j + k <= total
+    ]
+
+
+# an outcome equals the oracle's in poset, verdict, reason, trace, assessment
+# count and extrapolation flag: ExtensionOutcome compares every field
+
+
+def test_growth_state_matches_per_stage_oracle_on_y_seeds():
+    shapes = y_shapes(16)
+    assert len(shapes) == 308
+    verdicts = set()
+    for shape in shapes:
+        outcome = run_extension(top_tree_Y(*shape))
+        assert outcome == run_extension_oracle(top_tree_Y(*shape)), shape
+        verdicts.add(outcome.reason.kind)
+    assert verdicts == {"minuscule", "census_exceeded"}
+
+
+def test_growth_state_matches_per_stage_oracle_on_catalog_top_trees():
+    # multiply laced seeds weigh their censuses by pairings other than -1
+    for fam in all_family_ids(6) + [FamilyId("E6", 6), FamilyId("E7", 7)]:
+        p = build(fam)
+        seed = p.subposet(top_tree(p).elements)
+        assert run_extension(seed) == run_extension_oracle(seed), str(fam)
+
+
+def test_growth_state_matches_per_stage_oracle_on_random_d_complete_seeds():
+    rng = random.Random(seed_from_env())
+    seeds = [p for p in (random_colored_poset(rng) for _ in range(3000)) if is_d_complete(p)[0]]
+    assert len(seeds) > 50
+    for p in seeds:
+        assert run_extension(p) == run_extension_oracle(p), sorted(p.covers)
+    # a doubly laced chain on which two adjacent colors reach census 2 at once
+    d = validate([1, 2, 3], [[2, -2, 0], [-1, 2, -2], [0, -1, 2]])
+    chain = ColoredPoset(d, {1: 1, 2: 2, 3: 3}, [(1, 2), (2, 3)])
+    outcome = run_extension(chain)
+    assert outcome.reason.kind == "adjacent_pair" and outcome.reason.witness_pair == (2, 3)
+    assert outcome == run_extension_oracle(chain)
+
+
+def test_extend_stdout_matches_per_stage_oracle():
+    for shape in y_shapes(16):
+        expected = run_extension_oracle(top_tree_Y(*shape))
+        for trace in (False, True):
+            argv = ["extend", "--shape", ",".join(map(str, shape))] + ["--trace"] * trace
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = run(argv)
+            data = expected.to_json()
+            data["version"] = 1
+            data["poset"] = expected.poset.to_json()
+            if not trace:
+                del data["stages"]
+            assert out.getvalue() == json.dumps(data, sort_keys=True, indent=2) + "\n", argv
+            assert (code, err.getvalue()) == (0 if expected.verdict == "minuscule" else 1, ""), argv

@@ -5,22 +5,25 @@ Criterion 4 of the acceptance suite keeps its 60-split cap; the first test
 runs the default relation sweep on three representations 29 to 68 times
 larger.  The second classifies a 400-element chain and the 465-element
 staircase B(30).  The third closes the 5050 positive coroots of A100 and
-realizes B(12) and D_spin(12) as coroot filters.  Each budget is three times
-the time measured on a 2-vCPU container (Python 3.11.7): 0.95 s, 0.75 s and
-0.37 s.
+realizes B(12) and D_spin(12) as coroot filters.  The fourth grows the Y seed
+(2,1,40) down to the 903-element D_spin(43).  Each budget is three times the
+time measured on a 2-vCPU container (Python 3.11.7): 0.95 s, 0.75 s, 0.37 s
+and 0.07 s.
 """
 
 import math
 import time
 
-from minuscule.catalog import FamilyId, build, diagram_of_type
+from minuscule.catalog import FamilyId, build, diagram_of_type, top_tree_Y
 from minuscule.classify import classify
 from minuscule.coroots import CorootSystem, psi
+from minuscule.extension import run_extension
 from minuscule.representation import splits, verify_relations
 
 BUDGET_S = 2.85
 CLASSIFY_BUDGET_S = 2.25
 COROOT_BUDGET_S = 1.1
+EXTENSION_BUDGET_S = 0.21
 
 
 def test_relations_hold_at_thousands_of_splits():
@@ -55,3 +58,11 @@ def test_positive_coroots_and_psi_at_rank_100_and_12():
         assert len(psi(p).assignment) == len(p), str(fam)
     elapsed = time.monotonic() - started
     assert elapsed <= COROOT_BUDGET_S, f"{elapsed:.2f} s over the {COROOT_BUDGET_S} s budget"
+
+
+def test_extension_of_a_large_y_seed():
+    started = time.monotonic()
+    outcome = run_extension(top_tree_Y(2, 1, 40))
+    elapsed = time.monotonic() - started
+    assert (outcome.verdict, len(outcome.poset), len(outcome.trace)) == ("minuscule", 903, 80)
+    assert elapsed <= EXTENSION_BUDGET_S, f"{elapsed:.2f} s over the {EXTENSION_BUDGET_S} s budget"
