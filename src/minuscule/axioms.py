@@ -24,9 +24,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from .dynkin import Color
-from .poset import ColoredPoset, top_tree
+from .poset import ColoredPoset, bits, top_tree
 
 __all__ = [
     "AxiomReport",
@@ -90,59 +91,111 @@ class AxiomReport:
 D_COMPLETE_PROPERTIES = ("EC", "NA", "AC", "ICE2", "UCB1")
 
 
+def _adjacent_masks(p: ColoredPoset) -> dict[Color, int]:
+    """Per color a, the elements whose colors are adjacent to a."""
+    classes = p.class_masks
+    out = {}
+    for a in p.diagram.colors:
+        m = 0
+        for b in p.diagram.neighbors(a):
+            m |= classes[b]
+        out[a] = m
+    return out
+
+
+def _census_terms(p: ColoredPoset) -> dict[Color, list[tuple[int, int]]]:
+    """Per color a, the (class mask of b, -theta(b, a)) pairs over b = a and
+    the colors adjacent to a: a set's census for a weighs each of its
+    elements by its color, and distant colors weigh nothing."""
+    d, classes = p.diagram, p.class_masks
+    return {
+        a: [(classes[a], -2)] + [(classes[b], -d.theta(b, a)) for b in d.neighbors(a)]
+        for a in d.colors
+    }
+
+
+def _census(terms: list[tuple[int, int]], mask: int) -> int:
+    return sum(w * (mask & m).bit_count() for m, w in terms)
+
+
+def _later_incomparable(p: ColoredPoset, i: int, candidates: int) -> int:
+    """The candidates at positions after i that are incomparable to element i."""
+    return candidates >> (i + 1) << (i + 1) & ~(p.up_masks[i] | p.down_masks[i])
+
+
 def _check_ec(p: ColoredPoset) -> list[Witness]:
     bad = []
+    els = p.elements
     for a in p.diagram.colors:
-        cls = p.color_class(a)
-        for i, x in enumerate(cls):
-            for y in cls[i + 1 :]:
-                if not p.comparable(x, y):
-                    bad.append(Witness((x, y), note=f"equal color {a!r}, incomparable"))
+        cls = p.class_masks[a]
+        for i in bits(cls):
+            for j in bits(_later_incomparable(p, i, cls)):
+                bad.append(Witness((els[i], els[j]), note=f"equal color {a!r}, incomparable"))
     return bad
 
 
+def _covers_in_order(p: ColoredPoset) -> Iterator[tuple[int, int]]:
+    """The covers (x, y) sorted, read off the sorted cover lists."""
+    for x in p.elements:
+        for y in p.covers_of(x):
+            yield x, y
+
+
 def _check_na(p: ColoredPoset) -> list[Witness]:
+    adjacent, position = _adjacent_masks(p), p.position
     bad = []
-    for x, y in sorted(p.covers):
-        a, b = p.color(x), p.color(y)
-        if not p.diagram.adjacent(a, b):
+    for x, y in _covers_in_order(p):
+        a, b = p.coloring[x], p.coloring[y]
+        if not adjacent[a] >> position[y] & 1:
             bad.append(Witness((x, y), note=f"cover with non-adjacent colors {a!r},{b!r}"))
     return bad
 
 
 def _check_ac(p: ColoredPoset) -> list[Witness]:
+    adjacent, els = _adjacent_masks(p), p.elements
     bad = []
-    for i, x in enumerate(p.elements):
-        for y in p.elements[i + 1 :]:
-            if p.diagram.adjacent(p.color(x), p.color(y)) and not p.comparable(x, y):
-                bad.append(Witness((x, y), note="adjacent colors, incomparable"))
+    for i, x in enumerate(els):
+        for j in bits(_later_incomparable(p, i, adjacent[p.coloring[x]])):
+            bad.append(Witness((x, els[j]), note="adjacent colors, incomparable"))
     return bad
 
 
+def _consecutive(p: ColoredPoset, a: Color) -> Iterator[tuple[int, int]]:
+    """Positions i, j of the pairs x < y of color a with no color-a element
+    strictly between, sorted: above each x, the minimal elements of its class."""
+    cls = p.class_masks[a]
+    for i in bits(cls):
+        above = p.up_masks[i] & cls
+        for j in bits(above):
+            if not p.down_masks[j] & above:
+                yield i, j
+
+
 def _check_ice2(p: ColoredPoset) -> list[Witness]:
+    terms, els = _census_terms(p), p.elements
     bad = []
     for a in p.diagram.colors:
-        for x, y in p.consecutive_same_color_pairs(a):
-            census = p.census(a, p.open_interval(x, y))
+        for i, j in _consecutive(p, a):
+            census = _census(terms[a], p.up_masks[i] & p.down_masks[j])
             if census != 2:
-                bad.append(Witness((x, y), value=census, note=f"interval census for {a!r}"))
+                bad.append(
+                    Witness((els[i], els[j]), value=census, note=f"interval census for {a!r}")
+                )
     return bad
 
 
 def _frontier_censuses(p: ColoredPoset, upper: bool) -> list[tuple[Color, int, int]]:
     """(color, extreme element, census) triples over maximal/minimal elements
-    of each color class."""
+    of each color class.  Nothing of an extreme element's own color lies
+    beyond it, so its frontier census is the census of all it reaches."""
+    terms = _census_terms(p)
+    reach = p.up_masks if upper else p.down_masks
     out = []
     for a in p.diagram.colors:
-        cls = p.color_class(a)
-        for x in cls:
-            if upper and any(p.lt(x, y) for y in cls):
-                continue
-            if not upper and any(p.lt(y, x) for y in cls):
-                continue
-            frontier = p.upper_frontier(x) if upper else p.lower_frontier(x)
-            census = p.census(a, frontier)
-            out.append((a, x, census))
+        cls = p.class_masks[a]
+        for i in bits(cls):
+            if not reach[i] & cls:
+                out.append((a, p.elements[i], _census(terms[a], reach[i])))
     return out
 
 
@@ -163,53 +216,58 @@ def _check_lcb(p: ColoredPoset, k: int) -> list[Witness]:
 
 
 def _check_s1(p: ColoredPoset) -> list[Witness]:
+    adjacent, els, position = _adjacent_masks(p), p.elements, p.position
+    near = {a: m | p.class_masks[a] for a, m in adjacent.items()}
     bad = []
-    for x, y in sorted(p.covers):
-        a, b = p.color(x), p.color(y)
-        if a != b and not p.diagram.adjacent(a, b):
+    for x, y in _covers_in_order(p):
+        if not near[p.coloring[x]] >> position[y] & 1:
             bad.append(Witness((x, y), note="neighbors with distant colors"))
-    for i, x in enumerate(p.elements):
-        for y in p.elements[i + 1 :]:
-            if p.comparable(x, y):
-                continue
-            a, b = p.color(x), p.color(y)
-            if a == b or p.diagram.adjacent(a, b):
-                bad.append(Witness((x, y), note="incomparable, colors not distant"))
+    for i, x in enumerate(els):
+        for j in bits(_later_incomparable(p, i, near[p.coloring[x]])):
+            bad.append(Witness((x, els[j]), note="incomparable, colors not distant"))
     return bad
 
 
 def _check_s2(p: ColoredPoset) -> list[Witness]:
+    d, classes, els = p.diagram, p.class_masks, p.elements
+    adjacent = _adjacent_masks(p)
     bad = []
-    for a in p.diagram.colors:
-        for x, y in p.consecutive_same_color_pairs(a):
-            interval = sorted(p.open_interval(x, y))
-            adjacent = [z for z in interval if p.diagram.adjacent(p.color(z), a)]
-            two_single = len(adjacent) == 2 and all(
-                p.diagram.theta(p.color(z), a) == -1 for z in adjacent
-            )
-            one_double = len(interval) == 1 and p.diagram.theta(p.color(interval[0]), a) == -2
+    for a in d.colors:
+        single = double = 0
+        for b in d.neighbors(a):
+            t = d.theta(b, a)
+            if t == -1:
+                single |= classes[b]
+            elif t == -2:
+                double |= classes[b]
+        for i, j in _consecutive(p, a):
+            interval = p.up_masks[i] & p.down_masks[j]
+            near = interval & adjacent[a]
+            two_single = near.bit_count() == 2 and not near & ~single
+            one_double = interval.bit_count() == 1 and interval & double
             if not (two_single or one_double):
-                bad.append(
-                    Witness((x, y), value=len(adjacent), note=f"interval shape for {a!r}")
-                )
+                shape = f"interval shape for {a!r}"
+                bad.append(Witness((els[i], els[j]), value=near.bit_count(), note=shape))
     return bad
 
 
 def _check_s3(p: ColoredPoset) -> list[Witness]:
+    up, classes = p.up_masks, p.class_masks
     bad = []
     for a in p.diagram.colors:
-        cls = p.color_class(a)
-        for x in cls:
-            if any(p.lt(x, y) for y in cls):
+        cls = classes[a]
+        for i in bits(cls):
+            if up[i] & cls:
                 continue
+            x = p.elements[i]
             above = p.covers_of(x)
             if len(above) > 1:
                 bad.append(Witness((x,) + above, value=len(above), note="covered twice"))
                 continue
             if above:
                 z = above[0]
-                c = p.color(z)
-                z_max_in_class = not any(p.lt(z, w) for w in p.color_class(c))
+                c = p.coloring[z]
+                z_max_in_class = not up[p.position[z]] & classes[c]
                 if p.diagram.theta(c, a) != -1 or not z_max_in_class:
                     bad.append(Witness((x, z), note="cover not a 1-adjacent class maximum"))
     return bad
@@ -226,21 +284,23 @@ def _check_s4(p: ColoredPoset) -> list[Witness]:
 _PARAM = re.compile(r"^(UCB|LCB)\(?(\d+)\)?$")
 
 
+_SIMPLE = {
+    "EC": _check_ec,
+    "NA": _check_na,
+    "AC": _check_ac,
+    "ICE2": _check_ice2,
+    "S1": _check_s1,
+    "S2": _check_s2,
+    "S3": _check_s3,
+    "S4": _check_s4,
+}
+
+
 def check(p: ColoredPoset, prop: str) -> AxiomReport:
     """Verify one named property, collecting every witness of failure."""
     name = prop.strip().upper()
-    simple = {
-        "EC": _check_ec,
-        "NA": _check_na,
-        "AC": _check_ac,
-        "ICE2": _check_ice2,
-        "S1": _check_s1,
-        "S2": _check_s2,
-        "S3": _check_s3,
-        "S4": _check_s4,
-    }
-    if name in simple:
-        witnesses = simple[name](p)
+    if name in _SIMPLE:
+        witnesses = _SIMPLE[name](p)
     else:
         m = _PARAM.match(name)
         if not m:

@@ -16,8 +16,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Iterable
 
-from .dynkin import DynkinDiagram, validate
+from .dynkin import DynkinDiagram
 from .poset import ColoredPoset
 
 __all__ = [
@@ -84,49 +85,45 @@ class FamilyId:
 # -- diagram templates ---------------------------------------------------------
 
 
+def _tree_rows(n: int, edges: Iterable[tuple[int, int]]) -> list[list[int]]:
+    """The pairing rows of nodes 1..n joined by the given single edges."""
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = 2
+    for a, b in edges:
+        rows[a - 1][b - 1] = rows[b - 1][a - 1] = -1
+    return rows
+
+
+def _numbered(rows: list[list[int]]) -> DynkinDiagram:
+    """The diagram on colors 1..n with the given rows, integers already."""
+    return DynkinDiagram(tuple(range(1, len(rows) + 1)), tuple(map(tuple, rows)))
+
+
 def _path_diagram(n: int) -> DynkinDiagram:
-    rows = [[2 if i == j else (-1 if abs(i - j) == 1 else 0) for j in range(n)] for i in range(n)]
-    return validate(list(range(1, n + 1)), rows)
+    return _numbered(_tree_rows(n, [(t, t + 1) for t in range(1, n)]))
 
 
 def _bc_diagram(n: int, letter: str) -> DynkinDiagram:
-    rows = [[2 if i == j else (-1 if abs(i - j) == 1 else 0) for j in range(n)] for i in range(n)]
+    rows = _tree_rows(n, [(t, t + 1) for t in range(1, n)])
     if letter == "B":
         # short node n: theta[n-1][n] = -2, theta[n][n-1] = -1
         rows[n - 2][n - 1] = -2
     else:
         rows[n - 1][n - 2] = -2
-    return validate(list(range(1, n + 1)), rows)
+    return _numbered(rows)
 
 
 def _d_diagram(n: int) -> DynkinDiagram:
-    def adjacent(i: int, j: int) -> bool:
-        if i == j:
-            return False
-        if {i, j} == {n - 1, n}:
-            return False
-        if n in (i, j) or n - 1 in (i, j):
-            leaf = i if i in (n - 1, n) else j
-            other = j if leaf == i else i
-            return other == n - 2
-        return abs(i - j) == 1
-
-    rows = [
-        [2 if i == j else (-1 if adjacent(i, j) else 0) for j in range(1, n + 1)]
-        for i in range(1, n + 1)
-    ]
-    return validate(list(range(1, n + 1)), rows)
+    # path 1..n-2 with nodes n-1 and n both attached to node n-2
+    edges = [(t, t + 1) for t in range(1, n - 2)] + [(n - 2, n - 1), (n - 2, n)]
+    return _numbered(_tree_rows(n, edges))
 
 
 def _e_diagram(n: int) -> DynkinDiagram:
     # path 1..n-1 with node n attached to node 3
-    edges = {frozenset((i, i + 1)) for i in range(1, n - 1)}
-    edges.add(frozenset((3, n)))
-    rows = [
-        [2 if i == j else (-1 if frozenset((i, j)) in edges else 0) for j in range(1, n + 1)]
-        for i in range(1, n + 1)
-    ]
-    return validate(list(range(1, n + 1)), rows)
+    edges = [(t, t + 1) for t in range(1, n - 1)] + [(3, n)]
+    return _numbered(_tree_rows(n, edges))
 
 
 # the ranks of each type letter, least and most, as `minuscule_indices` lists them
@@ -406,22 +403,11 @@ def top_tree_Y(i: int, j: int, k: int) -> ColoredPoset:
     if i < 1 or j < 1 or k < j:
         raise BadParameters(f"need i >= 1 and k >= j >= 1, got ({i},{j},{k})")
     total = i + j + k
-    edges = set()
-    for t in range(1, i):
-        edges.add(frozenset((t, t + 1)))
     s = i
     left_first, right_first = i + 1, i + j + 1
-    edges.add(frozenset((s, left_first)))
-    edges.add(frozenset((s, right_first)))
-    for t in range(left_first, i + j):
-        edges.add(frozenset((t, t + 1)))
-    for t in range(right_first, total):
-        edges.add(frozenset((t, t + 1)))
-    rows = [
-        [2 if a == b else (-1 if frozenset((a, b)) in edges else 0) for b in range(1, total + 1)]
-        for a in range(1, total + 1)
-    ]
-    diagram = validate(list(range(1, total + 1)), rows)
+    # the path 1..total, but the right leg hangs from s, not from the left leg's end
+    edges = [(t, t + 1) for t in range(1, total) if t != i + j] + [(s, right_first)]
+    diagram = _numbered(_tree_rows(total, edges))
     coloring = {x: x for x in range(1, total + 1)}
     covers = []
     for t in range(2, i + 1):

@@ -19,7 +19,7 @@ from typing import Optional
 from .axioms import AxiomReport, check, is_minuscule
 from .catalog import FamilyId, build, family_of, kac_automorphisms
 from .dynkin import Color, recognize_finite_type
-from .poset import ColoredPoset, connected_components
+from .poset import ColoredPoset, bits, connected_components
 
 __all__ = ["ComponentClassification", "Classification", "classify", "classify_connected"]
 
@@ -79,9 +79,14 @@ class Classification:
 
 def classify_connected(p: ColoredPoset) -> ComponentClassification:
     """Name the family of one connected poset, with an isomorphism witness."""
+    return _classified(p)[0]
+
+
+def _classified(p: ColoredPoset) -> tuple[ComponentClassification, list[AxiomReport]]:
+    """`classify_connected` with the axiom reports it decided on."""
     ok, reports = is_minuscule(p)
     if not ok:
-        return ComponentClassification(p, None, (), None, tuple(reports))
+        return ComponentClassification(p, None, (), None, tuple(reports)), reports
     ftype = recognize_finite_type(p.diagram)
     maxima = p.maximal_elements()
     if ftype is None or len(maxima) != 1:
@@ -105,14 +110,16 @@ def classify_connected(p: ColoredPoset) -> ComponentClassification:
 
     def chain(poset: ColoredPoset, a: Color) -> list[int]:
         """The color class of a, top first; a chain by EC."""
-        return sorted(poset.color_class(a), key=lambda x: len(poset.up_set(x)))
+        up = poset.up_masks
+        top_first = sorted(bits(poset.class_masks[a]), key=lambda i: up[i].bit_count())
+        return [poset.elements[i] for i in top_first]
 
     pi = {} if gamma is None else {
         x: y for a in p.diagram.colors for x, y in zip(chain(p, a), chain(q, gamma[a]))
     }
     if len(pi) != len(p) or len(p) != len(q) or {(pi[x], pi[y]) for x, y in p.covers} != q.covers:
         raise AssertionError(f"minuscule poset does not match {matches[0]}")
-    return ComponentClassification(p, matches[0], tuple(matches), (pi, gamma), ())
+    return ComponentClassification(p, matches[0], tuple(matches), (pi, gamma), ()), reports
 
 
 def classify(p: ColoredPoset) -> Classification:
@@ -122,6 +129,11 @@ def classify(p: ColoredPoset) -> Classification:
     may not straddle two components).
     """
     comps = connected_components(p)
+    if len(comps) == 1:
+        # p is its own component, so the component's EC and AC reports are the cross-checks
+        entry, reports = _classified(p)
+        cross = tuple(r for r in reports if r.property in ("EC", "AC") and not r.holds)
+        return Classification((entry,), cross)
     entries = tuple(classify_connected(c) for c in comps)
     cross = tuple(r for r in (check(p, "EC"), check(p, "AC")) if not r.holds)
     return Classification(entries, cross)

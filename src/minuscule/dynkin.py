@@ -12,11 +12,19 @@ Two colors are *adjacent* when their pairing is negative and *distant* when
 it is zero.  ``a`` is *k-adjacent to b* when ``theta[a][b] == -k``.  The
 canonical total order on colors is their construction order; all outputs
 follow it.
+
+A diagram reads its table once, in one pass per row that lists the row's
+nonzero off-diagonal entries: the edges.  Validation checks those lists
+(each entry negative, each mirror nonzero, each diagonal entry 2) and scans
+the whole table only to name the first violation of a bad one, in row-major
+order.  Neighbours, components, acyclicity, simple lacing and finite-type
+recognition read the edge lists, so they cost O(n + edges), not O(n^2).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Hashable, Iterable, Mapping, Optional, Sequence
 
 Color = Hashable
@@ -70,25 +78,23 @@ class DynkinDiagram:
             raise DiagramError("duplicate colors")
         if len(self.matrix) != n or any(len(row) != n for row in self.matrix):
             raise DiagramError("pairing table is not square over the color set")
-        for i, a in enumerate(self.colors):
-            if self.matrix[i][i] != 2:
-                raise DiagonalNotTwo(f"theta[{a!r}][{a!r}] = {self.matrix[i][i]}, expected 2")
-            for j, b in enumerate(self.colors):
-                if i == j:
-                    continue
-                if self.matrix[i][j] > 0:
-                    raise PositiveOffDiagonal(
-                        f"theta[{a!r}][{b!r}] = {self.matrix[i][j]} > 0"
-                    )
-                if (self.matrix[i][j] == 0) != (self.matrix[j][i] == 0):
-                    raise AsymmetricZero(
-                        f"theta[{a!r}][{b!r}] = {self.matrix[i][j]} but "
-                        f"theta[{b!r}][{a!r}] = {self.matrix[j][i]}"
-                    )
+        # one pass per row lists the nonzero entries; the table is valid iff each
+        # diagonal entry is 2 and every other listed entry is negative with a
+        # nonzero mirror, and only a bad table is scanned whole
+        m, span = self.matrix, range(n)
+        rows = [list(compress(span, row)) for row in m]
+        for i, row in enumerate(rows):
+            if m[i][i] != 2:
+                _raise_first_violation(self.colors, m)
+            row.remove(i)
+            for j in row:
+                if m[i][j] > 0 or not m[j][i]:
+                    _raise_first_violation(self.colors, m)
         object.__setattr__(self, "_index", {a: i for i, a in enumerate(self.colors)})
+        # a nonzero off-diagonal entry is an edge
+        object.__setattr__(self, "_edges", tuple(map(tuple, rows)))
         object.__setattr__(self, "_neighbors", {
-            a: tuple(b for j, b in enumerate(self.colors) if j != i and self.matrix[i][j] < 0)
-            for i, a in enumerate(self.colors)
+            a: tuple(self.colors[j] for j in rows[i]) for i, a in enumerate(self.colors)
         })
 
     # -- basic queries ----------------------------------------------------
@@ -122,21 +128,20 @@ class DynkinDiagram:
 
     def components(self) -> list[tuple[Color, ...]]:
         """Connected components of the underlying simple graph, in color order."""
-        seen: set[Color] = set()
+        seen: set[int] = set()
         out: list[tuple[Color, ...]] = []
-        for a in self.colors:
-            if a in seen:
+        for i in range(len(self.colors)):
+            if i in seen:
                 continue
-            comp = {a}
-            stack = [a]
+            comp = {i}
+            stack = [i]
             while stack:
-                c = stack.pop()
-                for b in self.neighbors(c):
-                    if b not in comp:
-                        comp.add(b)
-                        stack.append(b)
+                for j in self._edges[stack.pop()]:
+                    if j not in comp:
+                        comp.add(j)
+                        stack.append(j)
             seen |= comp
-            out.append(tuple(c for c in self.colors if c in comp))
+            out.append(tuple(self.colors[j] for j in sorted(comp)))
         return out
 
     def is_connected(self) -> bool:
@@ -144,10 +149,16 @@ class DynkinDiagram:
 
     def restrict(self, colors: Iterable[Color]) -> "DynkinDiagram":
         """Sub-diagram induced on the given colors (kept in canonical order)."""
-        keep = [c for c in self.colors if c in set(colors)]
-        idx = [self.index(c) for c in keep]
-        rows = tuple(tuple(self.matrix[i][j] for j in idx) for i in idx)
-        return DynkinDiagram(tuple(keep), rows)
+        wanted = set(colors)
+        keep = [c for c in self.colors if c in wanted]
+        at = {self._index[c]: k for k, c in enumerate(keep)}
+        rows = [[0] * len(keep) for _ in keep]
+        for i, k in at.items():
+            rows[k][k] = 2
+            for j in self._edges[i]:
+                if j in at:
+                    rows[k][at[j]] = self.matrix[i][j]
+        return DynkinDiagram(tuple(keep), tuple(map(tuple, rows)))
 
     # -- serialization -----------------------------------------------------
 
@@ -185,24 +196,37 @@ class DynkinDiagram:
         return "\n".join(lines) + "\n"
 
 
+def _raise_first_violation(colors: Sequence[Color], m: Sequence[Sequence[int]]) -> None:
+    """Raise the first violated condition in row-major order, each diagonal
+    entry checked before the rest of its row."""
+    for i, a in enumerate(colors):
+        if m[i][i] != 2:
+            raise DiagonalNotTwo(f"theta[{a!r}][{a!r}] = {m[i][i]}, expected 2")
+        for j, b in enumerate(colors):
+            if i == j:
+                continue
+            if m[i][j] > 0:
+                raise PositiveOffDiagonal(f"theta[{a!r}][{b!r}] = {m[i][j]} > 0")
+            if (m[i][j] == 0) != (m[j][i] == 0):
+                raise AsymmetricZero(
+                    f"theta[{a!r}][{b!r}] = {m[i][j]} but theta[{b!r}][{a!r}] = {m[j][i]}"
+                )
+
+
 def validate(colors: Sequence[Color], table: Sequence[Sequence[int]]) -> DynkinDiagram:
     """Build a diagram from a raw pairing table, naming any violated condition."""
-    return DynkinDiagram(tuple(colors), tuple(tuple(int(v) for v in row) for row in table))
+    return DynkinDiagram(tuple(colors), tuple(tuple(map(int, row)) for row in table))
 
 
 def is_simply_laced(diagram: DynkinDiagram) -> bool:
     """True iff every pairing lies in {-1, 0, 2}."""
-    return all(v in (-1, 0, 2) for row in diagram.matrix for v in row)
+    m = diagram.matrix
+    return all(m[i][j] == -1 for i, row in enumerate(diagram._edges) for j in row)
 
 
 def is_acyclic(diagram: DynkinDiagram) -> bool:
     """True iff the underlying simple graph has no cycle."""
-    edges = sum(
-        1
-        for i in range(len(diagram.colors))
-        for j in range(i + 1, len(diagram.colors))
-        if diagram.matrix[i][j] != 0
-    )
+    edges = sum(map(len, diagram._edges)) // 2
     # a simple graph is a forest iff |E| = |V| - #components
     return edges == len(diagram.colors) - len(diagram.components())
 
@@ -239,7 +263,8 @@ def _path_order(diagram: DynkinDiagram) -> Optional[list[Color]]:
         return None
     order = [ends[0]]
     while len(order) < len(diagram.colors):
-        nxt = [b for b in diagram.neighbors(order[-1]) if b not in order]
+        # degrees are at most 2, so only the previous color can be seen already
+        nxt = [b for b in diagram.neighbors(order[-1]) if b not in order[-2:]]
         if len(nxt) != 1:
             return None
         order.append(nxt[0])
@@ -249,16 +274,13 @@ def _path_order(diagram: DynkinDiagram) -> Optional[list[Color]]:
 
 
 def _single_edges_only(diagram: DynkinDiagram, skip: frozenset[frozenset] = frozenset()) -> bool:
-    for i, a in enumerate(diagram.colors):
-        for j in range(i + 1, len(diagram.colors)):
-            b = diagram.colors[j]
-            if diagram.matrix[i][j] == 0:
-                continue
-            if frozenset((a, b)) in skip:
-                continue
-            if diagram.matrix[i][j] != -1 or diagram.matrix[j][i] != -1:
-                return False
-    return True
+    m, colors = diagram.matrix, diagram.colors
+    return all(
+        m[i][j] == -1 == m[j][i] or frozenset((colors[i], colors[j])) in skip
+        for i, row in enumerate(diagram._edges)
+        for j in row
+        if i < j
+    )
 
 
 def _canonical(colors: Sequence[Color], diagram: DynkinDiagram) -> list[Color]:
@@ -282,11 +304,12 @@ def recognize_finite_type(diagram: DynkinDiagram) -> Optional[FiniteTypeId]:
     if not is_acyclic(diagram):
         return None
 
+    m, colors = diagram.matrix, diagram.colors
     doubles = [
-        (a, b)
-        for i, a in enumerate(diagram.colors)
-        for j, b in enumerate(diagram.colors)
-        if i < j and diagram.matrix[i][j] * diagram.matrix[j][i] > 1
+        (colors[i], colors[j])
+        for i, row in enumerate(diagram._edges)
+        for j in row
+        if i < j and m[i][j] * m[j][i] > 1
     ]
     if len(doubles) > 1:
         return None

@@ -20,11 +20,11 @@ by stage, and builds one `ColoredPoset` at the end.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Optional
+from typing import Mapping, Optional
 
 from .axioms import is_d_complete
 from .dynkin import Color, DynkinDiagram, is_simply_laced
-from .poset import ColoredPoset
+from .poset import ColoredPoset, bits
 
 __all__ = [
     "Assessment",
@@ -77,13 +77,6 @@ def _decide(diagram: DynkinDiagram, census: Mapping[Color, int]) -> Assessment:
     return Assessment("continue", extension_set=tuple(twos))
 
 
-def _bits(mask: int) -> Iterator[int]:
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 class _Growth:
     """
     A d-complete poset under downward extension, as bitmasks over positions:
@@ -99,22 +92,13 @@ class _Growth:
         self.ids = list(seed.elements)
         self.colors = [seed.color(x) for x in self.ids]
         self.covers = list(seed.covers)
-        pos = {x: i for i, x in enumerate(self.ids)}
-
-        def mask(elements) -> int:
-            return sum(1 << pos[x] for x in elements)
-
-        self.up = [mask(seed.up_set(x)) ^ (1 << i) for i, x in enumerate(self.ids)]
-        self.members = {a: 0 for a in d.colors}
-        for i, a in enumerate(self.colors):
-            self.members[a] |= 1 << i
+        self.up = list(seed.up_masks)
+        self.members = {a: seed.class_masks[a] for a in d.colors}
         self.minimum = {
-            a: next(i for i in _bits(m) if (m & ~self.up[i]) == 1 << i)
+            a: next(i for i in bits(m) if (m & ~self.up[i]) == 1 << i)
             for a, m in self.members.items()
         }
-        self.below = {
-            a: mask(seed.down_set(self.ids[i])) ^ (1 << i) for a, i in self.minimum.items()
-        }
+        self.below = {a: seed.down_masks[i] for a, i in self.minimum.items()}
         self.census = {
             b: sum(
                 -d.theta(c, b) * (self.below[b] & self.members[c]).bit_count()
@@ -134,11 +118,11 @@ class _Growth:
                 adjacent |= self.members[c]
             frontier = self.below[a] & adjacent
             reach = 0
-            for u in _bits(frontier):
+            for u in bits(frontier):
                 reach |= self.up[u]
             i, x = len(self.ids), self.ids[-1] + 1
             # x is covered by the minimal elements of its frontier
-            self.covers += [(x, self.ids[u]) for u in _bits(frontier & ~reach)]
+            self.covers += [(x, self.ids[u]) for u in bits(frontier & ~reach)]
             up = frontier | reach
             self.ids.append(x)
             self.colors.append(a)

@@ -1,12 +1,21 @@
 """
-Finite colored posets stored by their Hasse covers.
+Finite colored posets stored by their Hasse covers, ordered as bitmasks.
 
 Elements are small integer ids.  A cover ``(x, y)`` means x is covered by y
 (x below y).  The coloring maps elements onto the colors of an attached
-Dynkin diagram and is surjective.  One topological pass up from the minimal
-elements checks the covers for cycles and closes every down-set; the up-sets
-close on the way back.  `induced_covers` gives the covers of the order
-induced on any subset.
+Dynkin diagram and is surjective.
+
+Element x sits at position ``position[x]``, its rank among the ids, and a set
+of elements is an int whose bit i stands for ``elements[i]``.  One topological
+pass up from the minimal elements checks the covers for cycles and closes
+every element's down-mask (the elements strictly below it); the up-masks
+close on the way back, and a cover is transitively redundant exactly when its
+top lies in the up-mask of another cover of its bottom.  Each color class is
+one mask too, so order and color queries are bit operations.  The public
+queries still answer with ids: `up_set`, `down_set` and `open_interval` build
+frozensets from the masks when called.  `induced_covers` gives the covers of
+the order induced on any subset: above each kept x, the minimal elements of
+``up(x) & keep``.
 """
 
 from __future__ import annotations
@@ -19,6 +28,7 @@ __all__ = [
     "ColoredPoset",
     "TopTree",
     "PosetError",
+    "bits",
     "order_dual",
     "top_tree",
     "colored_isomorphism",
@@ -30,8 +40,20 @@ class PosetError(ValueError):
     pass
 
 
+def bits(mask: int) -> Iterator[int]:
+    """The positions of the set bits of a mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 class ColoredPoset:
-    """Immutable finite poset with Hasse covers and a coloring into a diagram."""
+    """Immutable finite poset with Hasse covers and a coloring into a diagram.
+
+    Beside the ids, it keeps the order as masks over positions: ``up_masks[i]``
+    and ``down_masks[i]`` are the elements strictly above and strictly below
+    ``elements[i]``, and ``class_masks[a]`` is the color class of a."""
 
     def __init__(
         self,
@@ -45,51 +67,64 @@ class ColoredPoset:
         self.covers: frozenset[tuple[int, int]] = frozenset(
             (int(x), int(y)) for x, y in covers
         )
+        position = self.position = {x: i for i, x in enumerate(self.elements)}
+        n = len(self.elements)
+        ups: list[list[int]] = [[] for _ in range(n)]
+        downs: list[list[int]] = [[] for _ in range(n)]
         for x, y in self.covers:
-            if x not in self.coloring or y not in self.coloring:
+            if x not in position or y not in position:
                 raise PosetError(f"cover ({x},{y}) uses an unknown element")
-        for x, c in self.coloring.items():
+            ups[position[x]].append(position[y])
+            downs[position[y]].append(position[x])
+        classes: dict[Color, int] = {}
+        for i, x in enumerate(self.elements):
+            c = self.coloring[x]
+            classes[c] = classes.get(c, 0) | 1 << i
+        for c, m in classes.items():
+            # classes are listed by their first element, so the first bad class
+            # holds the least element with a bad color
             if c not in diagram:
+                x = self.elements[(m & -m).bit_length() - 1]
                 raise PosetError(f"element {x} has color {c!r} outside the diagram")
-        missing = set(diagram.colors) - set(self.coloring.values())
+        missing = set(diagram.colors) - classes.keys()
         if missing:
             raise PosetError(f"coloring is not surjective; missing {sorted(map(str, missing))}")
-
-        up: dict[int, list[int]] = {x: [] for x in self.elements}
-        down: dict[int, list[int]] = {x: [] for x in self.elements}
-        for x, y in self.covers:
-            up[x].append(y)
-            down[y].append(x)
-        self._up = {x: tuple(sorted(up[x])) for x in self.elements}
-        self._down = {x: tuple(sorted(down[x])) for x in self.elements}
+        self.class_masks = classes
+        at = self.elements.__getitem__
+        self._up = {x: tuple(map(at, sorted(ups[i]))) for i, x in enumerate(self.elements)}
+        self._down = {x: tuple(map(at, sorted(downs[i]))) for i, x in enumerate(self.elements)}
 
         # Kahn's algorithm: place an element once all its lower covers are
-        # placed; its down-set closes in the same pass, its up-set on the way back
-        waiting = {x: len(down[x]) for x in self.elements}
-        order = [x for x in self.elements if not waiting[x]]
-        below: dict[int, frozenset[int]] = {}
-        for x in order:  # order grows as elements are placed
-            acc = set(down[x])
-            for z in down[x]:
-                acc |= below[z]
-            below[x] = frozenset(acc)
-            for y in up[x]:
-                waiting[y] -= 1
-                if not waiting[y]:
-                    order.append(y)
-        if len(order) < len(self.elements):
+        # placed; its down-mask closes in the same pass, its up-mask on the way back
+        waiting = [len(row) for row in downs]
+        order = [i for i in range(n) if not waiting[i]]
+        below = [0] * n
+        for i in order:  # order grows as elements are placed
+            m = 0
+            for k in downs[i]:
+                m |= below[k] | 1 << k
+            below[i] = m
+            for j in ups[i]:
+                waiting[j] -= 1
+                if not waiting[j]:
+                    order.append(j)
+        if len(order) < n:
             raise PosetError("covers contain a cycle")
-        above: dict[int, frozenset[int]] = {}
-        for x in reversed(order):
-            acc = set(up[x])
-            for y in up[x]:
-                acc |= above[y]
-            above[x] = frozenset(acc)
-        self._below, self._above = below, above
-        for x, y in self.covers:
+        above = [0] * n
+        redundant = False
+        for i in reversed(order):
+            reach = tops = 0
+            for j in ups[i]:
+                reach |= above[j]
+                tops |= 1 << j
             # Hasse property: no cover may be implied by a longer path
-            if any(y in self._above[z] for z in self._up[x] if z != y):
-                raise PosetError(f"cover ({x},{y}) is transitively redundant")
+            redundant = redundant or bool(reach & tops)
+            above[i] = reach | tops
+        self.up_masks, self.down_masks = above, below
+        if redundant:
+            for x, y in self.covers:
+                if any(above[position[z]] >> position[y] & 1 for z in self._up[x]):
+                    raise PosetError(f"cover ({x},{y}) is transitively redundant")
 
     # -- order primitives ---------------------------------------------------
 
@@ -104,8 +139,13 @@ class ColoredPoset:
         """Elements covered by x."""
         return self._down[x]
 
+    def members(self, mask: int) -> tuple[int, ...]:
+        """The elements a mask stands for, in id order."""
+        ids = self.elements
+        return tuple(ids[i] for i in bits(mask))
+
     def lt(self, x: int, y: int) -> bool:
-        return y in self._above[x]
+        return self.up_masks[self.position[x]] >> self.position[y] & 1 == 1
 
     def leq(self, x: int, y: int) -> bool:
         return x == y or self.lt(x, y)
@@ -115,13 +155,17 @@ class ColoredPoset:
 
     def up_set(self, x: int) -> frozenset[int]:
         """The principal filter {y : y >= x}."""
-        return self._above[x] | {x}
+        i = self.position[x]
+        return frozenset(self.members(self.up_masks[i] | 1 << i))
 
     def down_set(self, x: int) -> frozenset[int]:
-        return self._below[x] | {x}
+        i = self.position[x]
+        return frozenset(self.members(self.down_masks[i] | 1 << i))
 
     def open_interval(self, x: int, y: int) -> frozenset[int]:
-        return self._above[x] & self._below[y]
+        return frozenset(
+            self.members(self.up_masks[self.position[x]] & self.down_masks[self.position[y]])
+        )
 
     def maximal_elements(self) -> tuple[int, ...]:
         return tuple(x for x in self.elements if not self._up[x])
@@ -130,39 +174,22 @@ class ColoredPoset:
         return tuple(x for x in self.elements if not self._down[x])
 
     def color_class(self, a: Color) -> tuple[int, ...]:
-        return tuple(x for x in self.elements if self.coloring[x] == a)
+        """The elements of color a in id order; () for a color not in the diagram."""
+        return self.members(self.class_masks.get(a, 0))
 
     def induced_covers(self, keep: Iterable[int]) -> list[tuple[int, int]]:
         """Covers of the order induced on a subset: pairs x < y in it with no
         element of it strictly between, sorted."""
+        position, ids = self.position, self.elements
         kept = sorted(set(keep))
+        mask = 0
+        for x in kept:
+            mask |= 1 << position[x]
         out = []
         for x in kept:
-            above = [y for y in kept if self.lt(x, y)]
-            out += [(x, y) for y in above if not any(self.lt(z, y) for z in above)]
+            above = self.up_masks[position[x]] & mask
+            out += [(x, ids[j]) for j in bits(above) if not self.down_masks[j] & above]
         return out
-
-    def consecutive_same_color_pairs(self, a: Color) -> list[tuple[int, int]]:
-        """Pairs x < y of color a with no color-a element strictly between."""
-        return self.induced_covers(self.color_class(a))
-
-    def upper_frontier(self, x: int) -> tuple[int, ...]:
-        """U(x, P): elements above x with color adjacent to x's color."""
-        a = self.coloring[x]
-        return tuple(
-            y for y in sorted(self._above[x]) if self.diagram.adjacent(self.coloring[y], a)
-        )
-
-    def lower_frontier(self, x: int) -> tuple[int, ...]:
-        """L(x, P): elements below x with color adjacent to x's color."""
-        a = self.coloring[x]
-        return tuple(
-            y for y in sorted(self._below[x]) if self.diagram.adjacent(self.coloring[y], a)
-        )
-
-    def census(self, a: Color, elements: Iterable[int]) -> int:
-        """The census of a set for color a: the sum of -theta(color(z), a)."""
-        return sum(-self.diagram.theta(self.coloring[z], a) for z in elements)
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -317,13 +344,11 @@ def top_tree(poset: ColoredPoset) -> TopTree:
     """
     picks = []
     for a in poset.diagram.colors:
-        cls = poset.color_class(a)
-        if not cls:
-            continue
-        tops = [x for x in cls if not any(poset.lt(x, y) for y in cls)]
+        cls = poset.class_masks[a]
+        tops = [i for i in bits(cls) if not poset.up_masks[i] & cls]
         if len(tops) != 1:
             raise PosetError(f"color {a!r} has {len(tops)} maximal elements")
-        picks.append(tops[0])
+        picks.append(poset.elements[tops[0]])
     return TopTree(poset, tuple(sorted(picks)))
 
 
@@ -467,9 +492,13 @@ def connected_components(poset: ColoredPoset) -> list[ColoredPoset]:
     """Connected components, each carrying its induced (surjective) sub-diagram.
 
     A component is up- and down-closed, so its covers are exactly the covers
-    of the poset between its elements."""
+    of the poset between its elements.  A connected poset is its own only
+    component."""
+    sets = _component_element_sets(poset)
+    if len(sets) == 1:
+        return [poset]
     out = []
-    for comp in _component_element_sets(poset):
+    for comp in sets:
         coloring = {x: poset.coloring[x] for x in comp}
         covers = [(x, y) for x, y in poset.covers if x in comp]
         out.append(ColoredPoset(poset.diagram.restrict(set(coloring.values())), coloring, covers))

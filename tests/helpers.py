@@ -9,7 +9,7 @@ from functools import lru_cache
 from typing import Iterator
 
 from minuscule.axioms import AxiomReport, Witness, check, is_d_complete, is_minuscule
-from minuscule.catalog import FamilyId, build
+from minuscule.catalog import FamilyId, all_family_ids, build
 from minuscule.classify import ComponentClassification
 from minuscule.coroots import (
     Coroot,
@@ -22,7 +22,16 @@ from minuscule.coroots import (
     heap_to_word,
     inversion_sequence,
 )
-from minuscule.dynkin import Color, DynkinDiagram, is_simply_laced, validate
+from minuscule.dynkin import (
+    AsymmetricZero,
+    Color,
+    DiagonalNotTwo,
+    DiagramError,
+    DynkinDiagram,
+    PositiveOffDiagonal,
+    is_simply_laced,
+    validate,
+)
 from minuscule.extension import (
     STAGE_CAP_FACTOR,
     Assessment,
@@ -42,6 +51,8 @@ from minuscule.poset import (
     PosetError,
     colored_isomorphism,
     connected_components,
+    disjoint_union,
+    order_dual,
     top_tree,
 )
 
@@ -380,7 +391,7 @@ def verify_window_oracle(w: PeriodicWindow) -> list[AxiomReport]:
 
     ice = []
     for a in p.diagram.colors:
-        for x, y in p.consecutive_same_color_pairs(a):
+        for x, y in p.induced_covers(p.color_class(a)):
             interval = p.open_interval(x, y)
             if interval & w.boundary:
                 continue
@@ -670,8 +681,8 @@ def _min_of_color(p: ColoredPoset, b: Color) -> int:
 def lower_frontier_census(p: ColoredPoset, b: Color) -> int:
     """Weighted count of adjacent-colored elements below the minimal element
     of the color class of b."""
-    y = _min_of_color(p, b)
-    return p.census(b, p.lower_frontier(y))
+    o = FrozensetOrder(p)
+    return o.census(b, o.lower_frontier(_min_of_color(p, b)))
 
 
 def extend_by(p: ColoredPoset, *colors: Color) -> ColoredPoset:
@@ -692,9 +703,10 @@ def extend_by(p: ColoredPoset, *colors: Color) -> ColoredPoset:
     coloring = dict(p.coloring)
     covers = set(p.covers)
     x = max(p.elements)
+    o = FrozensetOrder(p)
     for a in colors:
-        frontier = p.lower_frontier(_min_of_color(p, a))
-        census = p.census(a, frontier)
+        frontier = o.lower_frontier(_min_of_color(p, a))
+        census = o.census(a, frontier)
         if census != 2:
             raise NotExtendable(a, census)
         x += 1
@@ -740,3 +752,286 @@ def run_extension_oracle(seed: ColoredPoset) -> ExtensionOutcome:
         added = tuple((x, p.color(x)) for x in p.elements[size:])
         trace.append(StageRecord(stage, a.extension_set, added))
     raise RuntimeError(f"extension did not terminate within {cap} stages")
+
+
+# -- the order as frozensets and the pair-scan axiom checkers -----------------
+
+
+class FrozensetOrder:
+    """A colored poset's order closed as frozensets by one topological pass,
+    with the queries `ColoredPoset` answered before it kept bitmasks."""
+
+    def __init__(self, p: ColoredPoset) -> None:
+        self.p = p
+        up: dict[int, list[int]] = {x: [] for x in p.elements}
+        down: dict[int, list[int]] = {x: [] for x in p.elements}
+        for x, y in p.covers:
+            up[x].append(y)
+            down[y].append(x)
+        waiting = {x: len(down[x]) for x in p.elements}
+        order = [x for x in p.elements if not waiting[x]]
+        below: dict[int, frozenset[int]] = {}
+        for x in order:
+            acc = set(down[x])
+            for z in down[x]:
+                acc |= below[z]
+            below[x] = frozenset(acc)
+            for y in up[x]:
+                waiting[y] -= 1
+                if not waiting[y]:
+                    order.append(y)
+        assert len(order) == len(p.elements), "covers contain a cycle"
+        above: dict[int, frozenset[int]] = {}
+        for x in reversed(order):
+            acc = set(up[x])
+            for y in up[x]:
+                acc |= above[y]
+            above[x] = frozenset(acc)
+        self.below, self.above = below, above
+
+    def lt(self, x: int, y: int) -> bool:
+        return y in self.above[x]
+
+    def comparable(self, x: int, y: int) -> bool:
+        return x == y or self.lt(x, y) or self.lt(y, x)
+
+    def up_set(self, x: int) -> frozenset[int]:
+        return self.above[x] | {x}
+
+    def down_set(self, x: int) -> frozenset[int]:
+        return self.below[x] | {x}
+
+    def open_interval(self, x: int, y: int) -> frozenset[int]:
+        return self.above[x] & self.below[y]
+
+    def color_class(self, a: Color) -> tuple[int, ...]:
+        return tuple(x for x in self.p.elements if self.p.coloring[x] == a)
+
+    def induced_covers(self, keep) -> list[tuple[int, int]]:
+        kept = sorted(set(keep))
+        out = []
+        for x in kept:
+            above = [y for y in kept if self.lt(x, y)]
+            out += [(x, y) for y in above if not any(self.lt(z, y) for z in above)]
+        return out
+
+    def consecutive_same_color_pairs(self, a: Color) -> list[tuple[int, int]]:
+        return self.induced_covers(self.color_class(a))
+
+    def upper_frontier(self, x: int) -> tuple[int, ...]:
+        """U(x, P): elements above x with color adjacent to x's color."""
+        p, a = self.p, self.p.coloring[x]
+        return tuple(y for y in sorted(self.above[x]) if p.diagram.adjacent(p.coloring[y], a))
+
+    def lower_frontier(self, x: int) -> tuple[int, ...]:
+        """L(x, P): elements below x with color adjacent to x's color."""
+        p, a = self.p, self.p.coloring[x]
+        return tuple(y for y in sorted(self.below[x]) if p.diagram.adjacent(p.coloring[y], a))
+
+    def census(self, a: Color, elements) -> int:
+        """The census of a set for color a: the sum of -theta(color(z), a)."""
+        return sum(-self.p.diagram.theta(self.p.coloring[z], a) for z in elements)
+
+
+def _ec_oracle(p: ColoredPoset, o: FrozensetOrder) -> list[Witness]:
+    bad = []
+    for a in p.diagram.colors:
+        cls = o.color_class(a)
+        for i, x in enumerate(cls):
+            for y in cls[i + 1 :]:
+                if not o.comparable(x, y):
+                    bad.append(Witness((x, y), note=f"equal color {a!r}, incomparable"))
+    return bad
+
+
+def _na_oracle(p: ColoredPoset, o: FrozensetOrder) -> list[Witness]:
+    bad = []
+    for x, y in sorted(p.covers):
+        a, b = p.color(x), p.color(y)
+        if not p.diagram.adjacent(a, b):
+            bad.append(Witness((x, y), note=f"cover with non-adjacent colors {a!r},{b!r}"))
+    return bad
+
+
+def _ac_oracle(p: ColoredPoset, o: FrozensetOrder) -> list[Witness]:
+    bad = []
+    for i, x in enumerate(p.elements):
+        for y in p.elements[i + 1 :]:
+            if p.diagram.adjacent(p.color(x), p.color(y)) and not o.comparable(x, y):
+                bad.append(Witness((x, y), note="adjacent colors, incomparable"))
+    return bad
+
+
+def _ice2_oracle(p: ColoredPoset, o: FrozensetOrder) -> list[Witness]:
+    bad = []
+    for a in p.diagram.colors:
+        for x, y in o.consecutive_same_color_pairs(a):
+            census = o.census(a, o.open_interval(x, y))
+            if census != 2:
+                bad.append(Witness((x, y), value=census, note=f"interval census for {a!r}"))
+    return bad
+
+
+def _frontier_oracle(p: ColoredPoset, o: FrozensetOrder, upper: bool, k: int) -> list[Witness]:
+    bad = []
+    for a in p.diagram.colors:
+        cls = o.color_class(a)
+        for x in cls:
+            if upper and any(o.lt(x, y) for y in cls):
+                continue
+            if not upper and any(o.lt(y, x) for y in cls):
+                continue
+            frontier = o.upper_frontier(x) if upper else o.lower_frontier(x)
+            census = o.census(a, frontier)
+            if census > k:
+                side = "upper" if upper else "lower"
+                bad.append(Witness((x,), value=census, note=f"{side} frontier census for {a!r}"))
+    return bad
+
+
+def _s1_oracle(p: ColoredPoset, o: FrozensetOrder) -> list[Witness]:
+    bad = []
+    for x, y in sorted(p.covers):
+        a, b = p.color(x), p.color(y)
+        if a != b and not p.diagram.adjacent(a, b):
+            bad.append(Witness((x, y), note="neighbors with distant colors"))
+    for i, x in enumerate(p.elements):
+        for y in p.elements[i + 1 :]:
+            if o.comparable(x, y):
+                continue
+            a, b = p.color(x), p.color(y)
+            if a == b or p.diagram.adjacent(a, b):
+                bad.append(Witness((x, y), note="incomparable, colors not distant"))
+    return bad
+
+
+def _s2_oracle(p: ColoredPoset, o: FrozensetOrder) -> list[Witness]:
+    bad = []
+    for a in p.diagram.colors:
+        for x, y in o.consecutive_same_color_pairs(a):
+            interval = sorted(o.open_interval(x, y))
+            adjacent = [z for z in interval if p.diagram.adjacent(p.color(z), a)]
+            two_single = len(adjacent) == 2 and all(
+                p.diagram.theta(p.color(z), a) == -1 for z in adjacent
+            )
+            one_double = len(interval) == 1 and p.diagram.theta(p.color(interval[0]), a) == -2
+            if not (two_single or one_double):
+                bad.append(Witness((x, y), value=len(adjacent), note=f"interval shape for {a!r}"))
+    return bad
+
+
+def _s3_oracle(p: ColoredPoset, o: FrozensetOrder) -> list[Witness]:
+    bad = []
+    for a in p.diagram.colors:
+        cls = o.color_class(a)
+        for x in cls:
+            if any(o.lt(x, y) for y in cls):
+                continue
+            above = p.covers_of(x)
+            if len(above) > 1:
+                bad.append(Witness((x,) + above, value=len(above), note="covered twice"))
+                continue
+            if above:
+                z = above[0]
+                c = p.color(z)
+                z_max_in_class = not any(o.lt(z, w) for w in o.color_class(c))
+                if p.diagram.theta(c, a) != -1 or not z_max_in_class:
+                    bad.append(Witness((x, z), note="cover not a 1-adjacent class maximum"))
+    return bad
+
+
+def _s4_oracle(p: ColoredPoset, o: FrozensetOrder) -> list[Witness]:
+    # a simple graph is a forest iff |E| = |V| - #components
+    n = len(p.diagram)
+    edges = sum(1 for i in range(n) for j in range(i + 1, n) if p.diagram.matrix[i][j] != 0)
+    if edges == n - len(p.diagram.components()):
+        return []
+    return [Witness((), note="diagram has a cycle")]
+
+
+_ORACLE_CHECKS = {
+    "EC": _ec_oracle,
+    "NA": _na_oracle,
+    "AC": _ac_oracle,
+    "ICE2": _ice2_oracle,
+    "S1": _s1_oracle,
+    "S2": _s2_oracle,
+    "S3": _s3_oracle,
+    "S4": _s4_oracle,
+}
+
+
+def check_oracle(p: ColoredPoset, prop: str) -> AxiomReport:
+    """Reference `axioms.check`: pair scans over the frozenset order, with
+    every pairing read through the diagram's lookups."""
+    o = FrozensetOrder(p)
+    if prop in _ORACLE_CHECKS:
+        witnesses = _ORACLE_CHECKS[prop](p, o)
+    else:
+        side, k = prop[:3], int(prop[3:])
+        witnesses = _frontier_oracle(p, o, side == "UCB", k)
+    return AxiomReport(prop, not witnesses, tuple(witnesses))
+
+
+def validate_oracle(colors, table) -> DynkinDiagram:
+    """Reference `validate`: the checks in row-major order over every cell,
+    raising the first violation before the diagram is built."""
+    colors = tuple(colors)
+    m = tuple(tuple(int(v) for v in row) for row in table)
+    n = len(colors)
+    if len(set(colors)) != n:
+        raise DiagramError("duplicate colors")
+    if len(m) != n or any(len(row) != n for row in m):
+        raise DiagramError("pairing table is not square over the color set")
+    for i, a in enumerate(colors):
+        if m[i][i] != 2:
+            raise DiagonalNotTwo(f"theta[{a!r}][{a!r}] = {m[i][i]}, expected 2")
+        for j, b in enumerate(colors):
+            if i == j:
+                continue
+            if m[i][j] > 0:
+                raise PositiveOffDiagonal(f"theta[{a!r}][{b!r}] = {m[i][j]} > 0")
+            if (m[i][j] == 0) != (m[j][i] == 0):
+                raise AsymmetricZero(
+                    f"theta[{a!r}][{b!r}] = {m[i][j]} but theta[{b!r}][{a!r}] = {m[j][i]}"
+                )
+    return validate(colors, m)
+
+
+def dropped_cover(p: ColoredPoset, rng: random.Random) -> ColoredPoset:
+    """The poset with one random cover removed (still a Hasse diagram)."""
+    covers = sorted(p.covers)
+    covers.remove(rng.choice(covers))
+    return ColoredPoset(p.diagram, p.coloring, covers)
+
+
+def recolored(p: ColoredPoset, rng: random.Random) -> ColoredPoset:
+    """The poset with one element of a class of two or more given another color."""
+    movable = [x for x in p.elements if len(p.color_class(p.color(x))) > 1]
+    x = rng.choice(movable)
+    coloring = dict(p.coloring)
+    coloring[x] = rng.choice([c for c in p.diagram.colors if c != p.color(x)])
+    return ColoredPoset(p.diagram, coloring, p.covers)
+
+
+def differential_posets(rng: random.Random) -> Iterator[ColoredPoset]:
+    """Inputs on which a fast path must agree with its oracle: random posets,
+    random filters of catalog posets, the catalog through rank 8 scrambled,
+    dropped-cover and recolored perturbations, order duals and disjoint
+    unions."""
+    for _ in range(150):
+        yield random_colored_poset(rng, 9, 5)
+    catalog = [build(fam) for fam in all_family_ids(8)]
+    for base in catalog:
+        p = scrambled(base, rng)
+        yield p
+        yield order_dual(p)
+        yield random_filter_poset(rng, base)
+        if len(p.diagram) >= 2 and len(p.covers) >= 1:
+            yield dropped_cover(p, rng)
+        if len(p) > len(p.diagram):
+            yield recolored(p, rng)
+    for _ in range(12):
+        parts = [rng.choice(catalog[:30]) for _ in range(rng.randint(2, 4))]
+        parts.append(random_colored_poset(rng, 6, 3))
+        yield disjoint_union(parts)

@@ -242,3 +242,46 @@ def test_top_tree_y_is_own_top_tree_with_s_at_rank_minus_one():
     ranks = rank_function(y)
     assert ranks[tree.splitting_element()] == -1
     assert ranks[y.maximal_elements()[0]] == -3
+
+
+def dense_rows(n, adjacent):
+    """A pairing table filled cell by cell, as the templates were built before
+    they set only the diagonal and the edges."""
+    return tuple(
+        tuple(2 if a == b else (-1 if adjacent(a, b) else 0) for b in range(1, n + 1))
+        for a in range(1, n + 1)
+    )
+
+
+def test_sparse_templates_equal_the_cell_by_cell_tables():
+    for n in range(1, 13):
+        path = dense_rows(n, lambda a, b: abs(a - b) == 1)
+        assert diagram_of_type("A", n).matrix == path
+        if n >= 2:
+            b = [list(row) for row in path]
+            b[n - 2][n - 1] = -2
+            assert diagram_of_type("B", n).matrix == tuple(map(tuple, b))
+        if n >= 3:
+            c = [list(row) for row in path]
+            c[n - 1][n - 2] = -2
+            assert diagram_of_type("C", n).matrix == tuple(map(tuple, c))
+        if n >= 4:
+            fork = {n - 1, n}
+            assert diagram_of_type("D", n).matrix == dense_rows(n, lambda a, b: (
+                {a, b} != fork and (n - 2 in (a, b) if fork & {a, b} else abs(a - b) == 1)
+            ))
+    for n in (6, 7):
+        assert diagram_of_type("E", n).matrix == dense_rows(
+            n, lambda a, b: {a, b} == {3, n} or (abs(a - b) == 1 and n not in (a, b))
+        )
+    for total in range(3, 17):
+        for i in range(1, total - 1):
+            for j in range(1, (total - i) // 2 + 1):
+                k = total - i - j
+                # the chain 1..i, whose bottom i covers the chains i+1..i+j and i+j+1..total
+                left, right = range(i + 1, i + j + 1), range(i + j + 1, total + 1)
+                edges = {frozenset((t, t + 1)) for t in range(1, i)}
+                edges |= {frozenset((i, left[0])), frozenset((i, right[0]))}
+                edges |= {frozenset((t, t + 1)) for chain in (left, right) for t in chain[:-1]}
+                expected = dense_rows(total, lambda a, b: frozenset((a, b)) in edges)
+                assert top_tree_Y(i, j, k).diagram.matrix == expected, (i, j, k)

@@ -6,6 +6,7 @@ from minuscule.catalog import diagram_of_type
 from minuscule.dynkin import (
     AsymmetricZero,
     DiagonalNotTwo,
+    DiagramError,
     DynkinDiagram,
     NotConnected,
     PositiveOffDiagonal,
@@ -15,7 +16,7 @@ from minuscule.dynkin import (
     validate,
 )
 
-from helpers import automorphisms, random_diagram, seed_from_env
+from helpers import automorphisms, random_diagram, seed_from_env, validate_oracle
 
 
 def a4():
@@ -185,3 +186,51 @@ def test_simply_laced_tables_are_symmetric():
 def test_dot_export_mentions_decorations():
     dot = diagram_of_type("B", 2).to_dot()
     assert "digraph" in dot and 'label="2"' in dot and 'label="1"' in dot
+
+
+def outcome(build, colors, table):
+    """The diagram built, or the type and message of the error raised."""
+    try:
+        return build(colors, table)
+    except DiagramError as exc:
+        return type(exc), str(exc)
+
+
+def test_validator_names_the_same_first_violation_as_the_full_scan():
+    # an asymmetric zero in row 0 comes before a bad diagonal in a later row
+    table = [[2, 0, -1], [-1, 2, 0], [-1, 0, 5]]
+    assert outcome(validate, "abc", table) == (
+        AsymmetricZero, "theta['a']['b'] = 0 but theta['b']['a'] = -1"
+    )
+    assert outcome(validate, "abc", [[2, -1, 0], [-1, 3, 1], [0, 0, 2]])[0] is DiagonalNotTwo
+    assert outcome(validate, "ab", [[2, 1], [0, 2]])[0] is PositiveOffDiagonal
+    assert outcome(validate, "ab", [[2, -1], [-1]])[0] is DiagramError
+    assert outcome(validate, "aa", [[2, -1], [-1, 2]])[0] is DiagramError
+    rng = random.Random(seed_from_env() + 40)
+    kinds = set()
+    for _ in range(600):
+        d = random_diagram(rng, rng.randint(1, 7))
+        table = [list(row) for row in d.matrix]
+        n = len(table)
+        for _ in range(rng.randint(0, 3)):
+            i, j = rng.randrange(n), rng.randrange(n)
+            table[i][j] = rng.choice([-2, -1, 0, 1, 2, 3])
+        got = outcome(validate, d.colors, table)
+        assert got == outcome(validate_oracle, d.colors, table), table
+        kinds.add(got[0] if isinstance(got, tuple) else DynkinDiagram)
+    assert kinds == {DynkinDiagram, DiagonalNotTwo, PositiveOffDiagonal, AsymmetricZero}
+
+
+def test_sparse_structure_equals_the_dense_tables():
+    rng = random.Random(seed_from_env() + 41)
+    for _ in range(200):
+        d = random_diagram(rng, rng.randint(1, 8), multiply_laced=rng.random() < 0.5)
+        n, m = len(d), d.matrix
+        assert is_simply_laced(d) == all(v in (-1, 0, 2) for row in m for v in row)
+        edges = sum(1 for i in range(n) for j in range(i + 1, n) if m[i][j])
+        assert is_acyclic(d) == (edges == n - len(d.components()))
+        for a in d.colors:
+            assert d.neighbors(a) == tuple(b for b in d.colors if b != a and d.theta(a, b) < 0)
+        keep = [c for c in d.colors if rng.random() < 0.6]
+        sub = d.restrict(keep)
+        assert sub.matrix == tuple(tuple(d.theta(a, b) for b in keep) for a in keep)

@@ -28,7 +28,7 @@ def test_cyclic_chain_interior_censuses_are_two():
     window = cyclic_chain_window(3, 3)
     p = window.poset
     for a in p.diagram.colors:
-        for x, y in p.consecutive_same_color_pairs(a):
+        for x, y in p.induced_covers(p.color_class(a)):
             interval = p.open_interval(x, y)
             if interval & window.boundary:
                 continue

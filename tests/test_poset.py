@@ -17,10 +17,12 @@ from minuscule.poset import (
 )
 
 from helpers import (
+    FrozensetOrder,
     NotRanked,
     brute_force_colored_isomorphic,
     brute_force_linear_extension_count,
     ch_set,
+    differential_posets,
     linear_extensions,
     random_colored_poset,
     rank_function,
@@ -88,6 +90,44 @@ def test_order_and_induced_covers_match_brute_force():
         assert p.induced_covers(keep) == expected
         if keep:
             assert sorted(p.subposet(keep).covers) == expected
+
+
+def test_order_queries_equal_the_frozenset_oracle():
+    rng = random.Random(seed_from_env() + 30)
+    for p in differential_posets(rng):
+        o = FrozensetOrder(p)
+        for x in p.elements:
+            assert p.up_set(x) == o.up_set(x)
+            assert p.down_set(x) == o.down_set(x)
+            for y in p.elements:
+                assert p.lt(x, y) == o.lt(x, y)
+                assert p.open_interval(x, y) == o.open_interval(x, y)
+        for a in p.diagram.colors:
+            assert p.color_class(a) == o.color_class(a)
+        for _ in range(3):
+            keep = [x for x in p.elements if rng.random() < 0.5]
+            assert p.induced_covers(keep) == o.induced_covers(keep)
+    assert p.color_class("not a color") == ()
+
+
+def test_redundant_cover_named_as_the_first_in_cover_set_order():
+    rng = random.Random(seed_from_env() + 31)
+    tried = 0
+    for p in differential_posets(rng):
+        o = FrozensetOrder(p)
+        implied = [(x, y) for x in p.elements for y in o.above[x] if (x, y) not in p.covers]
+        if len(implied) < 2:
+            continue
+        added = rng.sample(implied, min(len(implied), 3))
+        covers = list(p.covers) + added
+        rng.shuffle(covers)
+        # the constructor stores the covers as a frozenset and scans it in its order
+        first = next(c for c in frozenset(covers) if c in added)
+        with pytest.raises(PosetError) as exc:
+            ColoredPoset(p.diagram, p.coloring, covers)
+        assert str(exc.value) == f"cover ({first[0]},{first[1]}) is transitively redundant"
+        tried += 1
+    assert tried > 100
 
 
 def test_order_dual_involution():

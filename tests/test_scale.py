@@ -6,9 +6,10 @@ runs the default relation sweep on three representations 29 to 68 times
 larger.  The second classifies a 400-element chain and the 465-element
 staircase B(30).  The third closes the 5050 positive coroots of A100 and
 realizes B(12) and D_spin(12) as coroot filters.  The fourth grows the Y seed
-(2,1,40) down to the 903-element D_spin(43).  Each budget is three times the
-time measured on a 2-vCPU container (Python 3.11.7): 0.95 s, 0.75 s, 0.37 s
-and 0.07 s.
+(2,1,40) down to the 903-element D_spin(43).  The fifth builds and classifies
+the 1200-element chain A_standard(1200), whose diagram has 1.44 million
+pairing entries.  Each budget is three times the time measured on a 2-vCPU
+container (Python 3.11.7): 0.95 s, 0.75 s, 0.37 s, 0.07 s and 0.22 s.
 """
 
 import math
@@ -24,6 +25,7 @@ BUDGET_S = 2.85
 CLASSIFY_BUDGET_S = 2.25
 COROOT_BUDGET_S = 1.1
 EXTENSION_BUDGET_S = 0.21
+LONG_CHAIN_BUDGET_S = 0.66
 
 
 def test_relations_hold_at_thousands_of_splits():
@@ -66,3 +68,13 @@ def test_extension_of_a_large_y_seed():
     elapsed = time.monotonic() - started
     assert (outcome.verdict, len(outcome.poset), len(outcome.trace)) == ("minuscule", 903, 80)
     assert elapsed <= EXTENSION_BUDGET_S, f"{elapsed:.2f} s over the {EXTENSION_BUDGET_S} s budget"
+
+
+def test_classify_a_chain_of_1200():
+    started = time.monotonic()
+    fam = FamilyId("A_standard", 1200)
+    result = classify(build(fam))
+    elapsed = time.monotonic() - started
+    assert [c.family for c in result.components] == [fam]
+    budget = LONG_CHAIN_BUDGET_S
+    assert elapsed <= budget, f"{elapsed:.2f} s over the {budget} s budget"
