@@ -2,15 +2,21 @@
 Command-line front end.
 
 Verbs: verify, classify, catalog, extend, represent, coroots, window.
-Exit codes: 0 affirmative verdict, 1 negative verdict, 2 input error.
+Exit codes: 0 affirmative verdict, 1 negative verdict, 2 input error; the
+`minuscule` command exits 141 (128 + SIGPIPE) when its reader leaves early.
 All outputs are deterministic JSON (sorted keys) or DOT.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import os
+import signal
 import sys
+from itertools import chain
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Optional
 
 from . import axioms, catalog, coroots, extension, heapwindow
@@ -46,7 +52,99 @@ def _load_poset(path: str) -> ColoredPoset:
 
 
 def _emit(data: dict) -> None:
-    print(json.dumps(data, sort_keys=True, indent=2))
+    print(_dumps(data))
+
+
+# The output is json.dumps(data, sort_keys=True, indent=2), byte for byte.  With
+# an indent, Python's json runs its pure-Python encoder, so the writer below
+# sends every leaf container (members all scalars or empty containers) through
+# the C encoder, whose item separator breaks each item onto the leaf's indented
+# line, and walks in Python only the containers that hold non-empty ones.  An
+# encoded scalar never holds a raw newline, never starts with [ or { and never
+# ends with ] or }, so every seam the writer rewrites is structural.
+
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+_NESTED = (list, tuple, dict)
+
+
+@functools.cache
+def _encoder(depth: int):
+    """The C encoder for a leaf whose brackets sit `depth` levels in: the
+    scalars and key separator of json.dumps(indent=2), each item on its own
+    line one level further in."""
+    return c_make_encoder(
+        None, json.JSONEncoder().default, encode_basestring_ascii, None,
+        ": ", ",\n" + "  " * (depth + 1), True, False, True,
+    )
+
+
+def _is_leaf(values) -> bool:
+    """Whether a container with these members holds no non-empty container."""
+    return set(map(type, values)) <= _SCALARS or not any(
+        v and isinstance(v, _NESTED) for v in values
+    )
+
+
+def _members_brackets(o) -> Optional[str]:
+    """The brackets of o's members when they are all non-empty scalar-only
+    lists, or all non-empty scalar-only dicts; otherwise None."""
+    kinds = set(map(type, o))
+    if kinds <= {list, tuple}:
+        values, brackets = o, "[]"
+    elif kinds == {dict}:
+        values, brackets = map(dict.values, o), "{}"
+    else:
+        return None
+    return brackets if all(o) and set(map(type, chain.from_iterable(values))) <= _SCALARS else None
+
+
+def _dumps(obj) -> str:
+    """json.dumps(obj, sort_keys=True, indent=2), byte for byte."""
+    out: list[str] = []
+    _write(obj, 0, out)
+    return "".join(out)
+
+
+def _write(o, depth: int, out: list) -> None:
+    """Append o, with its brackets `depth` levels in, to out."""
+    if not o or not isinstance(o, _NESTED):
+        # a scalar or an empty container
+        out.extend(_encoder(depth)(o, 0))
+        return
+    outer, inner = "  " * depth, "  " * (depth + 1)
+    is_dict = isinstance(o, dict)
+    if _is_leaf(o.values() if is_dict else o):
+        s = "".join(_encoder(depth)(o, 0))
+        out.append(f"{s[0]}\n{inner}{s[1:-1]}\n{outer}{s[-1]}")
+        return
+    if is_dict:
+        if set(map(type, o)) != {str}:
+            # the stdlib orders and converts non-str keys; only the margin moves
+            out.append(json.dumps(o, sort_keys=True, indent=2).replace("\n", "\n" + outer))
+            return
+        out.append("{")
+        for i, key in enumerate(sorted(o)):
+            out.append(f"{',' if i else ''}\n{inner}{encode_basestring_ascii(key)}: ")
+            _write(o[key], depth + 1, out)
+        out.append(f"\n{outer}}}")
+        return
+    brackets = _members_brackets(o)
+    if brackets:
+        # one C call for all members; a seam between two of them is the only
+        # place a closing bracket meets the item separator and an opening one
+        open_, close = brackets
+        innermost = "  " * (depth + 2)
+        s = "".join(_encoder(depth + 1)(o, 0))
+        body = s[2:-2].replace(
+            f"{close},\n{innermost}{open_}", f"\n{inner}{close},\n{inner}{open_}\n{innermost}"
+        )
+        out.append(f"[\n{inner}{open_}\n{innermost}{body}\n{inner}{close}\n{outer}]")
+        return
+    out.append("[")
+    for i, v in enumerate(o):
+        out.append(f"{',' if i else ''}\n{inner}")
+        _write(v, depth + 1, out)
+    out.append(f"\n{outer}]")
 
 
 def _fields(text: str, form: str) -> list:
@@ -326,7 +424,18 @@ def run(argv: list[str]) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left early, as `| head` does: no verdict was delivered, so
+        # exit as a process killed by SIGPIPE would, and point stdout at the
+        # null device so the flush at shutdown does not raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        code = 128 + signal.SIGPIPE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

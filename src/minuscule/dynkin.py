@@ -170,10 +170,9 @@ class DynkinDiagram:
 
     @staticmethod
     def from_json(data: Mapping) -> "DynkinDiagram":
-        return validate(
-            [str(c) for c in data["colors"]],
-            [[int(v) for v in row] for row in data["theta"]],
-        )
+        """The diagram of a document whose theta rows are lists of ints, as
+        `ColoredPoset.from_json` checks them: the rows are read once, here."""
+        return DynkinDiagram(tuple(map(str, data["colors"])), tuple(map(tuple, data["theta"])))
 
     def to_dot(self) -> str:
         """Graphviz source: undirected single edges, decorated directed pairs."""

@@ -20,6 +20,7 @@ the order induced on any subset: above each kept x, the minimal elements of
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterable, Iterator, Mapping, Optional
 
 from .dynkin import Color, DynkinDiagram, validate
@@ -270,9 +271,11 @@ def _int_rows(value, width: Optional[int] = None) -> bool:
 
     Integers are tested by exact type throughout the loaders: JSON true and
     false decode to bool, a subclass of int."""
-    return isinstance(value, list) and all(
-        isinstance(row, list) and width in (None, len(row)) and all(type(v) is int for v in row)
-        for row in value
+    return (
+        isinstance(value, list)
+        and set(map(type, value)) <= {list}
+        and (width is None or set(map(len, value)) <= {width})
+        and set(map(type, chain.from_iterable(value))) <= {int}
     )
 
 

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
 
@@ -335,16 +336,42 @@ def test_input_errors_exit_two(tmp_path):
 def test_byte_for_byte_determinism(tmp_path):
     path = tmp_path / "window.json"
     path.write_text(json.dumps(cyclic_chain_window(4, 2).to_json()))
+    catalog_path = tmp_path / "e6.json"
+    catalog_path.write_text(json.dumps(build(FamilyId("E6", 6)).to_json()))
+    _, out, _ = capture(["extend", "--shape", "2,2,2"])
+    failing_path = tmp_path / "blocked.json"
+    failing_path.write_text(json.dumps(json.loads(out)["poset"]))
     for argv in (
         ["catalog", "--family", "d-spin", "--n", "6"],
         ["extend", "--shape", "4,1,2", "--trace"],
         ["coroots", "--type", "E", "--n", "6", "--j", "1"],
         ["window", "--chain", "5,3"],
         ["classify", str(path)],
+        ["represent", str(catalog_path), "--weights"],
+        ["represent", str(catalog_path), "--matrices"],
+        ["verify", str(failing_path)],
     ):
         _, first, _ = capture(argv)
         _, second, _ = capture(argv)
         assert first == second
+        # the format is the standard library's, byte for byte
+        assert first == json.dumps(json.loads(first), sort_keys=True, indent=2) + "\n", argv
+
+
+def test_a_reader_that_leaves_early_gets_the_sigpipe_status():
+    # a megabyte of output, far more than a pipe buffers, so the writer is
+    # still writing when the reader closes its end
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(minuscule.__file__)))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "minuscule.cli", "catalog", "--family", "a-standard", "--n", "300"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    code = proc.wait(timeout=60)
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert (code, stderr) == (128 + signal.SIGPIPE, b"")
 
 
 def test_one_parser_serves_a_sequence_of_calls(tmp_path, monkeypatch):

@@ -8,15 +8,21 @@ staircase B(30).  The third closes the 5050 positive coroots of A100 and
 realizes B(12) and D_spin(12) as coroot filters.  The fourth grows the Y seed
 (2,1,40) down to the 903-element D_spin(43).  The fifth builds and classifies
 the 1200-element chain A_standard(1200), whose diagram has 1.44 million
-pairing entries.  Each budget is three times the time measured on a 2-vCPU
-container (Python 3.11.7): 0.95 s, 0.75 s, 0.37 s, 0.07 s and 0.22 s.
+pairing entries.  The sixth runs `minuscule classify` in-process on that
+chain's file, reading its pairing table as well.  Each budget is three times
+the time measured on a 2-vCPU container (Python 3.11.7): 0.95 s, 0.75 s,
+0.37 s, 0.07 s, 0.22 s and 0.35 s.
 """
 
+import contextlib
+import io
+import json
 import math
 import time
 
 from minuscule.catalog import FamilyId, build, diagram_of_type, top_tree_Y
 from minuscule.classify import classify
+from minuscule.cli import run
 from minuscule.coroots import CorootSystem, psi
 from minuscule.extension import run_extension
 from minuscule.representation import splits, verify_relations
@@ -26,6 +32,7 @@ CLASSIFY_BUDGET_S = 2.25
 COROOT_BUDGET_S = 1.1
 EXTENSION_BUDGET_S = 0.21
 LONG_CHAIN_BUDGET_S = 0.66
+CLI_CHAIN_BUDGET_S = 1.05
 
 
 def test_relations_hold_at_thousands_of_splits():
@@ -77,4 +84,17 @@ def test_classify_a_chain_of_1200():
     elapsed = time.monotonic() - started
     assert [c.family for c in result.components] == [fam]
     budget = LONG_CHAIN_BUDGET_S
+    assert elapsed <= budget, f"{elapsed:.2f} s over the {budget} s budget"
+
+
+def test_classify_verb_on_a_chain_file_of_1200(tmp_path):
+    path = tmp_path / "a1200.json"
+    path.write_text(json.dumps(build(FamilyId("A_standard", 1200)).to_json()))
+    out = io.StringIO()
+    started = time.monotonic()
+    with contextlib.redirect_stdout(out):
+        code = run(["classify", str(path)])
+    elapsed = time.monotonic() - started
+    assert (code, json.loads(out.getvalue())["components"][0]["family"]) == (0, "A_standard(1200)")
+    budget = CLI_CHAIN_BUDGET_S
     assert elapsed <= budget, f"{elapsed:.2f} s over the {budget} s budget"
