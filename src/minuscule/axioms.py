@@ -199,18 +199,12 @@ def _frontier_censuses(p: ColoredPoset, upper: bool) -> list[tuple[Color, int, i
     return out
 
 
-def _check_ucb(p: ColoredPoset, k: int) -> list[Witness]:
+def _check_frontier(p: ColoredPoset, k: int, upper: bool) -> list[Witness]:
+    """UCBk (upper) or LCBk: every frontier census is at most k."""
+    side = "upper" if upper else "lower"
     return [
-        Witness((x,), value=census, note=f"upper frontier census for {a!r}")
-        for a, x, census in _frontier_censuses(p, upper=True)
-        if census > k
-    ]
-
-
-def _check_lcb(p: ColoredPoset, k: int) -> list[Witness]:
-    return [
-        Witness((x,), value=census, note=f"lower frontier census for {a!r}")
-        for a, x, census in _frontier_censuses(p, upper=False)
+        Witness((x,), value=census, note=f"{side} frontier census for {a!r}")
+        for a, x, census in _frontier_censuses(p, upper)
         if census > k
     ]
 
@@ -281,7 +275,8 @@ def _check_s4(p: ColoredPoset) -> list[Witness]:
     return [Witness((), note="diagram has a cycle")]
 
 
-_PARAM = re.compile(r"^(UCB|LCB)\(?(\d+)\)?$")
+# UCBk or UCB(k), and the same for LCB
+_PARAM = re.compile(r"(UCB|LCB)(?:(\d+)|\((\d+)\))")
 
 
 _SIMPLE = {
@@ -302,11 +297,11 @@ def check(p: ColoredPoset, prop: str) -> AxiomReport:
     if name in _SIMPLE:
         witnesses = _SIMPLE[name](p)
     else:
-        m = _PARAM.match(name)
+        m = _PARAM.fullmatch(name)
         if not m:
             raise UnknownProperty(prop)
-        k = int(m.group(2))
-        witnesses = _check_ucb(p, k) if m.group(1) == "UCB" else _check_lcb(p, k)
+        k = int(m.group(2) or m.group(3))
+        witnesses = _check_frontier(p, k, upper=m.group(1) == "UCB")
     return AxiomReport(name, not witnesses, tuple(witnesses))
 
 

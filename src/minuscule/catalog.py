@@ -10,18 +10,26 @@ standard carries 1, type D spin carries n, E6 carries 1 and E7 carries 6.
 `indexed` relabels these representatives through the automorphisms of the
 Kac-numbered diagram (`kac_automorphisms`) to produce one poset per minuscule
 weight index, and `family_of` names the family of each index.
+
+Two tables hold which families and weights exist: `FAMILIES` (kind -> type
+letter, ranks, whether it takes an index, constructor) and `_TYPES` (letter ->
+ranks, diagram, minuscule nodes).  `FamilyId` validation, `build`,
+`all_family_ids`, `diagram_of_type`, `minuscule_indices`, `indexed` and the
+command line's `--family` names all read them.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import inf
 from typing import Iterable
 
 from .dynkin import DynkinDiagram
 from .poset import ColoredPoset
 
 __all__ = [
+    "FAMILIES",
     "FamilyId",
     "BadParameters",
     "NotAMinusculeWeight",
@@ -43,9 +51,6 @@ class NotAMinusculeWeight(ValueError):
     pass
 
 
-_KINDS = ("A_standard", "A_exterior", "B", "C", "D_standard", "D_spin", "E6", "E7")
-
-
 @dataclass(frozen=True, order=True)
 class FamilyId:
     """One family of the classification, e.g. FamilyId("A_exterior", 4, 2)."""
@@ -55,31 +60,21 @@ class FamilyId:
     j: int = 0
 
     def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
+        if self.kind not in FAMILIES:
             raise BadParameters(f"unknown family kind {self.kind!r}")
-        k, n, j = self.kind, self.n, self.j
-        ok = {
-            "A_standard": n >= 1 and j == 0,
-            "A_exterior": n >= 3 and 2 <= j <= n - 1,
-            "B": n >= 2 and j == 0,
-            "C": n >= 3 and j == 0,
-            "D_standard": n >= 4 and j == 0,
-            "D_spin": n >= 5 and j == 0,
-            "E6": n == 6 and j == 0,
-            "E7": n == 7 and j == 0,
-        }[k]
-        if not ok:
-            raise BadParameters(f"bad parameters for {k}: n={n}, j={j}")
+        _, least, most, indexed, _ = FAMILIES[self.kind]
+        n, j = self.n, self.j
+        if not (least <= n <= most and (2 <= j <= n - 1 if indexed else j == 0)):
+            raise BadParameters(f"bad parameters for {self.kind}: n={n}, j={j}")
 
     def __str__(self) -> str:
-        if self.kind == "A_exterior":
-            return f"A_exterior({self.n},{self.j})"
-        if self.kind in ("E6", "E7"):
-            return self.kind
-        return f"{self.kind}({self.n})"
+        _, least, most, indexed, _ = FAMILIES[self.kind]
+        if indexed:
+            return f"{self.kind}({self.n},{self.j})"
+        return self.kind if least == most else f"{self.kind}({self.n})"
 
     def sort_key(self) -> tuple:
-        return (_KINDS.index(self.kind), self.n, self.j)
+        return (list(FAMILIES).index(self.kind), self.n, self.j)
 
 
 # -- diagram templates ---------------------------------------------------------
@@ -126,24 +121,25 @@ def _e_diagram(n: int) -> DynkinDiagram:
     return _numbered(_tree_rows(n, edges))
 
 
-# the ranks of each type letter, least and most, as `minuscule_indices` lists them
-_RANKS = {"A": (1, None), "B": (2, None), "C": (3, None), "D": (4, None), "E": (6, 7)}
+# type letter -> (least rank, most rank, the Kac-numbered diagram of rank n,
+# its minuscule nodes), in the order `minuscule_indices` lists them
+_TYPES = {
+    "A": (1, inf, _path_diagram, lambda n: range(1, n + 1)),
+    "B": (2, inf, lambda n: _bc_diagram(n, "B"), lambda n: (n,)),
+    "C": (3, inf, lambda n: _bc_diagram(n, "C"), lambda n: (1,)),
+    "D": (4, inf, _d_diagram, lambda n: (1, n - 1, n)),
+    "E": (6, 7, _e_diagram, lambda n: {6: (1, 5), 7: (6,)}[n]),
+}
 
 
 def diagram_of_type(letter: str, n: int) -> DynkinDiagram:
-    if letter not in _RANKS:
+    if letter not in _TYPES:
         raise BadParameters(f"unknown type letter {letter!r}")
-    least, most = _RANKS[letter]
-    if n < least or (most is not None and n > most):
-        span = f"n >= {least}" if most is None else f"{least} <= n <= {most}"
+    least, most, diagram, _ = _TYPES[letter]
+    if not least <= n <= most:
+        span = f"n >= {least}" if most == inf else f"{least} <= n <= {most}"
         raise BadParameters(f"type {letter} needs {span}, got n={n}")
-    if letter == "A":
-        return _path_diagram(n)
-    if letter in ("B", "C"):
-        return _bc_diagram(n, letter)
-    if letter == "D":
-        return _d_diagram(n)
-    return _e_diagram(n)
+    return diagram(n)
 
 
 # -- poset constructors --------------------------------------------------------
@@ -156,53 +152,38 @@ def _chain(diagram: DynkinDiagram, colors_top_down: list[int]) -> ColoredPoset:
     return ColoredPoset(diagram, coloring, covers)
 
 
-def _grid(n: int, m: int) -> ColoredPoset:
+def _cells(
+    diagram: DynkinDiagram, cells: list[tuple[int, int]], color, slant: int
+) -> ColoredPoset:
+    """The poset on the cells (r, c), numbered 1, 2, .. in the order given, in
+    which each cell covers (r, c + 1) and (r + 1, c + slant) where they exist."""
+    ids = {rc: x for x, rc in enumerate(cells, 1)}
+    coloring = {x: color(*rc) for rc, x in ids.items()}
+    covers = [
+        (ids[below], x)
+        for (r, c), x in ids.items()
+        for below in ((r, c + 1), (r + 1, c + slant))
+        if below in ids
+    ]
+    return ColoredPoset(diagram, coloring, covers)
+
+
+def _grid(diagram: DynkinDiagram, n: int, m: int) -> ColoredPoset:
     """Type A grid for index m: rows 1..m, columns 1..n+1-m, cell (1,1) maximal
     with color m, cell colors m - r + c along diagonals."""
-    cols = n + 1 - m
-    ids = {}
-    next_id = 1
-    for r in range(1, m + 1):
-        for c in range(1, cols + 1):
-            ids[(r, c)] = next_id
-            next_id += 1
-    coloring = {ids[(r, c)]: m - r + c for (r, c) in ids}
-    covers = []
-    for (r, c), x in ids.items():
-        if c + 1 <= cols:
-            covers.append((ids[(r, c + 1)], x))
-        if r + 1 <= m:
-            covers.append((ids[(r + 1, c)], x))
-    return ColoredPoset(_path_diagram(n), coloring, covers)
+    cells = [(r, c) for r in range(1, m + 1) for c in range(1, n + 2 - m)]
+    return _cells(diagram, cells, lambda r, c: m - r + c, 0)
 
 
-def _type_b(n: int) -> ColoredPoset:
+def _type_b(diagram: DynkinDiagram, n: int) -> ColoredPoset:
     """Staircase with rows of lengths n, n-1, .., 1; row cells colored n, n-1, ..
     left to right; unique maximum colored n."""
-    ids = {}
-    next_id = 1
-    for r in range(1, n + 1):
-        for c in range(1, n + 2 - r):
-            ids[(r, c)] = next_id
-            next_id += 1
-    coloring = {ids[(r, c)]: n + 1 - c for (r, c) in ids}
-    covers = []
-    for (r, c), x in ids.items():
-        if (r, c + 1) in ids:
-            covers.append((ids[(r, c + 1)], x))
-        if c >= 2 and (r + 1, c - 1) in ids:
-            covers.append((ids[(r + 1, c - 1)], x))
-    return ColoredPoset(_bc_diagram(n, "B"), coloring, covers)
+    cells = [(r, c) for r in range(1, n + 1) for c in range(1, n + 2 - r)]
+    return _cells(diagram, cells, lambda r, c: n + 1 - c, -1)
 
 
-def _type_c(n: int) -> ColoredPoset:
-    colors = list(range(1, n + 1)) + list(range(n - 1, 0, -1))
-    return _chain(_bc_diagram(n, "C"), colors)
-
-
-def _type_d_standard(n: int) -> ColoredPoset:
+def _type_d_standard(diagram: DynkinDiagram, n: int) -> ColoredPoset:
     """Chain 1..n-2, the incomparable pair {n-1, n}, then the chain back down."""
-    diagram = _d_diagram(n)
     coloring: dict[int, int] = {}
     covers: list[tuple[int, int]] = []
     for i in range(1, n - 1):
@@ -224,16 +205,10 @@ def _type_d_standard(n: int) -> ColoredPoset:
     return ColoredPoset(diagram, coloring, covers)
 
 
-def _type_d_spin(n: int) -> ColoredPoset:
+def _type_d_spin(diagram: DynkinDiagram, n: int) -> ColoredPoset:
     """Shifted staircase on cells (r, c), 1 <= r <= c <= n-1; the diagonal
     alternates between the fork colors n and n-1 starting from the maximal
     cell (1,1)."""
-    ids = {}
-    next_id = 1
-    for r in range(1, n):
-        for c in range(r, n):
-            ids[(r, c)] = next_id
-            next_id += 1
 
     def color(r: int, c: int) -> int:
         x = c - r
@@ -243,14 +218,8 @@ def _type_d_spin(n: int) -> ColoredPoset:
             return n - 2
         return n - 1 - x
 
-    coloring = {ids[rc]: color(*rc) for rc in ids}
-    covers = []
-    for (r, c), x in ids.items():
-        if (r, c + 1) in ids:
-            covers.append((ids[(r, c + 1)], x))
-        if (r + 1, c) in ids:
-            covers.append((ids[(r + 1, c)], x))
-    return ColoredPoset(_d_diagram(n), coloring, covers)
+    cells = [(r, c) for r in range(1, n) for c in range(r, n)]
+    return _cells(diagram, cells, color, 0)
 
 
 # E6/E7 tables: (element, color, elements covering it), maxima first.
@@ -310,44 +279,35 @@ def _from_table(diagram: DynkinDiagram, table) -> ColoredPoset:
     return ColoredPoset(diagram, coloring, covers)
 
 
+# kind -> (type letter, least rank, most rank, takes an index j, constructor
+# from the Kac-numbered diagram, n and j), in sort order.  Only A_exterior
+# takes an index, 2 <= j <= n - 1; every other family has j = 0.
+FAMILIES = {
+    "A_standard": ("A", 1, inf, False, lambda d, n, j: _chain(d, range(1, n + 1))),
+    "A_exterior": ("A", 3, inf, True, _grid),
+    "B": ("B", 2, inf, False, lambda d, n, j: _type_b(d, n)),
+    "C": ("C", 3, inf, False, lambda d, n, j: _chain(d, [*range(1, n), *range(n, 0, -1)])),
+    "D_standard": ("D", 4, inf, False, lambda d, n, j: _type_d_standard(d, n)),
+    "D_spin": ("D", 5, inf, False, lambda d, n, j: _type_d_spin(d, n)),
+    "E6": ("E", 6, 6, False, lambda d, n, j: _from_table(d, _E6_TABLE)),
+    "E7": ("E", 7, 7, False, lambda d, n, j: _from_table(d, _E7_TABLE)),
+}
+
+
 def build(family: FamilyId) -> ColoredPoset:
     """The family's poset, colored by Kac numbers."""
-    k, n, j = family.kind, family.n, family.j
-    if k == "A_standard":
-        return _chain(_path_diagram(n), list(range(1, n + 1)))
-    if k == "A_exterior":
-        return _grid(n, j)
-    if k == "B":
-        return _type_b(n)
-    if k == "C":
-        return _type_c(n)
-    if k == "D_standard":
-        return _type_d_standard(n)
-    if k == "D_spin":
-        return _type_d_spin(n)
-    if k == "E6":
-        return _from_table(_e_diagram(6), _E6_TABLE)
-    if k == "E7":
-        return _from_table(_e_diagram(7), _E7_TABLE)
-    raise BadParameters(k)
+    letter, _, _, _, construct = FAMILIES[family.kind]
+    return construct(diagram_of_type(letter, family.n), family.n, family.j)
 
 
 def minuscule_indices(max_n: int) -> list[tuple[str, int, int]]:
     """All minuscule weight indices (letter, n, j) with rank at most max_n."""
-    out: list[tuple[str, int, int]] = []
-    for n in range(1, max_n + 1):
-        out += [("A", n, j) for j in range(1, n + 1)]
-    for n in range(2, max_n + 1):
-        out.append(("B", n, n))
-    for n in range(3, max_n + 1):
-        out.append(("C", n, 1))
-    for n in range(4, max_n + 1):
-        out += [("D", n, 1), ("D", n, n - 1), ("D", n, n)]
-    if max_n >= 6:
-        out += [("E", 6, 1), ("E", 6, 5)]
-    if max_n >= 7:
-        out.append(("E", 7, 6))
-    return out
+    return [
+        (letter, n, j)
+        for letter, (least, most, _, nodes) in _TYPES.items()
+        for n in range(least, min(most, max_n) + 1)
+        for j in nodes(n)
+    ]
 
 
 def kac_automorphisms(letter: str, n: int) -> list[dict[int, int]]:
@@ -380,8 +340,9 @@ def indexed(letter: str, n: int, j: int) -> ColoredPoset:
     The colored minuscule poset for the minuscule weight (letter, n, j); its
     maximal element has color j.
     """
-    key = (letter, n, j)
-    if key not in set(minuscule_indices(max(n, 7))):
+    # an unknown letter has no rank
+    least, most, _, nodes = _TYPES.get(letter, (1, 0, None, None))
+    if not (least <= n <= most and j in nodes(n)):
         raise NotAMinusculeWeight(f"{letter}_{n}({j}) is not a minuscule weight index")
     base = build(family_of(letter, n, j))
     top = base.color(base.maximal_elements()[0])
@@ -422,21 +383,9 @@ def top_tree_Y(i: int, j: int, k: int) -> ColoredPoset:
 
 def all_family_ids(max_n: int) -> list[FamilyId]:
     """Every family id with at most max_n colors (E6/E7 when they fit)."""
-    out: list[FamilyId] = []
-    for n in range(1, max_n + 1):
-        out.append(FamilyId("A_standard", n))
-    for n in range(3, max_n + 1):
-        out += [FamilyId("A_exterior", n, j) for j in range(2, n)]
-    for n in range(2, max_n + 1):
-        out.append(FamilyId("B", n))
-    for n in range(3, max_n + 1):
-        out.append(FamilyId("C", n))
-    for n in range(4, max_n + 1):
-        out.append(FamilyId("D_standard", n))
-    for n in range(5, max_n + 1):
-        out.append(FamilyId("D_spin", n))
-    if max_n >= 6:
-        out.append(FamilyId("E6", 6))
-    if max_n >= 7:
-        out.append(FamilyId("E7", 7))
-    return out
+    return [
+        FamilyId(kind, n, j)
+        for kind, (_, least, most, indexed, _) in FAMILIES.items()
+        for n in range(least, min(most, max_n) + 1)
+        for j in (range(2, n) if indexed else (0,))
+    ]

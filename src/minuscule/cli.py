@@ -159,31 +159,18 @@ def _fields(text: str, form: str) -> list:
     raise InputError(f"expected {form}, got {text!r}")
 
 
+# the --family names: a-standard, a-exterior, b, .., e7
+_FAMILY_NAMES = {kind.lower().replace("_", "-"): kind for kind in catalog.FAMILIES}
+
+
 def _family_id(spec: str, n: Optional[int], j: Optional[int]) -> catalog.FamilyId:
-    kinds = {
-        "a-standard": "A_standard",
-        "a-exterior": "A_exterior",
-        "b": "B",
-        "c": "C",
-        "d-standard": "D_standard",
-        "d-spin": "D_spin",
-        "e6": "E6",
-        "e7": "E7",
-    }
-    if spec not in kinds:
-        raise InputError(f"unknown family {spec!r}; choose from {sorted(kinds)}")
-    kind = kinds[spec]
-    if kind == "E6":
-        return catalog.FamilyId("E6", 6)
-    if kind == "E7":
-        return catalog.FamilyId("E7", 7)
+    kind = _FAMILY_NAMES[spec]
+    _, least, most, _, _ = catalog.FAMILIES[kind]
     if n is None:
-        raise InputError("--n is required for this family")
-    if kind == "A_exterior":
-        if j is None:
-            raise InputError("--j is required for a-exterior")
-        return catalog.FamilyId(kind, n, j)
-    return catalog.FamilyId(kind, n)
+        if least != most:
+            raise InputError("--n is required for this family")
+        n = least
+    return catalog.FamilyId(kind, n, 0 if j is None else j)
 
 
 def cmd_verify(args) -> int:
@@ -219,7 +206,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_catalog(args) -> int:
-    if args.index:
+    if args.index is not None:
         letter, n, j = _fields(args.index, "letter,n,j")
         p = catalog.indexed(letter.upper(), n, j)
     else:
@@ -331,11 +318,9 @@ def cmd_coroots(args) -> int:
 
 
 def cmd_window(args) -> int:
-    if args.chain:
+    if args.chain is not None:
         window = heapwindow.cyclic_chain_window(*_fields(args.chain, "n,p"))
     else:
-        if not args.file:
-            raise InputError("window needs --chain n,p or a file")
         window = heapwindow.PeriodicWindow.from_json(_load_json(args.file))
     reports = heapwindow.verify_window(window)
     ok = all(r.holds for r in reports)
@@ -365,10 +350,11 @@ def build_parser() -> argparse.ArgumentParser:
     c.set_defaults(func=cmd_classify)
 
     g = sub.add_parser("catalog", help="emit a catalog poset")
-    g.add_argument("--family", help="a-standard|a-exterior|b|c|d-standard|d-spin|e6|e7")
-    g.add_argument("--n", type=int)
-    g.add_argument("--j", type=int)
-    g.add_argument("--index", help="minuscule weight index as letter,n,j")
+    source = g.add_mutually_exclusive_group(required=True)
+    source.add_argument("--family", choices=_FAMILY_NAMES)
+    source.add_argument("--index", help="minuscule weight index as letter,n,j")
+    g.add_argument("--n", type=int, help="the family's rank (e6 and e7 need none)")
+    g.add_argument("--j", type=int, help="the index of an a-exterior family")
     g.add_argument("--json", action="store_true", help="emit JSON (the default)")
     g.add_argument("--dot", action="store_true")
     g.set_defaults(func=cmd_catalog)
@@ -395,8 +381,9 @@ def build_parser() -> argparse.ArgumentParser:
     k.set_defaults(func=cmd_coroots)
 
     w = sub.add_parser("window", help="interior checks on a periodic window")
-    w.add_argument("file", nargs="?")
-    w.add_argument("--chain", help="cyclic chain demonstrator as n,p")
+    source = w.add_mutually_exclusive_group(required=True)
+    source.add_argument("file", nargs="?")
+    source.add_argument("--chain", help="cyclic chain demonstrator as n,p")
     w.set_defaults(func=cmd_window)
 
     return parser

@@ -213,8 +213,15 @@ def _raise_first_violation(colors: Sequence[Color], m: Sequence[Sequence[int]]) 
 
 
 def validate(colors: Sequence[Color], table: Sequence[Sequence[int]]) -> DynkinDiagram:
-    """Build a diagram from a raw pairing table, naming any violated condition."""
-    return DynkinDiagram(tuple(colors), tuple(tuple(map(int, row)) for row in table))
+    """Build a diagram from a raw pairing table, naming any violated condition.
+    Every entry must be an exact int: floats, bools and strings are refused, not
+    converted, the first one in row-major order named."""
+    colors, m = tuple(colors), tuple(map(tuple, table))
+    for a, row in zip(colors, m):
+        for b, v in zip(colors, row):
+            if type(v) is not int:
+                raise DiagramError(f"theta[{a!r}][{b!r}] = {v!r} is not an integer")
+    return DynkinDiagram(colors, m)
 
 
 def is_simply_laced(diagram: DynkinDiagram) -> bool:

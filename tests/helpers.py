@@ -975,10 +975,16 @@ def check_oracle(p: ColoredPoset, prop: str) -> AxiomReport:
 
 def validate_oracle(colors, table) -> DynkinDiagram:
     """Reference `validate`: the checks in row-major order over every cell,
-    raising the first violation before the diagram is built."""
+    raising the first violation before the diagram is built.  An entry that
+    is not exactly an int is refused first."""
     colors = tuple(colors)
-    m = tuple(tuple(int(v) for v in row) for row in table)
+    m = tuple(tuple(row) for row in table)
     n = len(colors)
+    for i in range(min(n, len(m))):
+        for j in range(min(n, len(m[i]))):
+            if type(m[i][j]) is not int:
+                a, b = colors[i], colors[j]
+                raise DiagramError(f"theta[{a!r}][{b!r}] = {m[i][j]!r} is not an integer")
     if len(set(colors)) != n:
         raise DiagramError("duplicate colors")
     if len(m) != n or any(len(row) != n for row in m):

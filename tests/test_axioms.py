@@ -68,6 +68,15 @@ def test_unknown_property():
         check(indexed("A", 1, 1), "XYZ")
 
 
+def test_frontier_properties_are_named_k_or_parenthesized_k():
+    p = indexed("B", 3, 3)
+    for name in ("UCB1", "UCB(1)", "lcb2", " LCB(2) "):
+        assert check(p, name).property == name.strip().upper()
+    for name in ("UCB(1", "UCB1)", "UCB()", "UCB", "LCB((1))", "UCB-1", "UCB(1)x"):
+        with pytest.raises(UnknownProperty):
+            check(p, name)
+
+
 def test_catalog_families_are_d_complete_and_minuscule():
     for fam in all_family_ids(6):
         p = build(fam)

@@ -30,6 +30,27 @@ def test_family_id_validation():
         FamilyId("Z", 3)
 
 
+def test_family_ids_construct_exactly_as_all_family_ids_lists_them():
+    listed = {(f.kind, f.n, f.j) for f in all_family_ids(13)}
+    kinds = {kind for kind, _, _ in listed}
+    assert len(kinds) == 8
+    for kind in kinds:
+        for n in range(-1, 14):
+            for j in range(-1, 15):
+                if (kind, n, j) in listed:
+                    FamilyId(kind, n, j)
+                    continue
+                with pytest.raises(BadParameters) as exc:
+                    FamilyId(kind, n, j)
+                assert str(exc.value) == f"bad parameters for {kind}: n={n}, j={j}"
+
+
+def test_family_lists_agree_with_the_index_lists():
+    for m in range(13):
+        named = {family_of(*index) for index in minuscule_indices(m)}
+        assert all_family_ids(m) == sorted(named, key=FamilyId.sort_key), m
+
+
 def test_a_standard_shape():
     p = build(FamilyId("A_standard", 4))
     assert len(p) == 4
@@ -143,6 +164,18 @@ def test_indexed_basic():
         indexed("E", 7, 1)
     with pytest.raises(NotAMinusculeWeight):
         indexed("C", 2, 1)
+
+
+def test_indexed_refuses_every_other_index():
+    indices = set(minuscule_indices(9))
+    for letter in "ABCDEFG":
+        for n in range(-1, 10):
+            for j in range(-1, n + 2):
+                if (letter, n, j) in indices:
+                    continue
+                with pytest.raises(NotAMinusculeWeight) as exc:
+                    indexed(letter, n, j)
+                assert str(exc.value) == f"{letter}_{n}({j}) is not a minuscule weight index"
 
 
 def test_indexed_isomorphism_pairs():

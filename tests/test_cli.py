@@ -56,6 +56,53 @@ def test_catalog_classify_round_trip(tmp_path):
         assert str(fam) in matches, (str(fam), matches)
 
 
+def test_catalog_family_takes_only_the_n_and_j_that_fit():
+    firsts = {}
+    for fam in all_family_ids(8):
+        firsts.setdefault(fam.kind, fam)
+    assert len(firsts) == 8
+    for fam in firsts.values():
+        args = family_args(fam)
+        assert capture(args)[0] == 0, args
+        if fam.kind in ("E6", "E7"):
+            assert capture(args + ["--n", str(fam.n)])[0] == 0, args
+        wrong = [args + ["--n", str(fam.n - 1)], args + ["--j", str(fam.n)]]
+        if fam.kind != "A_exterior":
+            wrong.append(args + ["--j", "2"])
+        for argv in wrong:
+            code, out, err = capture(argv)
+            assert code == 2 and out == "" and "bad parameters" in err, argv
+    for argv in (["catalog", "--family", "b"], ["catalog", "--family", "a-exterior", "--j", "2"]):
+        code, out, err = capture(argv)
+        assert code == 2 and out == "" and "--n is required" in err
+    code, out, err = capture(["catalog", "--family", "a-exterior", "--n", "5"])
+    assert code == 2 and out == "" and "bad parameters for A_exterior: n=5, j=0" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["catalog"], "one of the arguments --family --index is required"),
+        (["catalog", "--family", "b", "--n", "3", "--index", "B,3,3"], "not allowed with"),
+        (["catalog", "--index", "B,3,3", "--family", "b", "--n", "3"], "not allowed with"),
+        (["window"], "one of the arguments file --chain is required"),
+        (["window", "--chain", "3,2", "WINDOW"], "not allowed with"),
+        (["window", "WINDOW", "--chain", "3,2"], "not allowed with"),
+        (["verify", "POSET", "--property", "UCB(1"], "UCB(1"),
+        (["verify", "POSET", "--property", "LCB1)"], "LCB1)"),
+    ],
+    ids=" ".join,
+)
+def test_one_input_source_and_exact_property_names(tmp_path, argv, message):
+    window, poset = tmp_path / "window.json", tmp_path / "poset.json"
+    window.write_text(json.dumps(cyclic_chain_window(3, 2).to_json()))
+    poset.write_text(json.dumps(build(FamilyId("B", 3)).to_json()))
+    argv = [{"WINDOW": str(window), "POSET": str(poset)}.get(a, a) for a in argv]
+    code, out, err = capture(argv)
+    assert code == 2 and out == ""
+    assert message in err
+
+
 def test_verify_verb(tmp_path):
     code, out, _ = capture(["catalog", "--family", "b", "--n", "3"])
     path = tmp_path / "b3.json"

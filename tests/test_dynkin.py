@@ -221,6 +221,30 @@ def test_validator_names_the_same_first_violation_as_the_full_scan():
     assert kinds == {DynkinDiagram, DiagonalNotTwo, PositiveOffDiagonal, AsymmetricZero}
 
 
+def test_validate_refuses_entries_that_are_not_exact_ints():
+    assert outcome(validate, "ab", [[2, -1.7], [-1, 2.9]]) == (
+        DiagramError, "theta['a']['b'] = -1.7 is not an integer"
+    )
+    assert outcome(validate, "ab", [[2, -1], [True, 2]]) == (
+        DiagramError, "theta['b']['a'] = True is not an integer"
+    )
+    assert outcome(validate, "a", [["2"]]) == (DiagramError, "theta['a']['a'] = '2' is not an integer")
+    # a non-int is named before any other violation, as the oracle names it
+    rng = random.Random(seed_from_env() + 42)
+    kinds = set()
+    for _ in range(300):
+        d = random_diagram(rng, rng.randint(1, 6))
+        table = [list(row) for row in d.matrix]
+        n = len(table)
+        for _ in range(rng.randint(0, 3)):
+            i, j = rng.randrange(n), rng.randrange(n)
+            table[i][j] = rng.choice([-1, 0, 1, 2, -1.0, 2.0, False, True, "2", None])
+        got = outcome(validate, d.colors, table)
+        assert got == outcome(validate_oracle, d.colors, table), table
+        kinds.add(got[1].endswith("is not an integer") if isinstance(got, tuple) else None)
+    assert kinds == {None, True, False}
+
+
 def test_sparse_structure_equals_the_dense_tables():
     rng = random.Random(seed_from_env() + 41)
     for _ in range(200):
