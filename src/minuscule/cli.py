@@ -22,7 +22,7 @@ from typing import Optional
 from . import axioms, catalog, coroots, extension, heapwindow
 from .classify import classify as classify_poset
 from .poset import ColoredPoset
-from .representation import build_operators, verify_relations, splits
+from .representation import build_operators, operator_maps, splits, verify_relations
 
 SCHEMA_VERSION = 1
 
@@ -207,6 +207,9 @@ def cmd_classify(args) -> int:
 
 def cmd_catalog(args) -> int:
     if args.index is not None:
+        for option, value in (("--n", args.n), ("--j", args.j)):
+            if value is not None:
+                raise InputError(f"argument {option}: not allowed with argument --index")
         letter, n, j = _fields(args.index, "letter,n,j")
         p = catalog.indexed(letter.upper(), n, j)
     else:
@@ -231,6 +234,8 @@ def cmd_extend(args) -> int:
 
 
 def cmd_represent(args) -> int:
+    if args.full_sweep and not args.relations:
+        raise InputError("--full-sweep needs --relations")
     p = _load_poset(args.file)
     basis = splits(p)
     out: dict = {"version": SCHEMA_VERSION, "splits": len(basis)}
@@ -239,18 +244,18 @@ def cmd_represent(args) -> int:
         report = verify_relations(p, full_sweep=args.full_sweep, basis=basis)
         out["relations"] = report.to_json()
         code = 0 if report.all_pass else 1
-    if args.weights or args.matrices:
-        _, ops = build_operators(p, basis=basis)
     if args.weights:
         # a split's weight is its eigenvalue under every diagonal operator
+        h = [(str(a), hs) for a, hs in operator_maps(p, basis=basis).h.items()]
         out["weights"] = [
             {
-                "ideal": sorted(s.ideal),
-                "weight": {str(a): h.entries.get((i, i), 0) for a, (_, _, h) in ops.items()},
+                "ideal": [x for x, b in basis.bit.items() if m & b],
+                "weight": {a: hs[i] for a, hs in h},
             }
-            for i, s in enumerate(basis)
+            for i, m in enumerate(basis.masks)
         ]
     if args.matrices:
+        _, ops = build_operators(p, basis=basis)
         out["operators"] = {
             str(a): {
                 "raising": x.to_coordinate_json(),
@@ -264,8 +269,9 @@ def cmd_represent(args) -> int:
 
 
 def cmd_coroots(args) -> int:
-    if args.psi and args.j is None:
-        raise InputError("--psi needs --j")
+    for option, given in (("--psi", args.psi), ("--dot", args.dot)):
+        if given and args.j is None:
+            raise InputError(f"{option} needs --j")
     system = coroots.coroot_system(catalog.diagram_of_type(args.type.upper(), args.n))
     out: dict = {
         "version": SCHEMA_VERSION,
@@ -309,7 +315,7 @@ def cmd_coroots(args) -> int:
                 if args.dot:
                     print(f"error: no colored filter to draw: {exc}", file=sys.stderr)
                 code = 1
-    if args.dot and args.j is not None:
+    if args.dot:
         if real is not None:
             print(real.coroot_poset.to_dot(), end="")
         return code

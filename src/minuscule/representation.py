@@ -10,10 +10,14 @@ element of I, or neither.  All arithmetic is exact integer arithmetic.
 
 The split basis is enumerated once, as ideal bitmasks.  Under EC each color
 class is a chain, so a raising or lowering operator sends a basis vector to at
-most one basis vector: it is stored as a partial map on split indices, and the
-diagonal operator as a vector.  The generator relations are verified by
-applying them to every basis vector along these maps, with no matrix products;
-`IntMatrix` serves the matrix export.
+most one basis vector: it is stored as a partial map on split indices (the
+lowering map is the inverse of the raising one), and the diagonal operator as
+a vector.  The generator relations are decided from these maps by three
+arguments, with no matrix products and no word evaluated term by term except
+the brackets of depth 3 or more: HH and the eigenvalue range hold by
+construction; HX and HY are one comparison of packed weights per color; XY
+and the brackets of depth 1 and 2 are equalities of target lists (see
+`verify_relations`).  `IntMatrix` serves the matrix export.
 """
 
 from __future__ import annotations
@@ -126,31 +130,23 @@ def operator_maps(p: ColoredPoset, *, basis: Optional[SplitBasis] = None) -> Ope
     down: dict[Color, list[int]] = {}
     h: dict[Color, list[int]] = {}
     for a in p.diagram.colors:
-        # by EC the class is a chain, and an ideal holds an initial segment of it:
-        # only the next element can be minimal in the filter, only the last
-        # maximal in the ideal
+        # by EC the class is a chain, and an ideal holds an initial segment of
+        # it: only the next element can be minimal in the filter.  Lowering
+        # moves that element back, so Y_a is the inverse of X_a.
         chain = sorted(p.color_class(a), key=lambda x: len(p.down_set(x)))
         class_mask = sum(bit[x] for x in chain)
-        steps = [
-            (bit[x], sum(bit[z] for z in p.covered_by_x(x)), sum(bit[z] for z in p.covers_of(x)))
-            for x in chain
-        ]
-        ups, downs, hs = [], [], []
+        # past the chain's end the next element is a sentinel that is never minimal
+        steps = [(bit[x], sum(bit[z] for z in p.covered_by_x(x))) for x in chain] + [(0, -1)]
+        ups = []
         for m in basis.masks:
-            t = (m & class_mask).bit_count()
-            raised = lowered = -1
-            if t < len(steps):
-                b, below, _ = steps[t]
-                if below & m == below:
-                    raised = position[m | b]
-            if t:
-                b, _, above = steps[t - 1]
-                if not above & m:
-                    lowered = position[m ^ b]
-            ups.append(raised)
-            downs.append(lowered)
-            hs.append(-1 if raised >= 0 else 1 if lowered >= 0 else 0)
-        up[a], down[a], h[a] = ups, downs, hs
+            b, below = steps[(m & class_mask).bit_count()]
+            ups.append(position[m | b] if below & m == below else -1)
+        downs = [-1] * len(ups)
+        for s, t in enumerate(ups):
+            if t >= 0:
+                downs[t] = s
+        up[a], down[a] = ups, downs
+        h[a] = [-1 if u >= 0 else 1 if d >= 0 else 0 for u, d in zip(ups, downs)]
     return OperatorMaps(basis, up, down, h)
 
 
@@ -255,13 +251,16 @@ class RelationReport:
         }
 
 
-def _bracket_terms(a: Color, b: Color, letter: str, depth: int) -> list[tuple[int, tuple]]:
-    """ad(Z_a)^depth (Z_b) = sum over k of (-1)^k C(depth, k) Z_a^(depth-k) Z_b Z_a^k."""
-    za, zb = (letter, a), (letter, b)
-    return [
-        ((-1) ** k * comb(depth, k), (za,) * (depth - k) + (zb,) + (za,) * k)
-        for k in range(depth + 1)
-    ]
+def _then(first: list[int], second: list[int]) -> list[int]:
+    """The target list of the map `second` applied after the map `first`."""
+    return [second[t] for t in first]
+
+
+def _first_difference(x: list[int], y: list[int]) -> Optional[int]:
+    """The least index at which two lists of equal length differ, or None."""
+    if x == y:
+        return None
+    return next(s for s, (u, v) in enumerate(zip(x, y)) if u != v)
 
 
 def verify_relations(
@@ -273,79 +272,77 @@ def verify_relations(
     The nested raising/lowering relations are verified at depth 1 - theta(b,a)
     for all adjacent-or-sampled distant pairs (every pair with full_sweep);
     the diagonal relations run over all pairs.  Also checks that diagonal
-    eigenvalues lie in {-1, 0, 1}.
+    eigenvalues lie in {-1, 0, 1}.  A failing check records the least basis
+    index s on which the relation is nonzero.
 
-    Each relation is a sum of coefficient * word terms, a word being a product
-    of operators ("X", "Y" or "H" with a color, rightmost acting first).  It is
-    applied to every basis vector: a word sends e_s along the operator maps to
-    a multiple of one basis vector or to zero, so no matrix is formed.  A
-    failing check records the least basis index on which the relation is
-    nonzero.
+    Every word of a relation changes each color's count in the ideal by the
+    same amounts, and under EC an ideal is fixed by these counts (it holds an
+    initial segment of each color chain).  So every word sends e_s to one and
+    the same basis vector or to zero, and each relation is decided by lists
+    built once per color, with no word evaluated term by term:
+
+    - HH and the eigenvalue range hold by construction: each H is diagonal,
+      and `operator_maps` only writes h in {-1, 0, 1}.
+    - HX and HY for every b at once.  Where X_a e_s = e_t, the (a, b) relation
+      sends e_s to (h_b(t) - h_b(s) - theta(a,b)) e_t.  Pack the eigenvalues
+      of e_s into one int code[s], one digit per color, in radix
+      max|theta| + 3, which exceeds every digit of that mismatch.  Then X_a
+      satisfies all its (a, b) relations exactly when code[t] - code[s] is
+      the packed row theta(a, .) over the domain of X_a; HY is the same check
+      along Y_a with the row negated.  Only a color whose packed check fails
+      is evaluated per b.
+    - XY with a != b, and XX and YY at depth 1 or 2.  Every word has
+      coefficient 1 or 0 on e_s, so x - y vanishes exactly where both words
+      send e_s to the same place, and x - 2y + z exactly where all three do.
+      The relation holds exactly when the words' target lists are equal,
+      index n standing for zero, and the first index where two lists differ
+      is the failing one.
+    - XY with a = b.  X_a Y_a e_s = e_s wherever Y_a e_s is nonzero, and
+      Y_a X_a e_s = e_s wherever X_a e_s is nonzero (each moves one chain
+      element out and back), so the relation sends e_s to
+      ([Y_a e_s != 0] - [X_a e_s != 0] - h_a(s)) e_s.  By the rule for h this
+      is nonzero exactly where both X_a e_s and Y_a e_s are.
+    - XX and YY at depth 3 or more keep the weighted sum: the binomial
+      coefficients of the words nonzero on e_s, which by the argument above
+      all land on one basis vector, must sum to zero.
     """
     maps = operator_maps(p, basis=basis)
     n = len(maps.basis)
     colors = p.diagram.colors
-    # Slot n stands for the zero vector: every map sends it, and index -1, to
-    # itself, and every factor vanishes on it.
-    step: dict[tuple[str, Color], list[int]] = {}  # where a map letter sends each index
-    factor: dict[tuple[str, Color], list[int]] = {}  # H: the eigenvalue; X, Y: 1 where defined
-    for a in colors:
-        for letter, image in ((("X", a), maps.up[a]), (("Y", a), maps.down[a])):
-            step[letter] = image + [-1]
-            factor[letter] = [int(t >= 0) for t in image] + [0]
-        factor["H", a] = maps.h[a] + [0]
-    identity, ones = list(range(n + 1)), [1] * (n + 1)
-
-    def times(values: list[int], targets: list[int], table: list[int]) -> list[int]:
-        """values[s] * table[targets[s]] for every s."""
-        if targets is identity:
-            return table if values is ones else [v * f for v, f in zip(values, table)]
-        if values is ones:
-            return [table[t] for t in targets]
-        return [v * table[t] for v, t in zip(values, targets)]
-
-    def coefficients(word: tuple) -> list[int]:
-        """c with word e_s = c[s] e_t, read from the right; 0 where it is zero."""
-        targets, values = identity, ones
-        for letter in reversed(word[1:]):
-            if letter[0] == "H":
-                values = times(values, targets, factor[letter])
-            else:
-                image = step[letter]
-                targets = image if targets is identity else [image[t] for t in targets]
-        # the leftmost letter only contributes its factor
-        return times(values, targets, factor[word[0]])
-
-    def total(columns: list[list[int]]) -> list[int]:
-        if len(columns) == 1:
-            return columns[0]
-        return list(map(sum, zip(*columns))) if columns else [0] * (n + 1)
-
-    def first_nonzero(terms: list[tuple[int, tuple]]) -> Optional[int]:
-        # The words of a relation all change each color's count in the ideal
-        # by the same amounts, and under EC an ideal is fixed by these counts
-        # (it holds an initial segment of each color chain).  So every word
-        # sends e_s to a multiple of one and the same basis vector, and the
-        # relation vanishes on e_s exactly when the multiples of its terms
-        # with positive coefficients sum to those with negative ones.
-        sides: tuple[list, list] = ([], [])
-        for coef, word in terms:
-            if coef:
-                column = coefficients(word)
-                scale = abs(coef)
-                if scale != 1:
-                    column = [scale * c for c in column]
-                sides[coef < 0].append(column)
-        left, right = total(sides[0]), total(sides[1])
-        if left == right:
-            return None
-        return next(s for s, (x, y) in enumerate(zip(left, right)) if x != y)
-
+    theta = p.diagram.theta
     checks: list[RelationCheck] = []
 
-    def record(relation: str, a: Color, b: Color, terms: list[tuple[int, tuple]]) -> None:
-        s = first_nonzero(terms)
+    def record(relation: str, a: Color, b: Color, s: Optional[int]) -> None:
         checks.append(RelationCheck(relation, a, b, s is None, s))
+
+    # where each map sends every index, with index n standing for zero
+    moves: dict[tuple[str, Color], list[int]] = {}
+    for a in colors:
+        moves["X", a] = [n if t < 0 else t for t in maps.up[a]] + [n]
+        moves["Y", a] = [n if t < 0 else t for t in maps.down[a]] + [n]
+
+    powers: dict[tuple[str, Color, int], list[int]] = {}
+
+    def power(letter: str, a: Color, k: int) -> list[int]:
+        """The target list of Z_a^k, k >= 1, cached per color."""
+        key = (letter, a, k)
+        if key not in powers:
+            z = moves[letter, a]
+            powers[key] = z if k == 1 else _then(power(letter, a, k - 1), z)
+        return powers[key]
+
+    def bracket(letter: str, a: Color, b: Color, depth: int) -> Optional[int]:
+        """ad(Z_a)^depth (Z_b) = sum over k of (-1)^k C(depth, k) Z_a^(depth-k) Z_b Z_a^k."""
+        words = []
+        for k in range(depth + 1):
+            targets = moves[letter, b] if k == 0 else _then(power(letter, a, k), moves[letter, b])
+            words.append(targets if k == depth else _then(targets, power(letter, a, depth - k)))
+        if depth <= 2:
+            found = [_first_difference(words[0], w) for w in words[1:]]
+            return min((s for s in found if s is not None), default=None)
+        weights = [(-1) ** k * comb(depth, k) for k in range(depth + 1)]
+        sums = (sum(c for c, t in zip(weights, ts) if t < n) for ts in zip(*words))
+        return next((s for s, v in enumerate(sums) if v), None)
 
     pairs: list[tuple[Color, Color]] = []
     for a, b in itertools.permutations(colors, 2):
@@ -360,28 +357,46 @@ def verify_relations(
                     break
 
     for a, b in pairs:
-        depth = 1 - p.diagram.theta(b, a)
-        record("XX", a, b, _bracket_terms(a, b, "X", depth))
-        record("YY", a, b, _bracket_terms(a, b, "Y", depth))
+        depth = 1 - theta(b, a)
+        record("XX", a, b, bracket("X", a, b, depth))
+        record("YY", a, b, bracket("Y", a, b, depth))
+
+    radix = 3 + max(abs(v) for row in p.diagram.matrix for v in row)
+    code = [0] * n
+    for b in colors:
+        code = [c * radix + h for c, h in zip(code, maps.h[b])]
+
+    def weight_failures(targets: list[int], row: list[int]) -> dict[Color, int]:
+        """For each b whose relation h_b(t) - h_b(s) == row[b] fails at some
+        s with t = targets[s] >= 0, the least such s."""
+        shift = 0
+        for v in row:
+            shift = shift * radix + v
+        if all(code[t] - c == shift for c, t in zip(code, targets) if t >= 0):
+            return {}
+        failures = {}
+        for b, v in zip(colors, row):
+            hb = maps.h[b]
+            s = next((s for s, t in enumerate(targets) if t >= 0 and hb[t] - hb[s] != v), None)
+            if s is not None:
+                failures[b] = s
+        return failures
 
     for a in colors:
-        xa, ya, ha = ("X", a), ("Y", a), ("H", a)
+        up, down = maps.up[a], maps.down[a]
+        row = [theta(a, b) for b in colors]
+        hx = weight_failures(up, row)
+        hy = weight_failures(down, [-v for v in row])
+        both = next((s for s, (u, d) in enumerate(zip(up, down)) if u >= 0 and d >= 0), None)
+        xa = moves["X", a]
         for b in colors:
-            hb, yb = ("H", b), ("Y", b)
-            theta = p.diagram.theta(a, b)
-            record("HH", a, b, [(1, (hb, ha)), (-1, (ha, hb))])
-            record("HX", a, b, [(1, (hb, xa)), (-1, (xa, hb)), (-theta, (xa,))])
-            record("HY", a, b, [(1, (hb, ya)), (-1, (ya, hb)), (theta, (ya,))])
-            record("XY", a, b, [(1, (xa, yb)), (-1, (yb, xa)), (-(a == b), (ha,))])
+            record("HH", a, b, None)
+            record("HX", a, b, hx.get(b))
+            record("HY", a, b, hy.get(b))
+            if a == b:
+                record("XY", a, b, both)
+            else:
+                yb = moves["Y", b]
+                record("XY", a, b, _first_difference(_then(yb, xa), _then(xa, yb)))
 
-    eig_ok = True
-    witness = None
-    for a in colors:
-        for s, v in enumerate(maps.h[a]):
-            if v not in (-1, 0, 1):
-                eig_ok = False
-                witness = (a, s)
-                break
-        if not eig_ok:
-            break
-    return RelationReport(tuple(checks), eig_ok, witness)
+    return RelationReport(tuple(checks), True)

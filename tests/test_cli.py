@@ -103,6 +103,25 @@ def test_one_input_source_and_exact_property_names(tmp_path, argv, message):
     assert message in err
 
 
+NOT_APPLICABLE = [
+    (["catalog", "--index", "A,3,1", "--n", "7"], "argument --n: not allowed with argument --index"),
+    (["catalog", "--index", "A,3,1", "--j", "5"], "argument --j: not allowed with argument --index"),
+    (["catalog", "--index", "A,3,1", "--n", "7", "--j", "5"], "argument --n: not allowed"),
+    (["coroots", "--type", "A", "--n", "3", "--dot"], "--dot needs --j"),
+    (["represent", "POSET", "--full-sweep"], "--full-sweep needs --relations"),
+    (["represent", "POSET", "--full-sweep", "--weights"], "--full-sweep needs --relations"),
+]
+
+
+@pytest.mark.parametrize("argv, message", NOT_APPLICABLE, ids=[" ".join(a) for a, _ in NOT_APPLICABLE])
+def test_options_that_do_not_apply_exit_two(tmp_path, argv, message):
+    poset = tmp_path / "poset.json"
+    poset.write_text(json.dumps(build(FamilyId("B", 3)).to_json()))
+    code, out, err = capture([str(poset) if a == "POSET" else a for a in argv])
+    assert code == 2 and out == ""
+    assert message in err
+
+
 def test_verify_verb(tmp_path):
     code, out, _ = capture(["catalog", "--family", "b", "--n", "3"])
     path = tmp_path / "b3.json"

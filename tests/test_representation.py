@@ -1,3 +1,5 @@
+import itertools
+import json
 import math
 import random
 
@@ -5,7 +7,7 @@ import pytest
 
 from minuscule.axioms import check
 from minuscule.catalog import FamilyId, all_family_ids, build, indexed
-from minuscule.dynkin import validate
+from minuscule.dynkin import DynkinDiagram, validate
 from minuscule.poset import ColoredPoset, order_dual
 from minuscule.representation import (
     ECViolated,
@@ -191,6 +193,17 @@ def _failing_ec_posets(count: int) -> list[ColoredPoset]:
     return out
 
 
+def assert_matches_oracle(p: ColoredPoset) -> None:
+    """The report equals the matrix oracle's, and so do its JSON bytes, in both
+    sweep modes."""
+    for full_sweep in (False, True):
+        got = verify_relations(p, full_sweep=full_sweep)
+        want = verify_relations_oracle(p, full_sweep=full_sweep)
+        assert got == want, (p, full_sweep)
+        dumps = [json.dumps(r.to_json(), sort_keys=True) for r in (got, want)]
+        assert dumps[0] == dumps[1], (p, full_sweep)
+
+
 def test_operator_maps_match_matrix_oracle():
     posets = []
     for fam in all_family_ids(8):
@@ -199,12 +212,68 @@ def test_operator_maps_match_matrix_oracle():
             posets += [p, order_dual(p)]
     failing = _failing_ec_posets(60)
     for p in posets + failing:
-        for full_sweep in (False, True):
-            got = verify_relations(p, full_sweep=full_sweep)
-            assert got == verify_relations_oracle(p, full_sweep=full_sweep), (p, full_sweep)
+        assert_matches_oracle(p)
         basis, ops = build_operators(p)
         oracle_basis, oracle_ops = build_operators_oracle(p)
         assert list(basis) == oracle_basis and ops == oracle_ops, p
     # the failing posets fail checks at several basis indices
     indices = {c.failing_basis_index for p in failing for c in verify_relations(p).failures()}
     assert len(indices) > 3
+
+
+# B2: theta(1, 2) = -1 and theta(2, 1) = -2
+DOUBLE_BOND = validate(["1", "2"], [[2, -1], [-2, 2]])
+
+
+def test_weight_check_falls_back_on_the_failing_color_only():
+    # the chain 2 < 1 in colors: X_2 lowers h_1 by 1 where theta(2, 1) asks for -2
+    p = ColoredPoset(DOUBLE_BOND, {1: "2", 2: "1"}, [(1, 2)])
+    report = verify_relations(p)
+    weight_failures = {(c.relation, c.a, c.b) for c in report.failures() if c.relation[0] == "H"}
+    assert weight_failures == {("HX", "2", "1"), ("HY", "2", "1")}
+    assert_matches_oracle(p)
+
+
+def test_depth_three_brackets_on_a_double_bond():
+    # theta(2, 1) = -2, so (a, b) = (1, 2) is checked at depth 3.  The bracket
+    # fails on the chain.  It holds on the second poset, where the middle words
+    # X_1^2 X_2 X_1 and X_1 X_2 X_1^2 are nonzero on e_0 and the outer ones
+    # vanish (-3 + 3 = 0), so comparing target lists would call it
+    # failing.
+    chain = ColoredPoset(DOUBLE_BOND, {1: "1", 2: "1", 3: "2", 4: "1"}, [(1, 2), (2, 3), (3, 4)])
+    coloring = {1: "1", 2: "2", 3: "1", 4: "1", 5: "2", 6: "2"}
+    covers = [(1, 2), (1, 3), (2, 4), (3, 4), (4, 5), (5, 6)]
+    balanced = ColoredPoset(DOUBLE_BOND, coloring, covers)
+    for p, failing in ((chain, True), (balanced, False)):
+        report = verify_relations(p)
+        deep = [c for c in report.checks if (c.relation, c.a, c.b) in (("XX", "1", "2"), ("YY", "1", "2"))]
+        assert len(deep) == 2 and all(c.ok is not failing for c in deep)
+        assert_matches_oracle(p)
+
+
+def _deep_diagram(rng: random.Random, n_colors: int) -> DynkinDiagram:
+    """A random pairing table whose bonds reach -4."""
+    rows = [[2 if i == j else 0 for j in range(n_colors)] for i in range(n_colors)]
+    for i, j in itertools.combinations(range(n_colors), 2):
+        if rng.random() < 0.7:
+            rows[i][j], rows[j][i] = -rng.randint(1, 4), -rng.randint(1, 4)
+    return validate([str(c) for c in range(1, n_colors + 1)], rows)
+
+
+def test_pairings_below_minus_two_match_the_oracle():
+    # with theta(3, 2) = -4 the packed weight check needs a radix above 4:
+    # in radix 4 the failing HX and HY checks of color 3 would pass
+    d = validate(["1", "2", "3"], [[2, -1, 0], [-2, 2, -1], [0, -4, 2]])
+    posets = [ColoredPoset(d, {1: "1", 2: "2", 3: "3"}, [(1, 3)])]
+    rng = random.Random(seed_from_env())
+    while len(posets) < 40:
+        p = random_colored_poset(rng, 7, 3)
+        if len(p.diagram) >= 2:
+            deep = _deep_diagram(rng, len(p.diagram))
+            p = ColoredPoset(deep, {x: str(c) for x, c in p.coloring.items()}, p.covers)
+            if check(p, "EC").holds:
+                posets.append(p)
+    assert not verify_relations(posets[0]).all_pass
+    assert min(v for p in posets for row in p.diagram.matrix for v in row) <= -3
+    for p in posets:
+        assert_matches_oracle(p)

@@ -9,9 +9,11 @@ realizes B(12) and D_spin(12) as coroot filters.  The fourth grows the Y seed
 (2,1,40) down to the 903-element D_spin(43).  The fifth builds and classifies
 the 1200-element chain A_standard(1200), whose diagram has 1.44 million
 pairing entries.  The sixth runs `minuscule classify` in-process on that
-chain's file, reading its pairing table as well.  Each budget is three times
-the time measured on a 2-vCPU container (Python 3.11.7): 0.95 s, 0.75 s,
-0.37 s, 0.07 s, 0.22 s and 0.35 s.
+chain's file, reading its pairing table as well.  The seventh builds B(14)
+and verifies its relations on 16384 splits, the size at which a
+representation must verify in seconds.  Each budget is three times the time
+measured on a 2-vCPU container (Python 3.11.7): 0.95 s, 0.75 s, 0.37 s,
+0.07 s, 0.22 s, 0.35 s and 0.96 s.
 """
 
 import contextlib
@@ -33,6 +35,7 @@ COROOT_BUDGET_S = 1.1
 EXTENSION_BUDGET_S = 0.21
 LONG_CHAIN_BUDGET_S = 0.66
 CLI_CHAIN_BUDGET_S = 1.05
+B14_BUDGET_S = 2.9
 
 
 def test_relations_hold_at_thousands_of_splits():
@@ -98,3 +101,14 @@ def test_classify_verb_on_a_chain_file_of_1200(tmp_path):
     assert (code, json.loads(out.getvalue())["components"][0]["family"]) == (0, "A_standard(1200)")
     budget = CLI_CHAIN_BUDGET_S
     assert elapsed <= budget, f"{elapsed:.2f} s over the {budget} s budget"
+
+
+def test_relations_hold_at_sixteen_thousand_splits():
+    started = time.monotonic()
+    p = build(FamilyId("B", 14))
+    basis = splits(p)
+    report = verify_relations(p, basis=basis)
+    elapsed = time.monotonic() - started
+    assert len(basis) == 2**14
+    assert report.all_pass, [c.to_json() for c in report.failures()]
+    assert elapsed <= B14_BUDGET_S, f"{elapsed:.2f} s over the {B14_BUDGET_S} s budget"
