@@ -240,13 +240,15 @@ def cmd_represent(args) -> int:
     basis = splits(p)
     out: dict = {"version": SCHEMA_VERSION, "splits": len(basis)}
     code = 0
+    if args.relations or args.weights or args.matrices:
+        maps = operator_maps(p, basis=basis)
     if args.relations:
-        report = verify_relations(p, full_sweep=args.full_sweep, basis=basis)
+        report = verify_relations(p, full_sweep=args.full_sweep, maps=maps)
         out["relations"] = report.to_json()
         code = 0 if report.all_pass else 1
     if args.weights:
         # a split's weight is its eigenvalue under every diagonal operator
-        h = [(str(a), hs) for a, hs in operator_maps(p, basis=basis).h.items()]
+        h = [(str(a), hs) for a, hs in maps.h.items()]
         out["weights"] = [
             {
                 "ideal": [x for x, b in basis.bit.items() if m & b],
@@ -255,7 +257,7 @@ def cmd_represent(args) -> int:
             for i, m in enumerate(basis.masks)
         ]
     if args.matrices:
-        _, ops = build_operators(p, basis=basis)
+        _, ops = build_operators(p, maps=maps)
         out["operators"] = {
             str(a): {
                 "raising": x.to_coordinate_json(),
@@ -284,8 +286,7 @@ def cmd_coroots(args) -> int:
     if args.j is not None:
         if not 1 <= args.j <= args.n:
             raise InputError(f"--j must lie in 1..{args.n}")
-        filt = system.filter_at(args.j)
-        out["filter"] = [list(b) for b in filt]
+        out["filter"] = [list(b) for b in system.filter_at(args.j)]
         if args.psi:
             p = _load_poset(args.psi)
             real = coroots.psi(p)
@@ -300,17 +301,13 @@ def cmd_coroots(args) -> int:
                     str(x): {"coroot": list(b), "color": str(p.color(x))}
                     for x, b in sorted(real.assignment.items())
                 },
-                "colors_in_order": [
-                    str(real.coloring_of(b)) for b in coroots.coroot_filter(p.diagram, real.j)
-                ],
+                "colors_in_order": [str(real.coloring_of(b)) for b in real.coroot_ids],
             }
         else:
             # filter colored through the indexed poset when one exists
             try:
                 real = coroots.psi(catalog.indexed(args.type.upper(), args.n, args.j))
-                out["colors_in_order"] = [
-                    str(real.coloring_of(b)) for b in real.coroot_ids
-                ]
+                out["colors_in_order"] = [str(real.coloring_of(b)) for b in real.coroot_ids]
             except catalog.NotAMinusculeWeight as exc:
                 if args.dot:
                     print(f"error: no colored filter to draw: {exc}", file=sys.stderr)

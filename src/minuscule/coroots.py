@@ -19,8 +19,8 @@ beta -> beta + alpha_i inside the filter.
 
 Each diagram's `CorootSystem` is built once (`coroot_system`) and shared by
 the command line and `psi`; it computes its positive coroots once, by raising
-steps from the simple coroots, and a reflection reads only the nonzero entries
-of its row.
+steps from the simple coroots, and each filter once per j; a reflection reads
+only the nonzero entries of its row.
 """
 
 from __future__ import annotations
@@ -76,11 +76,6 @@ def _is_positive(beta: Coroot) -> bool:
     return any(beta) and all(v >= 0 for v in beta)
 
 
-def _leq(a: Coroot, b: Coroot) -> bool:
-    """Coroot order: b - a is a nonnegative sum of simple coroots."""
-    return all(x <= y for x, y in zip(a, b))
-
-
 class CorootSystem:
     """The coroot lattice of a connected finite-type diagram, in Kac numbering."""
 
@@ -98,6 +93,7 @@ class CorootSystem:
         # the nonzero entries of each row: node i and its neighbours
         self._row_support = [[(j, v) for j, v in enumerate(row) if v] for row in self.theta]
         self._positive: Optional[tuple[Coroot, ...]] = None
+        self._filters: dict[int, tuple[Coroot, ...]] = {}
 
     # -- reflections ----------------------------------------------------------
 
@@ -111,12 +107,6 @@ class CorootSystem:
         out = list(beta)
         out[i - 1] -= coeff
         return tuple(out)
-
-    def apply_word(self, word: Sequence[int], beta: Coroot) -> Coroot:
-        """Act by the word read right to left (rightmost reflection first)."""
-        for i in reversed(word):
-            beta = self.reflect(i, beta)
-        return beta
 
     def simple(self, i: int) -> Coroot:
         return tuple(1 if j == i - 1 else 0 for j in range(self.n))
@@ -151,9 +141,10 @@ class CorootSystem:
         return max(self.positive_coroots(), key=sum)
 
     def filter_at(self, j: int) -> tuple[Coroot, ...]:
-        """Positive coroots above the simple coroot of node j."""
-        alpha = self.simple(j)
-        return tuple(b for b in self.positive_coroots() if _leq(alpha, b))
+        """Positive coroots above alpha_j (coordinate j nonzero); computed once per j."""
+        if j not in self._filters:
+            self._filters[j] = tuple(b for b in self.positive_coroots() if b[j - 1])
+        return self._filters[j]
 
 
 _SYSTEMS: dict[DynkinDiagram, CorootSystem] = {}
@@ -204,20 +195,29 @@ def inversion_sequence(diagram: DynkinDiagram, word: Sequence[int]) -> list[Coro
     The coroot sequence of the word: entry t is the image of the t-th letter's
     simple coroot (counting from the right) under the t-1 letters right of it.
 
-    For a reduced word these are exactly the word's inversions; a repeat or a
-    negative entry witnesses non-reducedness and raises NotReduced.
+    The product v of the letters read so far is kept as its columns v(alpha_k):
+    as s_i(alpha_k) = alpha_k - theta[i][k] alpha_i, letter i reads column i as
+    its entry, subtracts theta[i][k] times it from each neighbour column k and
+    negates column i, turning v into v s_i.  NotReduced is raised at the first
+    entry that is not positive, with no check for repeats: l(v s_i) > l(v)
+    exactly when v(alpha_i) > 0, so all-positive entries make the word reduced,
+    and a reduced word's entries are its distinct inversions.
     """
     system = coroot_system(diagram)
+    cols = [list(system.simple(k)) for k in range(1, system.n + 1)]
     out: list[Coroot] = []
-    prefix: list[int] = []  # letters i_1 .. i_{t-1}, leftmost acting last
     for i in reversed(word):
-        beta = system.apply_word(prefix, system.simple(i))
+        if not 1 <= i <= system.n:
+            raise NotReduced(f"letter {i} is not a node of {system.type}")
+        col = cols[i - 1]
+        beta = tuple(col)
         if not _is_positive(beta):
             raise NotReduced(f"letter {i} produces a non-positive coroot {beta}")
-        if beta in out:
-            raise NotReduced(f"letter {i} repeats the coroot {beta}")
         out.append(beta)
-        prefix.append(i)
+        for k, t in system._row_support[i - 1]:
+            if k != i - 1:
+                cols[k] = [a - t * b for a, b in zip(cols[k], col)]
+        cols[i - 1] = [-b for b in col]
     return out
 
 
@@ -261,11 +261,17 @@ def psi(p: ColoredPoset) -> PsiRealization:
 
     The word w of one increasing linear extension is read once: its inversion
     sequence, counted from the top, assigns each element its coroot.  Checked
-    on every call: w is reduced (`inversion_sequence`), the image is the
-    filter, the map is injective, it maps the covers, reversed, onto the
-    covers of the coroot filter (so it is a dual isomorphism), each coroot
-    outside the filter stays positive under w, and the colored coroot filter
-    is minuscule.
+    on every call: the input is minuscule and connected, w is reduced
+    (`inversion_sequence`), the image is the filter, and the map sends the
+    covers, reversed, onto the covers of the coroot filter.  The rest follows:
+
+    - The map is injective: a reduced word's entries are distinct.
+    - No coroot outside the filter goes negative under w: a reduced word's
+      entries are exactly {beta > 0 : w beta < 0}, and they are the filter.
+    - The colored coroot filter is minuscule.  The map is a dual isomorphism
+      (both orders are the transitive closures of their covers), so the
+      filter is the colored order dual of the minuscule input; and EC, NA,
+      AC and ICE2 are self-dual, while UCB1 and LCB1 swap.
 
     No element's own word needs a check.  Its up-set is a filter, so some
     linear extension, read downward, lists it first; that extension's word is
@@ -282,28 +288,15 @@ def psi(p: ColoredPoset) -> PsiRealization:
         raise NotMinusculeInput("coroot realization needs a minuscule poset")
     if len(p.maximal_elements()) != 1:
         raise NotMinusculeInput("coroot realization needs a connected poset")
-    system = coroot_system(p.diagram)
     order = first_linear_extension(p)
     word = _word(p, order)
     j = word[-1]  # an increasing extension ends at the top
     assignment = dict(zip(reversed(order), inversion_sequence(p.diagram, word)))
-
-    filt = set(coroot_filter(p.diagram, j))
     image = set(assignment.values())
-    assert image == filt, "image is not the coroot filter"
-    assert len(image) == len(p.elements), "coroot assignment is not injective"
-    # membership certificate for the parabolic quotient: everything outside
-    # the filter stays positive under the word
-    assert all(
-        _is_positive(system.apply_word(word, b)) for b in system.positive_coroots() if b not in filt
-    ), "word moves an outside coroot negative"
+    assert image == set(coroot_filter(p.diagram, j)), "image is not the coroot filter"
 
     coloring = {assignment[x]: p.color(x) for x in p.elements}
     cposet, ids = coroot_poset(p.diagram, j, coloring)
-    # a bijection that maps the covers, reversed, onto the covers is a dual
-    # isomorphism: both orders are the transitive closures of their covers
     reversed_covers = {(ids[assignment[y]], ids[assignment[x]]) for x, y in p.covers}
     assert reversed_covers == cposet.covers, "psi not order reversing"
-    ok, _ = is_minuscule(cposet)
-    assert ok, "colored coroot filter is not minuscule"
     return PsiRealization(p, j, assignment, cposet, ids)

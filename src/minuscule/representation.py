@@ -192,13 +192,14 @@ class IntMatrix:
 
 
 def build_operators(
-    p: ColoredPoset, *, basis: Optional[SplitBasis] = None
+    p: ColoredPoset, *, maps: Optional[OperatorMaps] = None
 ) -> tuple[SplitBasis, dict[Color, tuple[IntMatrix, IntMatrix, IntMatrix]]]:
     """
     The (raising, lowering, diagonal) operator triple for every color, over
-    the canonical split basis, as matrices.  Requires EC (see `operator_maps`).
+    the canonical split basis, as matrices, from `maps` or `operator_maps(p)`.
     """
-    maps = operator_maps(p, basis=basis)
+    if maps is None:
+        maps = operator_maps(p)
     n = len(maps.basis)
     ops: dict[Color, tuple[IntMatrix, IntMatrix, IntMatrix]] = {}
     for a in p.diagram.colors:
@@ -264,7 +265,7 @@ def _first_difference(x: list[int], y: list[int]) -> Optional[int]:
 
 
 def verify_relations(
-    p: ColoredPoset, *, full_sweep: bool = False, basis: Optional[SplitBasis] = None
+    p: ColoredPoset, *, full_sweep: bool = False, maps: Optional[OperatorMaps] = None
 ) -> RelationReport:
     """
     Exact verification of the generator relations on the split basis.
@@ -272,8 +273,8 @@ def verify_relations(
     The nested raising/lowering relations are verified at depth 1 - theta(b,a)
     for all adjacent-or-sampled distant pairs (every pair with full_sweep);
     the diagonal relations run over all pairs.  Also checks that diagonal
-    eigenvalues lie in {-1, 0, 1}.  A failing check records the least basis
-    index s on which the relation is nonzero.
+    eigenvalues lie in {-1, 0, 1}, reading `maps` or `operator_maps(p)`.  A
+    failing check records the least basis index s where the relation is nonzero.
 
     Every word of a relation changes each color's count in the ideal by the
     same amounts, and under EC an ideal is fixed by these counts (it holds an
@@ -306,7 +307,8 @@ def verify_relations(
       coefficients of the words nonzero on e_s, which by the argument above
       all land on one basis vector, must sum to zero.
     """
-    maps = operator_maps(p, basis=basis)
+    if maps is None:
+        maps = operator_maps(p)
     n = len(maps.basis)
     colors = p.diagram.colors
     theta = p.diagram.theta

@@ -587,6 +587,13 @@ def _is_positive(beta: Coroot) -> bool:
     return any(beta) and all(v >= 0 for v in beta)
 
 
+def apply_word(system: CorootSystem, word: tuple[int, ...], beta: Coroot) -> Coroot:
+    """Act by the word read right to left (rightmost reflection first)."""
+    for i in reversed(word):
+        beta = system.reflect(i, beta)
+    return beta
+
+
 def inversion_set_oracle(diagram: DynkinDiagram, word: tuple[int, ...]) -> frozenset[Coroot]:
     """Positive coroots sent negative by the word, found by applying it to
     every positive coroot (independent of any reduced expression bookkeeping)."""
@@ -594,7 +601,7 @@ def inversion_set_oracle(diagram: DynkinDiagram, word: tuple[int, ...]) -> froze
     return frozenset(
         beta
         for beta in system.positive_coroots()
-        if all(v <= 0 for v in system.apply_word(word, beta))
+        if all(v <= 0 for v in apply_word(system, word, beta))
     )
 
 
@@ -638,7 +645,7 @@ def psi_oracle(p: ColoredPoset) -> PsiRealization:
         assignment[x] = seq[-1]
         assert frozenset(seq) == inversion_set_oracle(p.diagram, word), "inversion sequence mismatch"
         assert all(
-            _is_positive(system.apply_word(word, b)) for b in outside
+            _is_positive(apply_word(system, word, b)) for b in outside
         ), "word moves an outside coroot negative"
 
     image = set(assignment.values())

@@ -9,9 +9,12 @@ import sys
 import pytest
 
 import minuscule
+from minuscule import cli, representation
 from minuscule.catalog import FamilyId, all_family_ids, build
 from minuscule.cli import run
+from minuscule.dynkin import validate
 from minuscule.heapwindow import cyclic_chain_window
+from minuscule.poset import ColoredPoset
 
 
 def capture(argv):
@@ -20,6 +23,11 @@ def capture(argv):
     with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(err):
         code = run(argv)
     return code, buf.getvalue(), err.getvalue()
+
+
+def argv_id(value) -> str:
+    """A parameter id: an argv list joined by blanks, a string as it is."""
+    return " ".join(value) if isinstance(value, list) else value
 
 
 def family_args(fam: FamilyId) -> list[str]:
@@ -91,7 +99,7 @@ def test_catalog_family_takes_only_the_n_and_j_that_fit():
         (["verify", "POSET", "--property", "UCB(1"], "UCB(1"),
         (["verify", "POSET", "--property", "LCB1)"], "LCB1)"),
     ],
-    ids=" ".join,
+    ids=argv_id,
 )
 def test_one_input_source_and_exact_property_names(tmp_path, argv, message):
     window, poset = tmp_path / "window.json", tmp_path / "poset.json"
@@ -196,6 +204,28 @@ def test_represent_verb(tmp_path):
         assert set(entry["weight"].values()) <= {-1, 0, 1}
 
 
+def test_represent_builds_the_operator_maps_once(tmp_path, monkeypatch):
+    calls = []
+    original = representation.operator_maps
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "operator_maps", counted)
+    monkeypatch.setattr(representation, "operator_maps", counted)
+    path = tmp_path / "b3.json"
+    path.write_text(json.dumps(build(FamilyId("B", 3)).to_json()))
+    code, out, _ = capture(["represent", str(path), "--relations", "--weights", "--matrices"])
+    assert (code, sorted(json.loads(out))) == (0, ["operators", "relations", "splits", "version", "weights"])
+    assert len(calls) == 1
+    # without a flag no maps are built, so a file that fails EC still counts its splits
+    anti = ColoredPoset(validate(["a"], [[2]]), {1: "a", 2: "a"}, [])
+    path.write_text(json.dumps(anti.to_json()))
+    code, out, _ = capture(["represent", str(path)])
+    assert (code, json.loads(out)["splits"], len(calls)) == (0, 4, 1)
+
+
 def test_coroots_verb():
     code, out, _ = capture(["coroots", "--type", "A", "--n", "4", "--j", "2"])
     assert code == 0
@@ -298,7 +328,7 @@ def test_coroots_refuses_a_rank_outside_its_type(letter, n, message):
         (["catalog", "--index", "A,3"], "letter,n,j"),
         (["catalog", "--index", "A,3,x"], "letter,n,j"),
     ],
-    ids=lambda v: " ".join(v) if isinstance(v, list) else v,
+    ids=argv_id,
 )
 def test_comma_lists_name_their_form(argv, form):
     code, out, err = capture(argv)

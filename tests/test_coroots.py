@@ -1,7 +1,12 @@
+import contextlib
+import io
 import random
+import sys
+from collections import Counter
 
 import pytest
 
+from minuscule import coroots
 from minuscule.catalog import FamilyId, build, diagram_of_type, indexed, minuscule_indices
 from minuscule.coroots import (
     CorootSystem,
@@ -17,6 +22,7 @@ from minuscule.coroots import (
     psi,
     simple_reflection,
 )
+from minuscule.cli import run
 from minuscule.poset import first_linear_extension, order_dual
 
 from helpers import (
@@ -156,6 +162,9 @@ def test_inversion_sequence_rejects_non_reduced():
         inversion_sequence(A4, (1, 1))
     with pytest.raises(NotReduced):
         inversion_sequence(A4, (1, 2, 1, 2, 1, 2))
+    for word in [(0,), (5,), (1, -1)]:  # letters that name no node
+        with pytest.raises(NotReduced):
+            inversion_sequence(A4, word)
 
 
 def test_inversion_sequence_matches_oracle_on_heap_words():
@@ -169,6 +178,49 @@ def test_inversion_sequence_matches_oracle_on_heap_words():
             seq = inversion_sequence(d, word)
             assert len(seq) == len(set(seq)) == len(word)
             assert frozenset(seq) == inversion_set_oracle(d, word)
+
+
+def test_inversion_sequence_refuses_exactly_the_non_reduced_words():
+    # all-positive entries make a word reduced, and a reduced word's entries
+    # are its inversion set, so no repeat check is needed
+    rng = random.Random(seed_from_env() + 32)
+    for letter, n in [("A", 5), ("B", 4), ("C", 4), ("D", 5), ("E", 6), ("E", 7)]:
+        d = diagram_of_type(letter, n)
+        for _ in range(150):
+            word = tuple(rng.randint(1, n) for _ in range(rng.randint(1, 12)))
+            expected = inversion_set_oracle(d, word)
+            if len(expected) < len(word):
+                with pytest.raises(NotReduced):
+                    inversion_sequence(d, word)
+            else:
+                seq = inversion_sequence(d, word)
+                assert len(set(seq)) == len(word) and frozenset(seq) == expected, (letter, n, word)
+
+
+def test_inversion_set_of_psi_word_is_the_filter():
+    # the whole word sends exactly the filter negative, so every positive
+    # coroot outside it stays positive: psi's certificate by argument
+    for letter, n, j in minuscule_indices(8):
+        p = indexed(letter, n, j)
+        numbering = CorootSystem(p.diagram).type.numbering_map
+        word = tuple(numbering[p.color(z)] for z in first_linear_extension(p))
+        assert psi(p).j == j
+        assert inversion_set_oracle(p.diagram, word) == frozenset(coroot_filter(p.diagram, j)), (letter, n, j)
+
+
+def test_coroots_verb_scans_for_the_filter_once(monkeypatch):
+    callers = Counter()
+    original = CorootSystem.positive_coroots
+
+    def counted(self):
+        callers[sys._getframe(1).f_code.co_name] += 1
+        return original(self)
+
+    monkeypatch.setattr(coroots, "_SYSTEMS", {})
+    monkeypatch.setattr(CorootSystem, "positive_coroots", counted)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run(["coroots", "--type", "B", "--n", "8", "--j", "8"]) == 0
+    assert callers == {"cmd_coroots": 1, "highest_coroot": 1, "filter_at": 1}
 
 
 def test_word_set_independent_of_linear_extension():
@@ -241,22 +293,6 @@ def test_psi_matches_per_element_oracle():
         assert real.assignment == expected.assignment
         assert real.coroot_ids == expected.coroot_ids
         assert real.coroot_poset == expected.coroot_poset
-
-
-def test_psi_refuses_a_word_that_moves_an_outside_coroot_negative(monkeypatch):
-    # no valid poset trips the certificate, so the whole word's action is
-    # sabotaged on the coroots outside the filter
-    p = indexed("A", 4, 2)
-    filt = set(coroot_filter(p.diagram, 2))
-    apply_word = CorootSystem.apply_word
-
-    def sabotaged(self, word, beta):
-        image = apply_word(self, word, beta)
-        return tuple(-v for v in image) if len(word) == len(p) and beta not in filt else image
-
-    monkeypatch.setattr(CorootSystem, "apply_word", sabotaged)
-    with pytest.raises(AssertionError, match="outside coroot"):
-        psi(p)
 
 
 def test_psi_refuses_an_assignment_that_breaks_the_order(monkeypatch):

@@ -11,9 +11,11 @@ the 1200-element chain A_standard(1200), whose diagram has 1.44 million
 pairing entries.  The sixth runs `minuscule classify` in-process on that
 chain's file, reading its pairing table as well.  The seventh builds B(14)
 and verifies its relations on 16384 splits, the size at which a
-representation must verify in seconds.  Each budget is three times the time
-measured on a 2-vCPU container (Python 3.11.7): 0.95 s, 0.75 s, 0.37 s,
-0.07 s, 0.22 s, 0.35 s and 0.96 s.
+representation must verify in seconds.  The eighth realizes the 465-element
+B(30) and the 435-element D_spin(30) as coroot filters, each as the first
+coroot call on its diagram, with a budget each.  Each budget is three times
+the time measured on a 2-vCPU container (Python 3.11.7): 0.95 s, 0.75 s,
+0.37 s, 0.07 s, 0.22 s, 0.35 s, 0.96 s, and 0.15 s and 0.14 s.
 """
 
 import contextlib
@@ -22,12 +24,13 @@ import json
 import math
 import time
 
+from minuscule import coroots
 from minuscule.catalog import FamilyId, build, diagram_of_type, top_tree_Y
 from minuscule.classify import classify
 from minuscule.cli import run
 from minuscule.coroots import CorootSystem, psi
 from minuscule.extension import run_extension
-from minuscule.representation import splits, verify_relations
+from minuscule.representation import operator_maps, splits, verify_relations
 
 BUDGET_S = 2.85
 CLASSIFY_BUDGET_S = 2.25
@@ -36,6 +39,8 @@ EXTENSION_BUDGET_S = 0.21
 LONG_CHAIN_BUDGET_S = 0.66
 CLI_CHAIN_BUDGET_S = 1.05
 B14_BUDGET_S = 2.9
+PSI_B30_BUDGET_S = 0.45
+PSI_D_SPIN30_BUDGET_S = 0.42
 
 
 def test_relations_hold_at_thousands_of_splits():
@@ -107,8 +112,22 @@ def test_relations_hold_at_sixteen_thousand_splits():
     started = time.monotonic()
     p = build(FamilyId("B", 14))
     basis = splits(p)
-    report = verify_relations(p, basis=basis)
+    report = verify_relations(p, maps=operator_maps(p, basis=basis))
     elapsed = time.monotonic() - started
     assert len(basis) == 2**14
     assert report.all_pass, [c.to_json() for c in report.failures()]
     assert elapsed <= B14_BUDGET_S, f"{elapsed:.2f} s over the {B14_BUDGET_S} s budget"
+
+
+def test_psi_of_b30_and_d_spin30_cold(monkeypatch):
+    for fam, budget in [
+        (FamilyId("B", 30), PSI_B30_BUDGET_S),
+        (FamilyId("D_spin", 30), PSI_D_SPIN30_BUDGET_S),
+    ]:
+        p = build(fam)
+        monkeypatch.setattr(coroots, "_SYSTEMS", {})  # no coroot system is built yet
+        started = time.monotonic()
+        real = psi(p)
+        elapsed = time.monotonic() - started
+        assert len(real.assignment) == len(p), str(fam)
+        assert elapsed <= budget, f"{fam}: {elapsed:.2f} s over the {budget} s budget"
