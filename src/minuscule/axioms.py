@@ -18,13 +18,22 @@ Census properties (all sums weighted by the negated pairing integers):
 A finite poset satisfying EC, NA, AC, ICE2, UCB1 is *d-complete*; adding
 LCB1 makes it *minuscule*.  The dominant-minuscule-heap axioms S1-S4 describe
 the same finite posets through different quantifiers and are checked verbatim.
+
+The coloring axioms come from two passes over a poset's masks.  The
+comparability pass decides EC, NA and AC in one loop over positions; the
+census pass computes the ICE2 interval census of each consecutive
+same-colored pair and the frontier census of each class extreme, which UCBk
+and LCBk filter for any k.  `check` is the one entry point: the first check
+of a property runs its pass, which is kept on that `ColoredPoset` instance,
+so `is_minuscule` runs each pass once, and EC alone runs no census pass.
+Nothing is shared between instances.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Callable, Iterable, Iterator
 
 from .dynkin import Color
 from .poset import ColoredPoset, bits, top_tree
@@ -103,35 +112,17 @@ def _adjacent_masks(p: ColoredPoset) -> dict[Color, int]:
     return out
 
 
-def _census_terms(p: ColoredPoset) -> dict[Color, list[tuple[int, int]]]:
-    """Per color a, the (class mask of b, -theta(b, a)) pairs over b = a and
-    the colors adjacent to a: a set's census for a weighs each of its
-    elements by its color, and distant colors weigh nothing."""
-    d, classes = p.diagram, p.class_masks
-    return {
-        a: [(classes[a], -2)] + [(classes[b], -d.theta(b, a)) for b in d.neighbors(a)]
-        for a in d.colors
-    }
-
-
-def _census(terms: list[tuple[int, int]], mask: int) -> int:
-    return sum(w * (mask & m).bit_count() for m, w in terms)
+def _census(terms: Iterable[tuple[int, int]], mask: int) -> int:
+    """The census of a mask over (weight, class mask) terms."""
+    census = 0
+    for w, m in terms:
+        census += w * (mask & m).bit_count()
+    return census
 
 
 def _later_incomparable(p: ColoredPoset, i: int, candidates: int) -> int:
     """The candidates at positions after i that are incomparable to element i."""
     return candidates >> (i + 1) << (i + 1) & ~(p.up_masks[i] | p.down_masks[i])
-
-
-def _check_ec(p: ColoredPoset) -> list[Witness]:
-    bad = []
-    els = p.elements
-    for a in p.diagram.colors:
-        cls = p.class_masks[a]
-        for i in bits(cls):
-            for j in bits(_later_incomparable(p, i, cls)):
-                bad.append(Witness((els[i], els[j]), note=f"equal color {a!r}, incomparable"))
-    return bad
 
 
 def _covers_in_order(p: ColoredPoset) -> Iterator[tuple[int, int]]:
@@ -141,23 +132,22 @@ def _covers_in_order(p: ColoredPoset) -> Iterator[tuple[int, int]]:
             yield x, y
 
 
-def _check_na(p: ColoredPoset) -> list[Witness]:
-    adjacent, position = _adjacent_masks(p), p.position
-    bad = []
-    for x, y in _covers_in_order(p):
-        a, b = p.coloring[x], p.coloring[y]
-        if not adjacent[a] >> position[y] & 1:
-            bad.append(Witness((x, y), note=f"cover with non-adjacent colors {a!r},{b!r}"))
-    return bad
-
-
-def _check_ac(p: ColoredPoset) -> list[Witness]:
-    adjacent, els = _adjacent_masks(p), p.elements
-    bad = []
-    for i, x in enumerate(els):
-        for j in bits(_later_incomparable(p, i, adjacent[p.coloring[x]])):
-            bad.append(Witness((x, els[j]), note="adjacent colors, incomparable"))
-    return bad
+def _next_above(p: ColoredPoset, i: int, cls: int) -> list[int]:
+    """The minimal elements of the class mask cls strictly above position i,
+    by position.  Each element scanned takes itself and all above it out of
+    the scan.  The scan runs from the highest position, so in a chain
+    numbered top down, as the catalog and the extension number theirs, it
+    takes one step."""
+    up, down = p.up_masks, p.down_masks
+    above = up[i] & cls
+    nexts, rest = [], above
+    while rest:
+        j = rest.bit_length() - 1
+        if not down[j] & above:
+            nexts.append(j)
+        rest &= ~(up[j] | 1 << j)
+    nexts.reverse()
+    return nexts
 
 
 def _consecutive(p: ColoredPoset, a: Color) -> Iterator[tuple[int, int]]:
@@ -165,48 +155,96 @@ def _consecutive(p: ColoredPoset, a: Color) -> Iterator[tuple[int, int]]:
     strictly between, sorted: above each x, the minimal elements of its class."""
     cls = p.class_masks[a]
     for i in bits(cls):
-        above = p.up_masks[i] & cls
-        for j in bits(above):
-            if not p.down_masks[j] & above:
-                yield i, j
+        for j in _next_above(p, i, cls):
+            yield i, j
 
 
-def _check_ice2(p: ColoredPoset) -> list[Witness]:
-    terms, els = _census_terms(p), p.elements
-    bad = []
-    for a in p.diagram.colors:
-        for i, j in _consecutive(p, a):
-            census = _census(terms[a], p.up_masks[i] & p.down_masks[j])
-            if census != 2:
-                bad.append(
-                    Witness((els[i], els[j]), value=census, note=f"interval census for {a!r}")
-                )
-    return bad
+def _report(name: str, witnesses: list[Witness]) -> AxiomReport:
+    return AxiomReport(name, not witnesses, tuple(witnesses))
 
 
-def _frontier_censuses(p: ColoredPoset, upper: bool) -> list[tuple[Color, int, int]]:
-    """(color, extreme element, census) triples over maximal/minimal elements
-    of each color class.  Nothing of an extreme element's own color lies
-    beyond it, so its frontier census is the census of all it reaches."""
-    terms = _census_terms(p)
-    reach = p.up_masks if upper else p.down_masks
-    out = []
-    for a in p.diagram.colors:
-        cls = p.class_masks[a]
+def _memo(p: ColoredPoset, run: Callable[[ColoredPoset], dict]) -> dict:
+    """The result of one pass over p, run at most once per poset and kept on
+    it, so each later `check` of the pass's properties only reads it."""
+    memo, key = vars(p), run.__name__
+    result = memo.get(key)
+    if result is None:
+        result = memo[key] = run(p)
+    return result
+
+
+def _comparability_pass(p: ColoredPoset) -> dict[str, AxiomReport]:
+    """The EC, NA and AC reports, in one loop over positions.
+
+    The elements after position i outside its up- and down-masks are the
+    later elements incomparable to it: within its class they are its EC
+    witnesses, within the classes of its color's neighbours its AC
+    witnesses.  Its upper covers outside those neighbour classes are its NA
+    witnesses.  NA and AC are listed in element order, and EC, gathered in
+    element order too, is then sorted color-major."""
+    adjacent, classes, coloring = _adjacent_masks(p), p.class_masks, p.coloring
+    els, up, down, covers = p.elements, p.up_masks, p.down_masks, p.cover_masks
+    ec: list[tuple[Color, Witness]] = []
+    na: list[Witness] = []
+    ac: list[Witness] = []
+    for i, x in enumerate(els):
+        a = coloring[x]
+        near = adjacent[a]
+        later = ~(up[i] | down[i] | (2 << i) - 1)
+        if later & classes[a]:
+            note = f"equal color {a!r}, incomparable"
+            ec += [(a, Witness((x, els[j]), note=note)) for j in bits(later & classes[a])]
+        if covers[i] & ~near:
+            for j in bits(covers[i] & ~near):
+                note = f"cover with non-adjacent colors {a!r},{coloring[els[j]]!r}"
+                na.append(Witness((x, els[j]), note=note))
+        if later & near:
+            note = "adjacent colors, incomparable"
+            ac += [Witness((x, els[j]), note=note) for j in bits(later & near)]
+    ec.sort(key=lambda aw: p.diagram.index(aw[0]))
+    return {
+        "EC": _report("EC", [w for _, w in ec]),
+        "NA": _report("NA", na),
+        "AC": _report("AC", ac),
+    }
+
+
+def _census_pass(p: ColoredPoset) -> dict:
+    """The ICE2 report and the frontier censuses, in one loop over each color
+    class.
+
+    Per color a: the census of the open interval of each consecutive pair of
+    a-elements, and the census of all that each maximal ("UCB") or minimal
+    ("LCB") a-element reaches, as (color, element, census) triples that UCBk
+    and LCBk filter for any k.  Neither set holds an element of color a, so a
+    census for a weighs only the classes of a's neighbours, those of equal
+    weight counted together; distant colors weigh nothing.  ICE2 witnesses
+    are listed color-major, each pair by its lower element and then its
+    upper one; the triples color-major, in element order within a class."""
+    d, classes, els, up, down = p.diagram, p.class_masks, p.elements, p.up_masks, p.down_masks
+    ice2: list[Witness] = []
+    upper: list[tuple[Color, int, int]] = []
+    lower: list[tuple[Color, int, int]] = []
+    for a in d.colors:
+        weights: dict[int, int] = {}
+        for b in d.neighbors(a):
+            w = -d.theta(b, a)
+            weights[w] = weights.get(w, 0) | classes[b]
+        terms = weights.items()
+        cls = classes[a]
         for i in bits(cls):
-            if not reach[i] & cls:
-                out.append((a, p.elements[i], _census(terms[a], reach[i])))
-    return out
-
-
-def _check_frontier(p: ColoredPoset, k: int, upper: bool) -> list[Witness]:
-    """UCBk (upper) or LCBk: every frontier census is at most k."""
-    side = "upper" if upper else "lower"
-    return [
-        Witness((x,), value=census, note=f"{side} frontier census for {a!r}")
-        for a, x, census in _frontier_censuses(p, upper)
-        if census > k
-    ]
+            ui, di = up[i], down[i]
+            if ui & cls:
+                for j in _next_above(p, i, cls):
+                    census = _census(terms, ui & down[j])
+                    if census != 2:
+                        note = f"interval census for {a!r}"
+                        ice2.append(Witness((els[i], els[j]), value=census, note=note))
+            else:
+                upper.append((a, els[i], _census(terms, ui)))
+            if not di & cls:
+                lower.append((a, els[i], _census(terms, di)))
+    return {"ICE2": _report("ICE2", ice2), "UCB": upper, "LCB": lower}
 
 
 def _check_s1(p: ColoredPoset) -> list[Witness]:
@@ -278,31 +316,32 @@ def _check_s4(p: ColoredPoset) -> list[Witness]:
 # UCBk or UCB(k), and the same for LCB
 _PARAM = re.compile(r"(UCB|LCB)(?:(\d+)|\((\d+)\))")
 
-
-_SIMPLE = {
-    "EC": _check_ec,
-    "NA": _check_na,
-    "AC": _check_ac,
-    "ICE2": _check_ice2,
-    "S1": _check_s1,
-    "S2": _check_s2,
-    "S3": _check_s3,
-    "S4": _check_s4,
-}
+_HEAP = {"S1": _check_s1, "S2": _check_s2, "S3": _check_s3, "S4": _check_s4}
 
 
 def check(p: ColoredPoset, prop: str) -> AxiomReport:
-    """Verify one named property, collecting every witness of failure."""
+    """Verify one named property, collecting every witness of failure.  The
+    coloring axioms read the pass they belong to, run once per poset."""
     name = prop.strip().upper()
-    if name in _SIMPLE:
-        witnesses = _SIMPLE[name](p)
-    else:
-        m = _PARAM.fullmatch(name)
-        if not m:
-            raise UnknownProperty(prop)
-        k = int(m.group(2) or m.group(3))
-        witnesses = _check_frontier(p, k, upper=m.group(1) == "UCB")
-    return AxiomReport(name, not witnesses, tuple(witnesses))
+    if name in ("EC", "NA", "AC"):
+        return _memo(p, _comparability_pass)[name]
+    if name == "ICE2":
+        return _memo(p, _census_pass)[name]
+    if name in _HEAP:
+        return _report(name, _HEAP[name](p))
+    m = _PARAM.fullmatch(name)
+    if not m:
+        raise UnknownProperty(
+            f"unknown property {prop!r}; expected EC, NA, AC, ICE2, S1-S4, "
+            "UCBk/UCB(k) or LCBk/LCB(k)"
+        )
+    side, k = m.group(1), int(m.group(2) or m.group(3))
+    note = "upper" if side == "UCB" else "lower"
+    return _report(name, [
+        Witness((x,), value=census, note=f"{note} frontier census for {a!r}")
+        for a, x, census in _memo(p, _census_pass)[side]
+        if census > k
+    ])
 
 
 def is_d_complete(p: ColoredPoset) -> tuple[bool, list[AxiomReport]]:

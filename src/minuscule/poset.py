@@ -20,6 +20,7 @@ the order induced on any subset: above each kept x, the minimal elements of
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
 from itertools import chain
 from typing import Iterable, Iterator, Mapping, Optional
 
@@ -54,7 +55,8 @@ class ColoredPoset:
 
     Beside the ids, it keeps the order as masks over positions: ``up_masks[i]``
     and ``down_masks[i]`` are the elements strictly above and strictly below
-    ``elements[i]``, and ``class_masks[a]`` is the color class of a."""
+    ``elements[i]``, ``cover_masks[i]`` the elements covering it, and
+    ``class_masks[a]`` is the color class of a."""
 
     def __init__(
         self,
@@ -112,6 +114,7 @@ class ColoredPoset:
         if len(order) < n:
             raise PosetError("covers contain a cycle")
         above = [0] * n
+        cover = [0] * n
         redundant = False
         for i in reversed(order):
             reach = tops = 0
@@ -121,7 +124,8 @@ class ColoredPoset:
             # Hasse property: no cover may be implied by a longer path
             redundant = redundant or bool(reach & tops)
             above[i] = reach | tops
-        self.up_masks, self.down_masks = above, below
+            cover[i] = tops
+        self.up_masks, self.down_masks, self.cover_masks = above, below, cover
         if redundant:
             for x, y in self.covers:
                 if any(above[position[z]] >> position[y] & 1 for z in self._up[x]):
@@ -357,21 +361,27 @@ def top_tree(poset: ColoredPoset) -> TopTree:
 
 def first_linear_extension(poset: ColoredPoset, within: Optional[Iterable[int]] = None) -> tuple[int, ...]:
     """Deterministic linear extension (lowest available id first), optionally of
-    a convex subset given as an element set."""
+    a convex subset given as an element set.
+
+    One pass of Kahn's algorithm over the covers between members, with the
+    available members on a heap: a member becomes available once its lower
+    covers among the members are placed."""
     members = sorted(within) if within is not None else list(poset.elements)
-    mset = set(members)
-    used: set[int] = set()
+    waiting = dict.fromkeys(members, 0)
+    for x in waiting:
+        waiting[x] = sum(z in waiting for z in poset.covered_by_x(x))
+    ready = [x for x, count in waiting.items() if not count]
     out: list[int] = []
-    while len(out) < len(members):
-        for x in members:
-            if x in used:
-                continue
-            if all(z in used for z in poset.covered_by_x(x) if z in mset):
-                used.add(x)
-                out.append(x)
-                break
-        else:
-            raise PosetError("no linear extension; covers are cyclic")
+    while ready:
+        x = heappop(ready)
+        out.append(x)
+        for y in poset.covers_of(x):
+            if y in waiting:
+                waiting[y] -= 1
+                if not waiting[y]:
+                    heappush(ready, y)
+    if len(out) < len(members):
+        raise PosetError("no linear extension; covers are cyclic")
     return tuple(out)
 
 

@@ -14,9 +14,9 @@ most one basis vector: it is stored as a partial map on split indices (the
 lowering map is the inverse of the raising one), and the diagonal operator as
 a vector.  The generator relations are decided from these maps by three
 arguments, with no matrix products and no word evaluated term by term except
-the brackets of depth 3 or more: HH and the eigenvalue range hold by
-construction; HX and HY are one comparison of packed weights per color; XY
-and the brackets of depth 1 and 2 are equalities of target lists (see
+the brackets of depth 3 or more: HH, the eigenvalue range and XY with a != b
+hold by construction; HX and HY are one comparison of packed weights per
+color; the brackets of depth 1 and 2 are equalities of target lists (see
 `verify_relations`).  `IntMatrix` serves the matrix export.
 """
 
@@ -292,12 +292,17 @@ def verify_relations(
       the packed row theta(a, .) over the domain of X_a; HY is the same check
       along Y_a with the row negated.  Only a color whose packed check fails
       is evaluated per b.
-    - XY with a != b, and XX and YY at depth 1 or 2.  Every word has
-      coefficient 1 or 0 on e_s, so x - y vanishes exactly where both words
-      send e_s to the same place, and x - 2y + z exactly where all three do.
-      The relation holds exactly when the words' target lists are equal,
-      index n standing for zero, and the first index where two lists differ
-      is the failing one.
+    - XY with a != b holds on every EC poset.  Let x be the least a-element
+      of the filter F and y the top b-element of the ideal I of split s.
+      Y_b moves only y and X_a only x, and a != b, so X_a Y_b e_s and
+      Y_b X_a e_s are both nonzero exactly when the lower covers of x lie in
+      I, the upper covers of y lie in F, and y is not covered by x; both
+      words then land on the split of the ideal I - y + x.
+    - XX and YY at depth 1 or 2.  Every word has coefficient 1 or 0 on e_s,
+      so x - y vanishes exactly where both words send e_s to the same place,
+      and x - 2y + z exactly where all three do.  The relation holds exactly
+      when the words' target lists are equal, index n standing for zero, and
+      the first index where two lists differ is the failing one.
     - XY with a = b.  X_a Y_a e_s = e_s wherever Y_a e_s is nonzero, and
       Y_a X_a e_s = e_s wherever X_a e_s is nonzero (each moves one chain
       element out and back), so the relation sends e_s to
@@ -390,15 +395,10 @@ def verify_relations(
         hx = weight_failures(up, row)
         hy = weight_failures(down, [-v for v in row])
         both = next((s for s, (u, d) in enumerate(zip(up, down)) if u >= 0 and d >= 0), None)
-        xa = moves["X", a]
         for b in colors:
             record("HH", a, b, None)
             record("HX", a, b, hx.get(b))
             record("HY", a, b, hy.get(b))
-            if a == b:
-                record("XY", a, b, both)
-            else:
-                yb = moves["Y", b]
-                record("XY", a, b, _first_difference(_then(yb, xa), _then(xa, yb)))
+            record("XY", a, b, both if a == b else None)
 
     return RelationReport(tuple(checks), True)

@@ -306,6 +306,27 @@ def linear_extensions(poset: ColoredPoset) -> Iterator[tuple[int, ...]]:
     return rec()
 
 
+def first_linear_extension_oracle(poset: ColoredPoset, within=None) -> tuple[int, ...]:
+    """Reference `first_linear_extension`: for each place, rescan the members
+    from the lowest id for the first one whose lower covers among the
+    members are all placed."""
+    members = sorted(within) if within is not None else list(poset.elements)
+    mset = set(members)
+    used: set[int] = set()
+    out: list[int] = []
+    while len(out) < len(members):
+        for x in members:
+            if x in used:
+                continue
+            if all(z in used for z in poset.covered_by_x(x) if z in mset):
+                used.add(x)
+                out.append(x)
+                break
+        else:
+            raise PosetError("no linear extension; covers are cyclic")
+    return tuple(out)
+
+
 class NotRanked(PosetError):
     """The poset admits no rank function with unit steps along covers."""
 

@@ -1,7 +1,9 @@
+import functools
 import random
 
 import pytest
 
+from minuscule import axioms
 from minuscule.axioms import (
     NotConnectedPoset,
     NotDComplete,
@@ -13,6 +15,7 @@ from minuscule.axioms import (
     is_slant_irreducible,
 )
 from minuscule.catalog import FamilyId, all_family_ids, build, indexed, top_tree_Y
+from minuscule.classify import classify
 from minuscule.dynkin import is_simply_laced, validate
 from minuscule.extension import run_extension
 from minuscule.poset import ColoredPoset, connected_components, disjoint_union, order_dual
@@ -25,7 +28,8 @@ from helpers import (
     seed_from_env,
 )
 
-PROPERTIES = ("EC", "NA", "AC", "ICE2", "UCB1", "LCB1", "UCB2", "LCB0", "S1", "S2", "S3", "S4")
+COLORING = ("EC", "NA", "AC", "ICE2", "UCB0", "UCB1", "UCB2", "UCB3", "LCB0", "LCB(1)", "LCB(2)", "LCB(3)")
+PROPERTIES = COLORING + ("S1", "S2", "S3", "S4")
 
 
 def test_ec_counterexample_with_witness():
@@ -182,13 +186,73 @@ def test_connected_iff_diagram_connected_for_d_complete():
 
 
 def test_checks_equal_the_pair_scan_oracle():
+    # witness tuples in order, each poset fresh so its passes run here; the
+    # Y seeds are the 308 that `extend` grows to 16 elements
     rng = random.Random(seed_from_env() + 20)
+    seeds = [
+        top_tree_Y(i, j, k) for i in range(1, 16) for j in range(1, 16) for k in range(j, 17 - i - j)
+    ]
+    assert len(seeds) == 308
     failing = {name: 0 for name in PROPERTIES}
-    for p in differential_posets(rng):
+    for p in list(differential_posets(rng)) + seeds:
         for name in PROPERTIES:
             report = check(p, name)
-            expected = check_oracle(p, name)
-            assert report == expected, (name, sorted(p.coloring.items()), sorted(p.covers))
+            expected = check_oracle(p, name.replace("(", "").replace(")", ""))
+            assert report.witnesses == expected.witnesses and report.holds == expected.holds, (
+                name,
+                sorted(p.coloring.items()),
+                sorted(p.covers),
+            )
             failing[name] += not report.holds
     # both verdicts of every property are exercised, S4 aside (cycles are rare)
     assert all(failing[name] for name in PROPERTIES if name != "S4"), failing
+
+
+@pytest.fixture
+def pass_calls(monkeypatch):
+    """The posets each pass ran on, by pass name."""
+    calls = {}
+    for name in ("_comparability_pass", "_census_pass"):
+        run = getattr(axioms, name)
+
+        @functools.wraps(run)
+        def counted(p, run=run, name=name):
+            calls.setdefault(name, []).append(p)
+            return run(p)
+
+        monkeypatch.setattr(axioms, name, counted)
+    return calls
+
+
+def test_is_minuscule_runs_each_pass_once(pass_calls):
+    for fam in all_family_ids(5):
+        p = build(fam)
+        pass_calls.clear()
+        is_minuscule(p)
+        assert {name: len(ps) for name, ps in pass_calls.items()} == {
+            "_comparability_pass": 1,
+            "_census_pass": 1,
+        }
+
+
+def test_ec_alone_runs_no_census_pass(pass_calls):
+    p = build(FamilyId("B", 4))
+    assert check(p, "EC").holds
+    assert list(pass_calls) == ["_comparability_pass"]
+
+
+def test_a_second_check_recomputes_nothing(pass_calls):
+    p = build(FamilyId("D_spin", 5))
+    first = [check(p, name) for name in COLORING]
+    assert [len(ps) for ps in pass_calls.values()] == [1, 1]
+    assert [check(p, name) for name in COLORING + COLORING] == first + first
+    assert [len(ps) for ps in pass_calls.values()] == [1, 1]
+
+
+def test_classify_reads_cross_component_reports_from_one_pass(pass_calls):
+    union = disjoint_union([build(FamilyId("B", 3)), build(FamilyId("A_standard", 3))])
+    result = classify(union)
+    assert result.minuscule and len(result.components) == 2
+    runs = pass_calls["_comparability_pass"]
+    assert sum(q is union for q in runs) == 1
+    assert len(runs) == 3  # the union and each component

@@ -98,6 +98,11 @@ def test_catalog_family_takes_only_the_n_and_j_that_fit():
         (["window", "WINDOW", "--chain", "3,2"], "not allowed with"),
         (["verify", "POSET", "--property", "UCB(1"], "UCB(1"),
         (["verify", "POSET", "--property", "LCB1)"], "LCB1)"),
+        (
+            ["verify", "POSET", "--property", "XYZ"],
+            "error: unknown property 'XYZ'; expected EC, NA, AC, ICE2, S1-S4, UCBk/UCB(k) or LCBk/LCB(k)",
+        ),
+        (["verify", "POSET", "--property", " "], "error: unknown property ' '; expected EC,"),
     ],
     ids=argv_id,
 )

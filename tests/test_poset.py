@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from minuscule.catalog import FamilyId, build, indexed, top_tree_Y
+from minuscule.catalog import FamilyId, all_family_ids, build, indexed, top_tree_Y
 from minuscule.dynkin import is_simply_laced, validate
 from minuscule.poset import (
     ColoredPoset,
@@ -23,6 +23,7 @@ from helpers import (
     brute_force_linear_extension_count,
     ch_set,
     differential_posets,
+    first_linear_extension_oracle,
     linear_extensions,
     random_colored_poset,
     rank_function,
@@ -99,6 +100,8 @@ def test_order_queries_equal_the_frozenset_oracle():
         for x in p.elements:
             assert p.up_set(x) == o.up_set(x)
             assert p.down_set(x) == o.down_set(x)
+            covering = {y for z, y in p.covers if z == x}
+            assert p.members(p.cover_masks[p.position[x]]) == tuple(sorted(covering))
             for y in p.elements:
                 assert p.lt(x, y) == o.lt(x, y)
                 assert p.open_interval(x, y) == o.open_interval(x, y)
@@ -171,8 +174,6 @@ def test_ch_set_examples():
 
 
 def test_top_tree_equals_ch_for_simply_laced_catalog():
-    from minuscule.catalog import all_family_ids
-
     for fam in all_family_ids(6):
         p = build(fam)
         if is_simply_laced(p.diagram):
@@ -222,6 +223,25 @@ def test_first_linear_extension_is_minimal_id_greedy():
     ext = first_linear_extension(p)
     assert ext[0] == p.minimal_elements()[0]
     assert set(ext) == set(p.elements)
+
+
+def test_first_linear_extension_equals_the_rescan_oracle():
+    rng = random.Random(seed_from_env() + 5)
+    catalog = [build(fam) for fam in all_family_ids(8)]
+    for p in catalog + list(differential_posets(rng)):
+        assert first_linear_extension(p) == first_linear_extension_oracle(p)
+        # the up-set of every element, as `psi` reads it, and a random up-set
+        ups = [p.up_set(x) for x in p.elements]
+        for within in ups + [frozenset().union(*rng.sample(ups, min(3, len(ups))))]:
+            assert first_linear_extension(p, within=within) == first_linear_extension_oracle(
+                p, within=within
+            )
+    p = indexed("A", 2, 1)
+    for within in ([p.elements[0], p.elements[0]], [p.elements[0], p.elements[0], p.elements[1]]):
+        with pytest.raises(PosetError):
+            first_linear_extension(p, within=within)
+        with pytest.raises(PosetError):
+            first_linear_extension_oracle(p, within=within)
 
 
 def test_colored_isomorphism_identity_and_flip():

@@ -22,6 +22,7 @@ from helpers import (
     brute_force_ideal_count,
     build_operators_oracle,
     commutator,
+    differential_posets,
     mat_scale,
     random_colored_poset,
     seed_from_env,
@@ -277,3 +278,16 @@ def test_pairings_below_minus_two_match_the_oracle():
     assert min(v for p in posets for row in p.diagram.matrix for v in row) <= -3
     for p in posets:
         assert_matches_oracle(p)
+
+
+def test_xy_of_distinct_colors_holds_on_every_ec_poset():
+    # decided by construction; the matrix oracle composes every pair
+    rng = random.Random(seed_from_env() + 30)
+    checked = 0
+    for p in differential_posets(rng):
+        if len(p) <= 14 and check(p, "EC").holds:
+            report = verify_relations_oracle(p, full_sweep=True)
+            assert verify_relations(p, full_sweep=True) == report, p
+            assert all(c.ok for c in report.checks if c.relation == "XY" and c.a != c.b), p
+            checked += 1
+    assert checked >= 150

@@ -13,9 +13,12 @@ chain's file, reading its pairing table as well.  The seventh builds B(14)
 and verifies its relations on 16384 splits, the size at which a
 representation must verify in seconds.  The eighth realizes the 465-element
 B(30) and the 435-element D_spin(30) as coroot filters, each as the first
-coroot call on its diagram, with a budget each.  Each budget is three times
-the time measured on a 2-vCPU container (Python 3.11.7): 0.95 s, 0.75 s,
-0.37 s, 0.07 s, 0.22 s, 0.35 s, 0.96 s, and 0.15 s and 0.14 s.
+coroot call on its diagram, with a budget each.  The ninth runs
+`is_minuscule` cold on A_standard(1200) and on B(30), so both axiom passes
+run, with a budget each on the best of three fresh copies.  Each budget is
+three times the time measured on a 2-vCPU container (Python 3.11.7):
+0.95 s, 0.75 s, 0.37 s, 0.07 s, 0.22 s, 0.35 s, 0.96 s, 0.15 s and 0.14 s,
+and 0.0086 s and 0.0018 s.
 """
 
 import contextlib
@@ -25,11 +28,13 @@ import math
 import time
 
 from minuscule import coroots
+from minuscule.axioms import is_minuscule
 from minuscule.catalog import FamilyId, build, diagram_of_type, top_tree_Y
 from minuscule.classify import classify
 from minuscule.cli import run
 from minuscule.coroots import CorootSystem, psi
 from minuscule.extension import run_extension
+from minuscule.poset import ColoredPoset
 from minuscule.representation import operator_maps, splits, verify_relations
 
 BUDGET_S = 2.85
@@ -41,6 +46,8 @@ CLI_CHAIN_BUDGET_S = 1.05
 B14_BUDGET_S = 2.9
 PSI_B30_BUDGET_S = 0.45
 PSI_D_SPIN30_BUDGET_S = 0.42
+AXIOMS_A1200_BUDGET_S = 0.026
+AXIOMS_B30_BUDGET_S = 0.0054
 
 
 def test_relations_hold_at_thousands_of_splits():
@@ -131,3 +138,20 @@ def test_psi_of_b30_and_d_spin30_cold(monkeypatch):
         elapsed = time.monotonic() - started
         assert len(real.assignment) == len(p), str(fam)
         assert elapsed <= budget, f"{fam}: {elapsed:.2f} s over the {budget} s budget"
+
+
+def test_axioms_of_a_chain_of_1200_and_b30_cold():
+    for fam, budget in [
+        (FamilyId("A_standard", 1200), AXIOMS_A1200_BUDGET_S),
+        (FamilyId("B", 30), AXIOMS_B30_BUDGET_S),
+    ]:
+        built = build(fam)
+        times = []
+        for _ in range(3):
+            p = ColoredPoset(built.diagram, built.coloring, built.covers)  # no pass has run on it
+            started = time.perf_counter()
+            ok, _ = is_minuscule(p)
+            times.append(time.perf_counter() - started)
+            assert ok, str(fam)
+        elapsed = min(times)
+        assert elapsed <= budget, f"{fam}: {elapsed:.3f} s over the {budget} s budget"
