@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 from .dynkin import Color
 from .poset import ColoredPoset, bits, top_tree
@@ -120,18 +120,6 @@ def _census(terms: Iterable[tuple[int, int]], mask: int) -> int:
     return census
 
 
-def _later_incomparable(p: ColoredPoset, i: int, candidates: int) -> int:
-    """The candidates at positions after i that are incomparable to element i."""
-    return candidates >> (i + 1) << (i + 1) & ~(p.up_masks[i] | p.down_masks[i])
-
-
-def _covers_in_order(p: ColoredPoset) -> Iterator[tuple[int, int]]:
-    """The covers (x, y) sorted, read off the sorted cover lists."""
-    for x in p.elements:
-        for y in p.covers_of(x):
-            yield x, y
-
-
 def _next_above(p: ColoredPoset, i: int, cls: int) -> list[int]:
     """The minimal elements of the class mask cls strictly above position i,
     by position.  Each element scanned takes itself and all above it out of
@@ -148,15 +136,6 @@ def _next_above(p: ColoredPoset, i: int, cls: int) -> list[int]:
         rest &= ~(up[j] | 1 << j)
     nexts.reverse()
     return nexts
-
-
-def _consecutive(p: ColoredPoset, a: Color) -> Iterator[tuple[int, int]]:
-    """Positions i, j of the pairs x < y of color a with no color-a element
-    strictly between, sorted: above each x, the minimal elements of its class."""
-    cls = p.class_masks[a]
-    for i in bits(cls):
-        for j in _next_above(p, i, cls):
-            yield i, j
 
 
 def _report(name: str, witnesses: list[Witness]) -> AxiomReport:
@@ -176,9 +155,8 @@ def _memo(p: ColoredPoset, run: Callable[[ColoredPoset], dict]) -> dict:
 def _comparability_pass(p: ColoredPoset) -> dict[str, AxiomReport]:
     """The EC, NA and AC reports, in one loop over positions.
 
-    The elements after position i outside its up- and down-masks are the
-    later elements incomparable to it: within its class they are its EC
-    witnesses, within the classes of its color's neighbours its AC
+    The later elements incomparable to element i within its class are its
+    EC witnesses, within the classes of its color's neighbours its AC
     witnesses.  Its upper covers outside those neighbour classes are its NA
     witnesses.  NA and AC are listed in element order, and EC, gathered in
     element order too, is then sorted color-major."""
@@ -189,11 +167,11 @@ def _comparability_pass(p: ColoredPoset) -> dict[str, AxiomReport]:
     ac: list[Witness] = []
     for i, x in enumerate(els):
         a = coloring[x]
-        near = adjacent[a]
-        later = ~(up[i] | down[i] | (2 << i) - 1)
-        if later & classes[a]:
+        cls, near = classes[a], adjacent[a]
+        later = ~(up[i] | down[i] | (2 << i) - 1)  # after i and incomparable to it
+        if later & cls:
             note = f"equal color {a!r}, incomparable"
-            ec += [(a, Witness((x, els[j]), note=note)) for j in bits(later & classes[a])]
+            ec += [(a, Witness((x, els[j]), note=note)) for j in bits(later & cls)]
         if covers[i] & ~near:
             for j in bits(covers[i] & ~near):
                 note = f"cover with non-adjacent colors {a!r},{coloring[els[j]]!r}"
@@ -210,8 +188,7 @@ def _comparability_pass(p: ColoredPoset) -> dict[str, AxiomReport]:
 
 
 def _census_pass(p: ColoredPoset) -> dict:
-    """The ICE2 report and the frontier censuses, in one loop over each color
-    class.
+    """The ICE2 report and the frontier censuses, color by color.
 
     Per color a: the census of the open interval of each consecutive pair of
     a-elements, and the census of all that each maximal ("UCB") or minimal
@@ -248,20 +225,22 @@ def _census_pass(p: ColoredPoset) -> dict:
 
 
 def _check_s1(p: ColoredPoset) -> list[Witness]:
-    adjacent, els, position = _adjacent_masks(p), p.elements, p.position
+    adjacent, els, coloring = _adjacent_masks(p), p.elements, p.coloring
+    up, down, covers = p.up_masks, p.down_masks, p.cover_masks
     near = {a: m | p.class_masks[a] for a, m in adjacent.items()}
     bad = []
-    for x, y in _covers_in_order(p):
-        if not near[p.coloring[x]] >> position[y] & 1:
-            bad.append(Witness((x, y), note="neighbors with distant colors"))
     for i, x in enumerate(els):
-        for j in bits(_later_incomparable(p, i, near[p.coloring[x]])):
+        for j in bits(covers[i] & ~near[coloring[x]]):
+            bad.append(Witness((x, els[j]), note="neighbors with distant colors"))
+    for i, x in enumerate(els):
+        later = ~(up[i] | down[i] | (2 << i) - 1)
+        for j in bits(later & near[coloring[x]]):
             bad.append(Witness((x, els[j]), note="incomparable, colors not distant"))
     return bad
 
 
 def _check_s2(p: ColoredPoset) -> list[Witness]:
-    d, classes, els = p.diagram, p.class_masks, p.elements
+    d, classes, els, up, down = p.diagram, p.class_masks, p.elements, p.up_masks, p.down_masks
     adjacent = _adjacent_masks(p)
     bad = []
     for a in d.colors:
@@ -272,14 +251,16 @@ def _check_s2(p: ColoredPoset) -> list[Witness]:
                 single |= classes[b]
             elif t == -2:
                 double |= classes[b]
-        for i, j in _consecutive(p, a):
-            interval = p.up_masks[i] & p.down_masks[j]
-            near = interval & adjacent[a]
-            two_single = near.bit_count() == 2 and not near & ~single
-            one_double = interval.bit_count() == 1 and interval & double
-            if not (two_single or one_double):
-                shape = f"interval shape for {a!r}"
-                bad.append(Witness((els[i], els[j]), value=near.bit_count(), note=shape))
+        cls = classes[a]
+        for i in bits(cls):
+            for j in _next_above(p, i, cls):
+                interval = up[i] & down[j]
+                near = interval & adjacent[a]
+                two_single = near.bit_count() == 2 and not near & ~single
+                one_double = interval.bit_count() == 1 and interval & double
+                if not (two_single or one_double):
+                    shape = f"interval shape for {a!r}"
+                    bad.append(Witness((els[i], els[j]), value=near.bit_count(), note=shape))
     return bad
 
 

@@ -94,7 +94,6 @@ class ColoredPoset:
             raise PosetError(f"coloring is not surjective; missing {sorted(map(str, missing))}")
         self.class_masks = classes
         at = self.elements.__getitem__
-        self._up = {x: tuple(map(at, sorted(ups[i]))) for i, x in enumerate(self.elements)}
         self._down = {x: tuple(map(at, sorted(downs[i]))) for i, x in enumerate(self.elements)}
 
         # Kahn's algorithm: place an element once all its lower covers are
@@ -128,7 +127,7 @@ class ColoredPoset:
         self.up_masks, self.down_masks, self.cover_masks = above, below, cover
         if redundant:
             for x, y in self.covers:
-                if any(above[position[z]] >> position[y] & 1 for z in self._up[x]):
+                if any(above[k] >> position[y] & 1 for k in bits(cover[position[x]])):
                     raise PosetError(f"cover ({x},{y}) is transitively redundant")
 
     # -- order primitives ---------------------------------------------------
@@ -137,8 +136,8 @@ class ColoredPoset:
         return self.coloring[x]
 
     def covers_of(self, x: int) -> tuple[int, ...]:
-        """Elements covering x."""
-        return self._up[x]
+        """Elements covering x, in id order."""
+        return self.members(self.cover_masks[self.position[x]])
 
     def covered_by_x(self, x: int) -> tuple[int, ...]:
         """Elements covered by x."""
@@ -173,7 +172,7 @@ class ColoredPoset:
         )
 
     def maximal_elements(self) -> tuple[int, ...]:
-        return tuple(x for x in self.elements if not self._up[x])
+        return tuple(x for i, x in enumerate(self.elements) if not self.cover_masks[i])
 
     def minimal_elements(self) -> tuple[int, ...]:
         return tuple(x for x in self.elements if not self._down[x])

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import random
 
@@ -186,8 +187,9 @@ def test_connected_iff_diagram_connected_for_d_complete():
 
 
 def test_checks_equal_the_pair_scan_oracle():
-    # witness tuples in order, each poset fresh so its passes run here; the
-    # Y seeds are the 308 that `extend` grows to 16 elements
+    # whole reports, witness tuples in order and the name as asked; each
+    # poset is fresh so its passes run here; the Y seeds are the 308 that
+    # `extend` grows to 16 elements
     rng = random.Random(seed_from_env() + 20)
     seeds = [
         top_tree_Y(i, j, k) for i in range(1, 16) for j in range(1, 16) for k in range(j, 17 - i - j)
@@ -198,7 +200,7 @@ def test_checks_equal_the_pair_scan_oracle():
         for name in PROPERTIES:
             report = check(p, name)
             expected = check_oracle(p, name.replace("(", "").replace(")", ""))
-            assert report.witnesses == expected.witnesses and report.holds == expected.holds, (
+            assert report == dataclasses.replace(expected, property=name), (
                 name,
                 sorted(p.coloring.items()),
                 sorted(p.covers),

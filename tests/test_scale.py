@@ -13,12 +13,13 @@ chain's file, reading its pairing table as well.  The seventh builds B(14)
 and verifies its relations on 16384 splits, the size at which a
 representation must verify in seconds.  The eighth realizes the 465-element
 B(30) and the 435-element D_spin(30) as coroot filters, each as the first
-coroot call on its diagram, with a budget each.  The ninth runs
-`is_minuscule` cold on A_standard(1200) and on B(30), so both axiom passes
-run, with a budget each on the best of three fresh copies.  Each budget is
-three times the time measured on a 2-vCPU container (Python 3.11.7):
-0.95 s, 0.75 s, 0.37 s, 0.07 s, 0.22 s, 0.35 s, 0.96 s, 0.15 s and 0.14 s,
-and 0.0086 s and 0.0018 s.
+coroot call on its diagram, with a budget each on the best of three cold
+calls.  The ninth runs `is_minuscule` cold on batches of 20 fresh copies of
+A_standard(1200) and of B(30), so both axiom passes run on every copy, with
+a budget each on the best of three batches.  Each budget is three times the
+time measured on a 2-vCPU container (Python 3.11.7): 0.95 s, 0.75 s,
+0.37 s, 0.07 s, 0.22 s, 0.35 s, 0.96 s, 0.053 s and 0.050 s, and 0.157 s
+and 0.036 s (the last four are medians of 75 cold measurements).
 """
 
 import contextlib
@@ -44,10 +45,10 @@ EXTENSION_BUDGET_S = 0.21
 LONG_CHAIN_BUDGET_S = 0.66
 CLI_CHAIN_BUDGET_S = 1.05
 B14_BUDGET_S = 2.9
-PSI_B30_BUDGET_S = 0.45
-PSI_D_SPIN30_BUDGET_S = 0.42
-AXIOMS_A1200_BUDGET_S = 0.026
-AXIOMS_B30_BUDGET_S = 0.0054
+PSI_B30_BUDGET_S = 0.16
+PSI_D_SPIN30_BUDGET_S = 0.15
+AXIOMS_A1200_BUDGET_S = 0.47
+AXIOMS_B30_BUDGET_S = 0.11
 
 
 def test_relations_hold_at_thousands_of_splits():
@@ -131,12 +132,15 @@ def test_psi_of_b30_and_d_spin30_cold(monkeypatch):
         (FamilyId("B", 30), PSI_B30_BUDGET_S),
         (FamilyId("D_spin", 30), PSI_D_SPIN30_BUDGET_S),
     ]:
-        p = build(fam)
-        monkeypatch.setattr(coroots, "_SYSTEMS", {})  # no coroot system is built yet
-        started = time.monotonic()
-        real = psi(p)
-        elapsed = time.monotonic() - started
-        assert len(real.assignment) == len(p), str(fam)
+        times = []
+        for _ in range(3):
+            p = build(fam)  # no axiom pass has run on it
+            monkeypatch.setattr(coroots, "_SYSTEMS", {})  # no coroot system is built yet
+            started = time.perf_counter()
+            real = psi(p)
+            times.append(time.perf_counter() - started)
+            assert len(real.assignment) == len(p), str(fam)
+        elapsed = min(times)
         assert elapsed <= budget, f"{fam}: {elapsed:.2f} s over the {budget} s budget"
 
 
@@ -148,10 +152,11 @@ def test_axioms_of_a_chain_of_1200_and_b30_cold():
         built = build(fam)
         times = []
         for _ in range(3):
-            p = ColoredPoset(built.diagram, built.coloring, built.covers)  # no pass has run on it
+            # no pass has run on any copy
+            copies = [ColoredPoset(built.diagram, built.coloring, built.covers) for _ in range(20)]
             started = time.perf_counter()
-            ok, _ = is_minuscule(p)
+            verdicts = [is_minuscule(p)[0] for p in copies]
             times.append(time.perf_counter() - started)
-            assert ok, str(fam)
+            assert all(verdicts), str(fam)
         elapsed = min(times)
         assert elapsed <= budget, f"{fam}: {elapsed:.3f} s over the {budget} s budget"
