@@ -272,16 +272,16 @@ def _check_s3(p: ColoredPoset) -> list[Witness]:
         for i in bits(cls):
             if up[i] & cls:
                 continue
-            x = p.elements[i]
-            above = p.covers_of(x)
-            if len(above) > 1:
-                bad.append(Witness((x,) + above, value=len(above), note="covered twice"))
+            x, above = p.elements[i], p.cover_masks[i]
+            if above.bit_count() > 1:
+                twice = Witness((x,) + p.members(above), value=above.bit_count(), note="covered twice")
+                bad.append(twice)
                 continue
             if above:
-                z = above[0]
+                k = above.bit_length() - 1
+                z = p.elements[k]
                 c = p.coloring[z]
-                z_max_in_class = not up[p.position[z]] & classes[c]
-                if p.diagram.theta(c, a) != -1 or not z_max_in_class:
+                if p.diagram.theta(c, a) != -1 or up[k] & classes[c]:
                     bad.append(Witness((x, z), note="cover not a 1-adjacent class maximum"))
     return bad
 

@@ -19,7 +19,7 @@ from typing import Optional
 from .axioms import AxiomReport, check, is_minuscule
 from .catalog import FamilyId, build, family_of, kac_automorphisms
 from .dynkin import Color, recognize_finite_type
-from .poset import ColoredPoset, bits, connected_components
+from .poset import ColoredPoset, connected_components
 
 __all__ = ["ComponentClassification", "Classification", "classify", "classify_connected"]
 
@@ -107,15 +107,8 @@ def _classified(p: ColoredPoset) -> tuple[ComponentClassification, list[AxiomRep
         key=lambda g: [g[a] for a in p.diagram.colors],
         default=None,
     )
-
-    def chain(poset: ColoredPoset, a: Color) -> list[int]:
-        """The color class of a, top first; a chain by EC."""
-        up = poset.up_masks
-        top_first = sorted(bits(poset.class_masks[a]), key=lambda i: up[i].bit_count())
-        return [poset.elements[i] for i in top_first]
-
     pi = {} if gamma is None else {
-        x: y for a in p.diagram.colors for x, y in zip(chain(p, a), chain(q, gamma[a]))
+        x: y for a in p.diagram.colors for x, y in zip(p.class_chain(a), q.class_chain(gamma[a]))
     }
     if len(pi) != len(p) or len(p) != len(q) or {(pi[x], pi[y]) for x, y in p.covers} != q.covers:
         raise AssertionError(f"minuscule poset does not match {matches[0]}")

@@ -10,11 +10,12 @@ of elements is an int whose bit i stands for ``elements[i]``.  One topological
 pass up from the minimal elements checks the covers for cycles and closes
 every element's down-mask (the elements strictly below it); the up-masks
 close on the way back, and a cover is transitively redundant exactly when its
-top lies in the up-mask of another cover of its bottom.  Each color class is
-one mask too, so order and color queries are bit operations.  The public
-queries still answer with ids: `up_set`, `down_set` and `open_interval` build
-frozensets from the masks when called.  `induced_covers` gives the covers of
-the order induced on any subset: above each kept x, the minimal elements of
+top lies in the up-mask of another cover of its bottom.  The two passes keep
+each element's upper and lower covers as masks, and each color class is one
+mask too, so order and color queries are bit operations: readers inside the
+package count and walk masks.  The public queries answer with ids, built from
+the masks when called.  `induced_covers` gives the covers of the order
+induced on any subset: above each kept x, the minimal elements of
 ``up(x) & keep``.
 """
 
@@ -55,8 +56,9 @@ class ColoredPoset:
 
     Beside the ids, it keeps the order as masks over positions: ``up_masks[i]``
     and ``down_masks[i]`` are the elements strictly above and strictly below
-    ``elements[i]``, ``cover_masks[i]`` the elements covering it, and
-    ``class_masks[a]`` is the color class of a."""
+    ``elements[i]``, ``cover_masks[i]`` and ``lower_cover_masks[i]`` the
+    elements covering it and covered by it, and ``class_masks[a]`` is the
+    color class of a."""
 
     def __init__(
         self,
@@ -93,19 +95,20 @@ class ColoredPoset:
         if missing:
             raise PosetError(f"coloring is not surjective; missing {sorted(map(str, missing))}")
         self.class_masks = classes
-        at = self.elements.__getitem__
-        self._down = {x: tuple(map(at, sorted(downs[i]))) for i, x in enumerate(self.elements)}
 
         # Kahn's algorithm: place an element once all its lower covers are
         # placed; its down-mask closes in the same pass, its up-mask on the way back
         waiting = [len(row) for row in downs]
         order = [i for i in range(n) if not waiting[i]]
         below = [0] * n
+        lower = [0] * n
         for i in order:  # order grows as elements are placed
-            m = 0
+            reach = bottoms = 0
             for k in downs[i]:
-                m |= below[k] | 1 << k
-            below[i] = m
+                reach |= below[k]
+                bottoms |= 1 << k
+            below[i] = reach | bottoms
+            lower[i] = bottoms
             for j in ups[i]:
                 waiting[j] -= 1
                 if not waiting[j]:
@@ -124,7 +127,8 @@ class ColoredPoset:
             redundant = redundant or bool(reach & tops)
             above[i] = reach | tops
             cover[i] = tops
-        self.up_masks, self.down_masks, self.cover_masks = above, below, cover
+        self.up_masks, self.down_masks = above, below
+        self.cover_masks, self.lower_cover_masks = cover, lower
         if redundant:
             for x, y in self.covers:
                 if any(above[k] >> position[y] & 1 for k in bits(cover[position[x]])):
@@ -140,8 +144,8 @@ class ColoredPoset:
         return self.members(self.cover_masks[self.position[x]])
 
     def covered_by_x(self, x: int) -> tuple[int, ...]:
-        """Elements covered by x."""
-        return self._down[x]
+        """Elements covered by x, in id order."""
+        return self.members(self.lower_cover_masks[self.position[x]])
 
     def members(self, mask: int) -> tuple[int, ...]:
         """The elements a mask stands for, in id order."""
@@ -175,11 +179,18 @@ class ColoredPoset:
         return tuple(x for i, x in enumerate(self.elements) if not self.cover_masks[i])
 
     def minimal_elements(self) -> tuple[int, ...]:
-        return tuple(x for x in self.elements if not self._down[x])
+        return tuple(x for i, x in enumerate(self.elements) if not self.down_masks[i])
 
     def color_class(self, a: Color) -> tuple[int, ...]:
         """The elements of color a in id order; () for a color not in the diagram."""
         return self.members(self.class_masks.get(a, 0))
+
+    def class_chain(self, a: Color) -> tuple[int, ...]:
+        """The color class of a, bottom first: its elements by the number of
+        elements below them.  Under EC the class is a chain, in this order."""
+        down = self.down_masks
+        bottom_first = sorted(bits(self.class_masks[a]), key=lambda i: down[i].bit_count())
+        return tuple(self.elements[i] for i in bottom_first)
 
     def induced_covers(self, keep: Iterable[int]) -> list[tuple[int, int]]:
         """Covers of the order induced on a subset: pairs x < y in it with no
@@ -290,9 +301,6 @@ class TopTree:
         self.elements = elements
         self.covers = frozenset(poset.induced_covers(elements))
 
-    def as_poset(self) -> ColoredPoset:
-        return self.poset.subposet(self.elements)
-
     def is_filter(self) -> bool:
         eset = set(self.elements)
         return all(set(self.poset.covers_of(x)) <= eset for x in self.elements)
@@ -308,30 +316,25 @@ class TopTree:
         return None
 
     def shape(self) -> Optional[tuple[int, int, int]]:
-        """The (i, j, k) of a Y-shaped tree with k >= j, or None."""
+        """The (i, j, k) of a Y-shaped tree with k >= j, or None: a chain of i
+        elements from the splitting element s up, and two chains of j and k
+        elements hanging from s."""
         s = self.splitting_element()
-        tree = self.as_poset()
-        if s is None:
-            return None
-        above = [x for x in self.elements if tree.leq(s, x)]
-        legs = sorted(tree.covered_by_x(s))
-        if len(legs) != 2:
-            return None
-        chains = []
-        for leg in legs:
-            chain = [leg]
-            while True:
-                nxt = tree.covered_by_x(chain[-1])
-                if len(nxt) == 0:
-                    break
-                if len(nxt) > 1:
-                    return None
-                chain.append(nxt[0])
-            chains.append(chain)
-        j, k = sorted((len(chains[0]), len(chains[1])))
-        if len(above) + j + k != len(self.elements):
-            return None
-        return (len(above), j, k)
+        above = dict(self.covers)
+        if s is None or len(above) < len(self.covers):
+            return None  # no splitting element, or an element covered twice
+        # s is the only element covering two others, so no walk down branches
+        below = {y: x for x, y in self.covers if y != s}
+
+        def walk(x: int, step: dict[int, int]) -> int:
+            length = 1
+            while x in step:
+                x, length = step[x], length + 1
+            return length
+
+        i = walk(s, above)
+        j, k = sorted(walk(x, below) for x, y in self.covers if y == s)
+        return (i, j, k) if i + j + k == len(self.elements) else None
 
 
 def order_dual(poset: ColoredPoset) -> ColoredPoset:
@@ -365,20 +368,20 @@ def first_linear_extension(poset: ColoredPoset, within: Optional[Iterable[int]] 
     One pass of Kahn's algorithm over the covers between members, with the
     available members on a heap: a member becomes available once its lower
     covers among the members are placed."""
-    members = sorted(within) if within is not None else list(poset.elements)
-    waiting = dict.fromkeys(members, 0)
-    for x in waiting:
-        waiting[x] = sum(z in waiting for z in poset.covered_by_x(x))
-    ready = [x for x, count in waiting.items() if not count]
+    members = poset.elements if within is None else tuple(within)
+    keep = 0
+    for x in members:
+        keep |= 1 << poset.position[x]
+    waiting = {i: (poset.lower_cover_masks[i] & keep).bit_count() for i in bits(keep)}
+    ready = [i for i, count in waiting.items() if not count]
     out: list[int] = []
     while ready:
-        x = heappop(ready)
-        out.append(x)
-        for y in poset.covers_of(x):
-            if y in waiting:
-                waiting[y] -= 1
-                if not waiting[y]:
-                    heappush(ready, y)
+        i = heappop(ready)
+        out.append(poset.elements[i])
+        for j in bits(poset.cover_masks[i] & keep):
+            waiting[j] -= 1
+            if not waiting[j]:
+                heappush(ready, j)
     if len(out) < len(members):
         raise PosetError("no linear extension; covers are cyclic")
     return tuple(out)
@@ -397,11 +400,11 @@ def colored_isomorphism(
         return None
 
     def class_profile(p: ColoredPoset, a: Color) -> tuple:
-        cls = p.color_class(a)
-        return (
-            len(cls),
-            tuple(sorted((len(p.covers_of(x)), len(p.covered_by_x(x))) for x in cls)),
+        cls = p.class_masks[a]
+        degrees = (
+            (p.cover_masks[i].bit_count(), p.lower_cover_masks[i].bit_count()) for i in bits(cls)
         )
+        return cls.bit_count(), tuple(sorted(degrees))
 
     d1, d2 = p1.diagram, p2.diagram
     candidates: dict[Color, list[Color]] = {}
@@ -434,7 +437,9 @@ def colored_isomorphism(
             del gamma[a]
 
     def element_signature(p: ColoredPoset, x: int) -> tuple:
-        return (len(p.covers_of(x)), len(p.covered_by_x(x)), len(p.up_set(x)), len(p.down_set(x)))
+        i = p.position[x]
+        masks = (p.cover_masks, p.lower_cover_masks, p.up_masks, p.down_masks)
+        return tuple(m[i].bit_count() for m in masks)
 
     def find_pi(gamma: dict[Color, Color]) -> Optional[dict[int, int]]:
         pi: dict[int, int] = {}
@@ -481,38 +486,32 @@ def colored_isomorphism(
     return None
 
 
-def _component_element_sets(poset: ColoredPoset) -> list[frozenset[int]]:
-    seen: set[int] = set()
-    comps: list[frozenset[int]] = []
-    for x in poset.elements:
-        if x in seen:
-            continue
-        comp = {x}
-        stack = [x]
-        while stack:
-            z = stack.pop()
-            for w in poset.covers_of(z) + poset.covered_by_x(z):
-                if w not in comp:
-                    comp.add(w)
-                    stack.append(w)
-        seen |= comp
-        comps.append(frozenset(comp))
-    return comps
-
-
 def connected_components(poset: ColoredPoset) -> list[ColoredPoset]:
-    """Connected components, each carrying its induced (surjective) sub-diagram.
+    """Connected components, each carrying its induced (surjective) sub-diagram,
+    in the order of their least elements.
 
-    A component is up- and down-closed, so its covers are exactly the covers
-    of the poset between its elements.  A connected poset is its own only
-    component."""
-    sets = _component_element_sets(poset)
-    if len(sets) == 1:
+    Each component is flooded over the upper and lower cover masks.  It is up-
+    and down-closed, so its covers are exactly the covers of the poset between
+    its elements.  A connected poset is its own only component."""
+    links = [u | d for u, d in zip(poset.cover_masks, poset.lower_cover_masks)]
+    comps = []
+    rest = (1 << len(poset)) - 1
+    while rest:
+        comp = reached = rest & -rest
+        while reached:
+            step = 0
+            for i in bits(reached):
+                step |= links[i]
+            reached = step & ~comp
+            comp |= reached
+        comps.append(poset.members(comp))
+        rest &= ~comp
+    if len(comps) == 1:
         return [poset]
     out = []
-    for comp in sets:
+    for comp in comps:
         coloring = {x: poset.coloring[x] for x in comp}
-        covers = [(x, y) for x, y in poset.covers if x in comp]
+        covers = [(x, y) for x, y in poset.covers if x in coloring]
         out.append(ColoredPoset(poset.diagram.restrict(set(coloring.values())), coloring, covers))
     return out
 

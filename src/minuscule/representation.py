@@ -14,10 +14,11 @@ most one basis vector: it is stored as a partial map on split indices (the
 lowering map is the inverse of the raising one), and the diagonal operator as
 a vector.  The generator relations are decided from these maps by three
 arguments, with no matrix products and no word evaluated term by term except
-the brackets of depth 3 or more: HH, the eigenvalue range and XY with a != b
-hold by construction; HX and HY are one comparison of packed weights per
-color; the brackets of depth 1 and 2 are equalities of target lists (see
-`verify_relations`).  `IntMatrix` serves the matrix export.
+the brackets of depth 3 or more: HH, the eigenvalue range, XY with a != b and
+the brackets deeper than their color class hold by construction; HX and HY
+are one comparison of packed weights per color; the brackets of depth 1 and
+2 are equalities of target lists (see `verify_relations`).  `IntMatrix`
+serves the matrix export.
 """
 
 from __future__ import annotations
@@ -133,7 +134,7 @@ def operator_maps(p: ColoredPoset, *, basis: Optional[SplitBasis] = None) -> Ope
         # by EC the class is a chain, and an ideal holds an initial segment of
         # it: only the next element can be minimal in the filter.  Lowering
         # moves that element back, so Y_a is the inverse of X_a.
-        chain = sorted(p.color_class(a), key=lambda x: len(p.down_set(x)))
+        chain = p.class_chain(a)
         class_mask = sum(bit[x] for x in chain)
         # past the chain's end the next element is a sentinel that is never minimal
         steps = [(bit[x], sum(bit[z] for z in p.covered_by_x(x))) for x in chain] + [(0, -1)]
@@ -308,6 +309,11 @@ def verify_relations(
       element out and back), so the relation sends e_s to
       ([Y_a e_s != 0] - [X_a e_s != 0] - h_a(s)) e_s.  By the rule for h this
       is nonzero exactly where both X_a e_s and Y_a e_s are.
+    - XX and YY deeper than the a-class is long hold by construction.  Each
+      word has `depth` letters Z_a, and a Z_b with b != a moves no a-element,
+      so each Z_a must move one more element of the a-chain than the last:
+      no word is nonzero.  No target list is built for such a bracket, so a
+      pairing as large as theta(b,a) = -10**20 costs nothing.
     - XX and YY at depth 3 or more keep the weighted sum: the binomial
       coefficients of the words nonzero on e_s, which by the argument above
       all land on one basis vector, must sum to zero.
@@ -328,18 +334,21 @@ def verify_relations(
         moves["X", a] = [n if t < 0 else t for t in maps.up[a]] + [n]
         moves["Y", a] = [n if t < 0 else t for t in maps.down[a]] + [n]
 
-    powers: dict[tuple[str, Color, int], list[int]] = {}
+    # powers[letter, a][k - 1] is the target list of Z_a^k
+    powers: dict[tuple[str, Color], list[list[int]]] = {}
 
     def power(letter: str, a: Color, k: int) -> list[int]:
         """The target list of Z_a^k, k >= 1, cached per color."""
-        key = (letter, a, k)
-        if key not in powers:
-            z = moves[letter, a]
-            powers[key] = z if k == 1 else _then(power(letter, a, k - 1), z)
-        return powers[key]
+        z = moves[letter, a]
+        known = powers.setdefault((letter, a), [z])
+        while len(known) < k:
+            known.append(_then(known[-1], z))
+        return known[k - 1]
 
     def bracket(letter: str, a: Color, b: Color, depth: int) -> Optional[int]:
         """ad(Z_a)^depth (Z_b) = sum over k of (-1)^k C(depth, k) Z_a^(depth-k) Z_b Z_a^k."""
+        if depth > p.class_masks[a].bit_count():
+            return None  # every word is zero
         words = []
         for k in range(depth + 1):
             targets = moves[letter, b] if k == 0 else _then(power(letter, a, k), moves[letter, b])
@@ -368,7 +377,7 @@ def verify_relations(
         record("XX", a, b, bracket("X", a, b, depth))
         record("YY", a, b, bracket("Y", a, b, depth))
 
-    radix = 3 + max(abs(v) for row in p.diagram.matrix for v in row)
+    radix = 3 + max((abs(v) for row in p.diagram.matrix for v in row), default=0)
     code = [0] * n
     for b in colors:
         code = [c * radix + h for c, h in zip(code, maps.h[b])]

@@ -327,6 +327,31 @@ def first_linear_extension_oracle(poset: ColoredPoset, within=None) -> tuple[int
     return tuple(out)
 
 
+def component_element_sets_oracle(poset: ColoredPoset) -> list[frozenset[int]]:
+    """Reference for the components of `connected_components`: a depth-first
+    search over the covers in both directions from each unseen id, lowest
+    first."""
+    neighbors: dict[int, list[int]] = {x: [] for x in poset.elements}
+    for x, y in poset.covers:
+        neighbors[x].append(y)
+        neighbors[y].append(x)
+    seen: set[int] = set()
+    comps: list[frozenset[int]] = []
+    for x in poset.elements:
+        if x in seen:
+            continue
+        comp = {x}
+        stack = [x]
+        while stack:
+            for w in neighbors[stack.pop()]:
+                if w not in comp:
+                    comp.add(w)
+                    stack.append(w)
+        seen |= comp
+        comps.append(frozenset(comp))
+    return comps
+
+
 class NotRanked(PosetError):
     """The poset admits no rank function with unit steps along covers."""
 

@@ -231,6 +231,27 @@ def test_represent_builds_the_operator_maps_once(tmp_path, monkeypatch):
     assert (code, json.loads(out)["splits"], len(calls)) == (0, 4, 1)
 
 
+def test_every_verb_accepts_the_empty_poset(tmp_path):
+    path = tmp_path / "empty.json"
+    empty = {"version": 1, "diagram": {"colors": [], "theta": []}, "elements": [], "covers": []}
+    path.write_text(json.dumps(empty))
+    for verb in (["verify"], ["classify"], ["window"], ["represent", "--weights", "--matrices"]):
+        assert capture(verb + [str(path)])[0] == 0, verb
+    code, out, err = capture(["represent", str(path), "--relations"])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["relations"] == {"all_pass": True, "checks": [], "eigenvalues_in_range": True}
+
+
+@pytest.mark.parametrize("theta", [-1000, -10**20])
+def test_represent_relations_at_a_large_pairing_gives_a_verdict(tmp_path, theta):
+    d = validate(["a", "b"], [[2, theta], [-1, 2]])
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(ColoredPoset(d, {1: "a", 2: "b"}, [(1, 2)]).to_json()))
+    code, out, err = capture(["represent", str(path), "--relations"])
+    assert (code, err) == (1, "")
+    assert json.loads(out)["relations"]["all_pass"] is False
+
+
 def test_coroots_verb():
     code, out, _ = capture(["coroots", "--type", "A", "--n", "4", "--j", "2"])
     assert code == 0

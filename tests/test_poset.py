@@ -22,11 +22,13 @@ from helpers import (
     brute_force_colored_isomorphic,
     brute_force_linear_extension_count,
     ch_set,
+    component_element_sets_oracle,
     differential_posets,
     first_linear_extension_oracle,
     linear_extensions,
     random_colored_poset,
     rank_function,
+    scrambled,
     seed_from_env,
 )
 
@@ -102,15 +104,34 @@ def test_order_queries_equal_the_frozenset_oracle():
             assert p.down_set(x) == o.down_set(x)
             covering = {y for z, y in p.covers if z == x}
             assert p.members(p.cover_masks[p.position[x]]) == tuple(sorted(covering))
+            covered = tuple(sorted(z for z, y in p.covers if y == x))
+            assert p.members(p.lower_cover_masks[p.position[x]]) == covered
+            assert p.covered_by_x(x) == covered
             for y in p.elements:
                 assert p.lt(x, y) == o.lt(x, y)
                 assert p.open_interval(x, y) == o.open_interval(x, y)
+        assert p.minimal_elements() == tuple(x for x in p.elements if not o.below[x])
         for a in p.diagram.colors:
             assert p.color_class(a) == o.color_class(a)
+            assert p.class_chain(a) == tuple(sorted(o.color_class(a), key=lambda x: len(o.below[x])))
         for _ in range(3):
             keep = [x for x in p.elements if rng.random() < 0.5]
             assert p.induced_covers(keep) == o.induced_covers(keep)
     assert p.color_class("not a color") == ()
+
+
+def test_connected_components_equal_the_bfs_oracle():
+    rng = random.Random(seed_from_env() + 32)
+    posets = list(differential_posets(rng))
+    for _ in range(40):
+        parts = [random_colored_poset(rng, 6, 3) for _ in range(rng.randint(2, 4))]
+        posets.append(scrambled(disjoint_union(parts), rng))
+    split = 0
+    for p in posets:
+        want = [tuple(sorted(comp)) for comp in component_element_sets_oracle(p)]
+        assert [c.elements for c in connected_components(p)] == want, p
+        split += len(want) > 1
+    assert split > 50
 
 
 def test_redundant_cover_named_as_the_first_in_cover_set_order():
@@ -159,6 +180,15 @@ def test_top_tree_examples():
     tree = top_tree(a42)
     assert len(tree.elements) == 4
     assert tree.shape() == (1, 1, 2)
+
+    # an X around s: two elements cover s, so the tree is not a Y
+    colors = ["t1", "t2", "s", "l1", "l2"]
+    star = validate(colors, [
+        [2 if a == b else -1 if "s" in (a, b) else 0 for b in colors] for a in colors
+    ])
+    x = ColoredPoset(star, dict(zip(range(1, 6), colors)), [(3, 1), (3, 2), (4, 3), (5, 3)])
+    assert top_tree(x).splitting_element() == 3
+    assert top_tree(x).shape() is None
 
 
 def test_ch_set_examples():

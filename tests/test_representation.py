@@ -280,6 +280,21 @@ def test_pairings_below_minus_two_match_the_oracle():
         assert_matches_oracle(p)
 
 
+def test_brackets_deeper_than_the_class_hold_at_any_pairing():
+    # the chain a < b with theta(a, b) = theta: (b, a) is checked at depth
+    # 1 - theta, far deeper than the one-element b-class
+    def chain(theta: int) -> ColoredPoset:
+        d = validate(["a", "b"], [[2, theta], [-1, 2]])
+        return ColoredPoset(d, {1: "a", 2: "b"}, [(1, 2)])
+
+    assert_matches_oracle(chain(-20))
+    for full_sweep in (False, True):
+        want = verify_relations(chain(-20), full_sweep=full_sweep)
+        assert not want.all_pass
+        for theta in (-1000, -10**20):
+            assert verify_relations(chain(theta), full_sweep=full_sweep) == want, theta
+
+
 def test_xy_of_distinct_colors_holds_on_every_ec_poset():
     # decided by construction; the matrix oracle composes every pair
     rng = random.Random(seed_from_env() + 30)
