@@ -15,7 +15,8 @@ import json
 import os
 import signal
 import sys
-from itertools import chain
+from itertools import chain, repeat
+from operator import itemgetter
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Optional
 
@@ -42,8 +43,10 @@ def _load_json(path: str) -> dict:
         raise InputError(f"cannot read {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise InputError(f"{path} does not hold a JSON object")
-    if data.get("version") != SCHEMA_VERSION:
-        raise InputError(f"unsupported schema version {data.get('version')!r}")
+    # JSON true would pass for 1 by equality alone
+    version = data.get("version")
+    if type(version) is not int or version != SCHEMA_VERSION:
+        raise InputError(f"unsupported schema version {version!r}")
     return data
 
 
@@ -59,9 +62,11 @@ def _emit(data: dict) -> None:
 # an indent, Python's json runs its pure-Python encoder, so the writer below
 # sends every leaf container (members all scalars or empty containers) through
 # the C encoder, whose item separator breaks each item onto the leaf's indented
-# line, and walks in Python only the containers that hold non-empty ones.  An
-# encoded scalar never holds a raw newline, never starts with [ or { and never
-# ends with ] or }, so every seam the writer rewrites is structural.
+# line, and walks in Python only the containers that hold non-empty ones.  A
+# list of dicts with one set of keys is written a key at a time: the C encoder
+# takes all values of a key at once where they are leaves.  An encoded scalar
+# never holds a raw newline, never starts with [ or { and never ends with ] or
+# }, so every seam the writer rewrites or splits at is structural.
 
 _SCALARS = frozenset((str, int, float, bool, type(None)))
 _NESTED = (list, tuple, dict)
@@ -80,15 +85,13 @@ def _encoder(depth: int):
 
 def _is_leaf(values) -> bool:
     """Whether a container with these members holds no non-empty container."""
-    return set(map(type, values)) <= _SCALARS or not any(
-        v and isinstance(v, _NESTED) for v in values
-    )
+    return not any(map(isinstance, filter(None, values), repeat(_NESTED)))
 
 
-def _members_brackets(o) -> Optional[str]:
-    """The brackets of o's members when they are all non-empty scalar-only
-    lists, or all non-empty scalar-only dicts; otherwise None."""
-    kinds = set(map(type, o))
+def _members_brackets(o, kinds: set) -> Optional[str]:
+    """The brackets of o's members, whose types are `kinds`, when they are
+    all non-empty scalar-only lists, or all non-empty scalar-only dicts;
+    otherwise None."""
     if kinds <= {list, tuple}:
         values, brackets = o, "[]"
     elif kinds == {dict}:
@@ -98,10 +101,72 @@ def _members_brackets(o) -> Optional[str]:
     return brackets if all(o) and set(map(type, chain.from_iterable(values))) <= _SCALARS else None
 
 
+@functools.cache
+def _record_form(keys: tuple, depth: int):
+    """For dicts with these keys and their brackets `depth` levels in: a
+    getter of their values in sorted key order, and the template of one
+    dict, a %s per value.  None unless every key is a str.  The lists of
+    records the CLI prints use a handful of key sets, so the cache stays
+    small."""
+    if set(map(type, keys)) != {str}:
+        return None
+    keys = sorted(keys)
+    getter = itemgetter(*keys) if len(keys) > 1 else lambda r: (r[keys[0]],)
+    indent = "\n" + "  " * (depth + 1)
+    fields = [f"{indent}{encode_basestring_ascii(k).replace('%', '%%')}: %s" for k in keys]
+    return getter, "{" + ",".join(fields) + indent[:-2] + "}"
+
+
+def _records(o, depth: int) -> Optional[list[str]]:
+    """Each of o's members written with its brackets `depth` levels in, when
+    they are dicts sharing one set of str keys; otherwise None.
+
+    The values of one key take one C call when they are all scalars, all
+    scalar-only lists or all scalar-only dicts (empty ones included), and the
+    output is split at the seams between them: the item separators that
+    follow a scalar value or a closing bracket, which no scalar ends with.
+    Other values are written one by one.  The pieces of each member are
+    zipped through one template."""
+    keys = o[0].keys()
+    form = _record_form(tuple(keys), depth)
+    if form is None or not all(map(keys.__eq__, map(dict.keys, o))):
+        return None
+    getter, template = form
+    encoder = _encoder(depth + 1)
+    separator = ",\n" + "  " * (depth + 2)
+    pieces = []
+    for values in zip(*map(getter, o)):
+        kinds = set(map(type, values))
+        if kinds <= _SCALARS:
+            pieces.append("".join(encoder(values, 0))[1:-1].split(separator))
+            continue
+        if kinds <= {list, tuple}:
+            members, (open_, close) = chain.from_iterable(values), "[]"
+        elif kinds == {dict}:
+            members, (open_, close) = chain.from_iterable(map(dict.values, values)), "{}"
+        else:
+            members = None
+        if members is not None and set(map(type, members)) <= _SCALARS:
+            s = "".join(encoder(values, 0))[2:-2]
+            first, last = f"{open_}\n{separator[2:]}", f"{separator[1:-2]}{close}"
+            pieces.append([
+                f"{first}{v}{last}" if v else open_ + close
+                for v in s.split(close + separator + open_)
+            ])
+        else:
+            pieces.append([_written(v, depth + 1) for v in values])
+    return [template % row for row in zip(*pieces)]
+
+
 def _dumps(obj) -> str:
     """json.dumps(obj, sort_keys=True, indent=2), byte for byte."""
+    return _written(obj, 0)
+
+
+def _written(o, depth: int) -> str:
+    """o written with its brackets `depth` levels in."""
     out: list[str] = []
-    _write(obj, 0, out)
+    _write(o, depth, out)
     return "".join(out)
 
 
@@ -113,7 +178,9 @@ def _write(o, depth: int, out: list) -> None:
         return
     outer, inner = "  " * depth, "  " * (depth + 1)
     is_dict = isinstance(o, dict)
-    if _is_leaf(o.values() if is_dict else o):
+    members = o.values() if is_dict else o
+    kinds = set(map(type, members))
+    if kinds <= _SCALARS or _is_leaf(members):
         s = "".join(_encoder(depth)(o, 0))
         out.append(f"{s[0]}\n{inner}{s[1:-1]}\n{outer}{s[-1]}")
         return
@@ -128,7 +195,7 @@ def _write(o, depth: int, out: list) -> None:
             _write(o[key], depth + 1, out)
         out.append(f"\n{outer}}}")
         return
-    brackets = _members_brackets(o)
+    brackets = _members_brackets(o, kinds)
     if brackets:
         # one C call for all members; a seam between two of them is the only
         # place a closing bracket meets the item separator and an opening one
@@ -139,6 +206,10 @@ def _write(o, depth: int, out: list) -> None:
             f"{close},\n{innermost}{open_}", f"\n{inner}{close},\n{inner}{open_}\n{innermost}"
         )
         out.append(f"[\n{inner}{open_}\n{innermost}{body}\n{inner}{close}\n{outer}]")
+        return
+    records = _records(o, depth + 1) if kinds == {dict} else None
+    if records:
+        out.append(f"[\n{inner}" + f",\n{inner}".join(records) + f"\n{outer}]")
         return
     out.append("[")
     for i, v in enumerate(o):
@@ -250,11 +321,8 @@ def cmd_represent(args) -> int:
         # a split's weight is its eigenvalue under every diagonal operator
         h = [(str(a), hs) for a, hs in maps.h.items()]
         out["weights"] = [
-            {
-                "ideal": [x for x, b in basis.bit.items() if m & b],
-                "weight": {a: hs[i] for a, hs in h},
-            }
-            for i, m in enumerate(basis.masks)
+            {"ideal": basis.ideal(i), "weight": {a: hs[i] for a, hs in h}}
+            for i in range(len(basis))
         ]
     if args.matrices:
         _, ops = build_operators(p, maps=maps)

@@ -170,9 +170,10 @@ class DynkinDiagram:
 
     @staticmethod
     def from_json(data: Mapping) -> "DynkinDiagram":
-        """The diagram of a document whose theta rows are lists of ints, as
-        `ColoredPoset.from_json` checks them: the rows are read once, here."""
-        return DynkinDiagram(tuple(map(str, data["colors"])), tuple(map(tuple, data["theta"])))
+        """The diagram of a document whose colors are strings and whose theta
+        rows are lists of ints, as `ColoredPoset.from_json` checks them: the
+        rows are read once, here."""
+        return DynkinDiagram(tuple(data["colors"]), tuple(map(tuple, data["theta"])))
 
     def to_dot(self) -> str:
         """Graphviz source: undirected single edges, decorated directed pairs."""

@@ -249,8 +249,9 @@ class ColoredPoset:
 
     @staticmethod
     def from_json(data: Mapping) -> "ColoredPoset":
-        if data.get("version") != 1:
-            raise PosetError(f"unsupported schema version {data.get('version')!r}")
+        version = data.get("version")
+        if type(version) is not int or version != 1:
+            raise PosetError(f"unsupported schema version {version!r}")
         missing = [key for key in ("diagram", "elements", "covers") if key not in data]
         if missing:
             raise PosetError(f"missing keys {missing}")
@@ -258,12 +259,15 @@ class ColoredPoset:
         colors, theta = (d.get("colors"), d.get("theta")) if isinstance(d, dict) else (None, None)
         if not isinstance(colors, list) or not _int_rows(theta):
             raise PosetError("diagram must hold a colors list and a theta table of integers")
+        if not set(map(type, colors)) <= {str}:
+            raise PosetError("diagram colors must be strings")
         elements = data["elements"]
         if not isinstance(elements, list) or not all(
-            isinstance(e, dict) and type(e.get("id")) is int and "color" in e for e in elements
+            isinstance(e, dict) and type(e.get("id")) is int and type(e.get("color")) is str
+            for e in elements
         ):
-            raise PosetError("elements must be a list of {id, color} objects")
-        coloring = {e["id"]: str(e["color"]) for e in elements}
+            raise PosetError("elements must be a list of {id, color} objects with string colors")
+        coloring = {e["id"]: e["color"] for e in elements}
         if len(coloring) != len(elements):
             raise PosetError("duplicate element ids")
         if not _int_rows(data["covers"], width=2):

@@ -8,17 +8,19 @@ I into the filter, and the diagonal operator has eigenvalue -1, +1 or 0
 according to whether the color marks a minimal element of F, a maximal
 element of I, or neither.  All arithmetic is exact integer arithmetic.
 
-The split basis is enumerated once, as ideal bitmasks.  Under EC each color
-class is a chain, so a raising or lowering operator sends a basis vector to at
-most one basis vector: it is stored as a partial map on split indices (the
-lowering map is the inverse of the raising one), and the diagonal operator as
-a vector.  The generator relations are decided from these maps by three
-arguments, with no matrix products and no word evaluated term by term except
-the brackets of depth 3 or more: HH, the eigenvalue range, XY with a != b and
-the brackets deeper than their color class hold by construction; HX and HY
-are one comparison of packed weights per color; the brackets of depth 1 and
-2 are equalities of target lists (see `verify_relations`).  `IntMatrix`
-serves the matrix export.
+The split basis is enumerated once, as ideal bitmasks, by a walk over the
+covers of the lattice of ideals, and the basis keeps every cover it visits.
+Under EC each color class is a chain and X_a e_s = e_t exactly where the ideal
+t covers the ideal s by an added a-element, so a raising or lowering operator
+sends a basis vector to at most one basis vector: it is stored as a partial
+map on split indices, read off the covers (the lowering map is the inverse of
+the raising one), and the diagonal operator as a vector.  The generator
+relations are decided from these maps by three arguments, with no matrix
+products and no word evaluated term by term except the brackets of depth 3
+or more: HH, the eigenvalue range, XY with a != b and the brackets deeper
+than their color class hold by construction; HX and HY are one comparison
+of packed weights per color; the brackets of depth 1 and 2 are equalities of
+target lists (see `verify_relations`).  `IntMatrix` serves the matrix export.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from typing import Iterable, Mapping, Optional
 
 from .axioms import check
 from .dynkin import Color
-from .poset import ColoredPoset
+from .poset import ColoredPoset, bits
 
 __all__ = [
     "Split",
@@ -67,40 +69,86 @@ class SplitBasis(Sequence):
 
     `bit[x]` is element x's bit.  The k-th smallest of n ids owns bit n-1-k,
     so among ideals of one size the canonical order is descending mask order.
+    `covers[x]` is a pair of equal-length lists of split indices, sources and
+    targets: the ideal targets[i] covers the ideal sources[i] by adding x.
+    The constructor takes the targets as masks.
     """
 
-    def __init__(self, bit: dict[int, int], masks: list[int]):
+    def __init__(
+        self, bit: dict[int, int], masks: list[int], covers: dict[int, tuple[list[int], list[int]]]
+    ):
         self.elements = frozenset(bit)
         self.bit = bit
         self.masks = masks
         self.position = {m: i for i, m in enumerate(masks)}
+        index = self.position.__getitem__
+        self.covers = {
+            x: (sources, list(map(index, targets))) for x, (sources, targets) in covers.items()
+        }
+        self._owners = sorted(bit, reverse=True)  # the id owning bit r
 
     def __len__(self) -> int:
         return len(self.masks)
 
     def __getitem__(self, i: int) -> Split:
-        m = self.masks[i]
-        ideal = frozenset(x for x, b in self.bit.items() if m & b)
+        ideal = frozenset(self.ideal(i))
         return Split(self.elements - ideal, ideal)
+
+    def ideal(self, i: int) -> list[int]:
+        """The ids in the ideal of split i, ascending, read off its set bits."""
+        owners = self._owners
+        return [owners[r] for r in bits(self.masks[i])][::-1]
 
 
 def splits(p: ColoredPoset) -> SplitBasis:
     """
-    All splits, in canonical order (ideal size, then ideal contents).
+    All splits, in canonical order (ideal size, then ideal contents), with
+    every cover of the lattice of ideals.
 
-    Enumerated by breadth-first growth of ideal bitmasks: minimal elements of
-    the remaining filter may be moved into the ideal one at a time.
+    The lattice is walked by its covers, one ideal size at a time.  Each
+    ideal carries its addable mask: the elements of its filter whose lower
+    covers all lie in it.  Adding an element b takes b out of that mask and
+    puts in those upper covers of b whose lower covers are then all in the
+    ideal, so an ideal costs one step per cover, not one test per element.
     """
     n = len(p.elements)
-    bit = {x: 1 << (n - 1 - k) for k, x in enumerate(p.elements)}
-    growth = [(bit[x], sum(bit[z] for z in p.covered_by_x(x))) for x in p.elements]
+    # per bit r: the lower covers of its element as a mask of bits, and its
+    # upper covers as (bit, lower covers) pairs
+    below = [0] * n
+    for k, m in enumerate(p.lower_cover_masks):
+        for j in bits(m):
+            below[n - 1 - k] |= 1 << (n - 1 - j)
+    above = [
+        [(1 << (n - 1 - j), below[n - 1 - j]) for j in bits(m)] for m in reversed(p.cover_masks)
+    ]
+    sources: list[list[int]] = [[] for _ in range(n)]
+    targets: list[list[int]] = [[] for _ in range(n)]
     masks = [0]
-    level = [0]
+    level = [(0, sum(1 << r for r in range(n) if not below[r]))]
+    s = 0
     while level:
-        grown = {m | b for m in level for b, below in growth if not m & b and below & m == below}
-        level = sorted(grown, reverse=True)
-        masks.extend(level)
-    return SplitBasis(bit, masks)
+        grown: dict[int, int] = {}
+        for m, addable in level:
+            rest = addable
+            while rest:
+                b = rest & -rest
+                rest ^= b
+                t = m | b
+                r = b.bit_length() - 1
+                sources[r].append(s)
+                targets[r].append(t)
+                if t not in grown:
+                    after = addable ^ b
+                    for u, need in above[r]:
+                        if need & t == need:
+                            after |= u
+                    grown[t] = after
+            s += 1
+        level = sorted(grown.items(), reverse=True)
+        masks.extend(m for m, _ in level)
+    bit = {x: 1 << (n - 1 - k) for k, x in enumerate(p.elements)}
+    covers = {x: (sources[r], targets[r]) for r, x in enumerate(reversed(p.elements))}
+    return SplitBasis(bit, masks, covers)
 
 
 @dataclass(frozen=True)
@@ -121,30 +169,25 @@ def operator_maps(p: ColoredPoset, *, basis: Optional[SplitBasis] = None) -> Ope
     """
     The operator maps of every color over the canonical split basis.  Requires
     EC so that the defining sums have at most one term per basis vector.
+
+    X_a e_s = e_t exactly where the ideal t covers the ideal s by an added
+    a-element: by EC the a-class is a chain and an ideal holds an initial
+    segment of it, so only the next a-element can be added.  Lowering moves
+    that element back, so Y_a is the inverse of X_a.
     """
     if not check(p, "EC").holds:
         raise ECViolated("equal-colored incomparable elements; operator sums are ambiguous")
     if basis is None:
         basis = splits(p)
-    bit, position = basis.bit, basis.position
+    n = len(basis)
     up: dict[Color, list[int]] = {}
     down: dict[Color, list[int]] = {}
     h: dict[Color, list[int]] = {}
     for a in p.diagram.colors:
-        # by EC the class is a chain, and an ideal holds an initial segment of
-        # it: only the next element can be minimal in the filter.  Lowering
-        # moves that element back, so Y_a is the inverse of X_a.
-        chain = p.class_chain(a)
-        class_mask = sum(bit[x] for x in chain)
-        # past the chain's end the next element is a sentinel that is never minimal
-        steps = [(bit[x], sum(bit[z] for z in p.covered_by_x(x))) for x in chain] + [(0, -1)]
-        ups = []
-        for m in basis.masks:
-            b, below = steps[(m & class_mask).bit_count()]
-            ups.append(position[m | b] if below & m == below else -1)
-        downs = [-1] * len(ups)
-        for s, t in enumerate(ups):
-            if t >= 0:
+        ups, downs = [-1] * n, [-1] * n
+        for x in p.color_class(a):
+            for s, t in zip(*basis.covers[x]):
+                ups[s] = t
                 downs[t] = s
         up[a], down[a] = ups, downs
         h[a] = [-1 if u >= 0 else 1 if d >= 0 else 0 for u, d in zip(ups, downs)]

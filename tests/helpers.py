@@ -486,6 +486,50 @@ def splits_oracle(p: ColoredPoset) -> list[Split]:
     return [Split(all_elements - ideal, ideal) for ideal in ordered]
 
 
+def split_masks_oracle(p: ColoredPoset) -> list[int]:
+    """The ideal bitmasks of every split in canonical order, grown a level at
+    a time by testing every element against every ideal (the enumeration
+    `splits` replaced).  The k-th smallest of n ids owns bit n-1-k."""
+    n = len(p.elements)
+    bit = {x: 1 << (n - 1 - k) for k, x in enumerate(p.elements)}
+    growth = [(bit[x], sum(bit[z] for z in p.covered_by_x(x))) for x in p.elements]
+    masks = [0]
+    level = [0]
+    while level:
+        grown = {m | b for m in level for b, below in growth if not m & b and below & m == below}
+        level = sorted(grown, reverse=True)
+        masks.extend(level)
+    return masks
+
+
+def operator_maps_oracle(p: ColoredPoset, masks: list[int]) -> tuple[dict, dict, dict]:
+    """The (up, down, h) maps of an EC poset over the split masks, built color
+    by color with one addability test per split (the loop `operator_maps`
+    replaced)."""
+    n = len(p.elements)
+    bit = {x: 1 << (n - 1 - k) for k, x in enumerate(p.elements)}
+    position = {m: i for i, m in enumerate(masks)}
+    up: dict[Color, list[int]] = {}
+    down: dict[Color, list[int]] = {}
+    h: dict[Color, list[int]] = {}
+    for a in p.diagram.colors:
+        # only the chain-next a-element can be minimal in the filter
+        chain = p.class_chain(a)
+        class_mask = sum(bit[x] for x in chain)
+        steps = [(bit[x], sum(bit[z] for z in p.covered_by_x(x))) for x in chain] + [(0, -1)]
+        ups = []
+        for m in masks:
+            b, below = steps[(m & class_mask).bit_count()]
+            ups.append(position[m | b] if below & m == below else -1)
+        downs = [-1] * len(ups)
+        for s, t in enumerate(ups):
+            if t >= 0:
+                downs[t] = s
+        up[a], down[a] = ups, downs
+        h[a] = [-1 if u >= 0 else 1 if d >= 0 else 0 for u, d in zip(ups, downs)]
+    return up, down, h
+
+
 def build_operators_oracle(
     p: ColoredPoset,
 ) -> tuple[list[Split], dict[Color, tuple[IntMatrix, IntMatrix, IntMatrix]]]:

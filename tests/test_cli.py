@@ -417,6 +417,9 @@ def malformed_documents():
     theta = [row[:] for row in chain["diagram"]["theta"]]
     theta[0][2] = False
     false_theta = dict(chain, diagram=dict(chain["diagram"], theta=theta))
+    # colors must be JSON strings, not coerced to them
+    int_colors = dict(good, diagram=dict(good["diagram"], colors=[1, 2]))
+    list_color = dict(good, elements=[dict(good["elements"][0], color=[1])] + good["elements"][1:])
     return [
         ([good], "object", POSET_VERBS, True),
         (dict(good, elements="xx"), "elements", POSET_VERBS, True),
@@ -431,6 +434,10 @@ def malformed_documents():
         (dict(good, covers=[[2, True], [3, 2]]), "covers", POSET_VERBS, True),
         (false_theta, "theta", POSET_VERBS, True),
         (dict(window, boundary=[True]), "boundary", WINDOW_VERBS, True),
+        (dict(good, version=True), "version", POSET_VERBS, True),
+        (dict(window, version=True), "version", WINDOW_VERBS, True),
+        (int_colors, "diagram colors", POSET_VERBS, True),
+        (list_color, "string colors", POSET_VERBS, True),
     ]
 
 

@@ -5,8 +5,11 @@ The CLI's JSON writer against the standard library.
 ``json.dumps(obj, sort_keys=True, indent=2)`` for every tree the CLI could
 print.  The pinned cases are the ones where an empty container, a tuple or a
 non-str key could put a false seam into the one-call path for lists of
-lists; the property draws random trees of every JSON type, with strings that
-look like seams.
+lists; the first property draws random trees of every JSON type, with strings
+that look like seams.  The second draws lists of dicts that share their keys,
+as `represent --weights` and the axiom reports print them, whose values a
+key at a time are scalars, scalar-only lists or dicts (empty ones included),
+a mix of these, or whole trees.
 """
 
 import json
@@ -38,6 +41,13 @@ def stdlib(obj) -> str:
         [[1], {"a": 1}],
         ((1, (2, 3)), ("],\n  [",)),
         [float("nan"), float("inf"), -float("inf"), 2**70, True, None, 'é"\\'],
+        [{"ideal": [], "weight": {"a": 1}}, {"ideal": [3, 5], "weight": {"a": -1}}],
+        [{"%s": [1], "{": {}}, {"%s": [], "{": {"}": "},\n{"}}],
+        [{"a": 1, "b": [2]}, {"a": [1], "b": [3]}],
+        [{"a": [[1]]}, {"a": []}],
+        [{"a": {"x": [1]}}, {"a": {"y": 2}}],
+        [{"a": 1}, {"b": [1]}],
+        [{1: [2]}, {1: [3]}],
         [],
         {},
         0,
@@ -84,4 +94,30 @@ TREES = st.recursive(SCALARS, containers, max_leaves=24)
 @hypothesis.settings(derandomize=True, max_examples=150, deadline=None, database=None)
 @hypothesis.given(TREES)
 def test_writer_equals_the_stdlib(obj):
+    assert _dumps(obj) == stdlib(obj)
+
+
+# keys with braces, quotes, backslashes and the template's % sign
+RECORD_KEYS = st.text(alphabet='ab{}[]"\\%:, \n', max_size=4)
+LEAVES = [
+    st.lists(SCALARS, max_size=3),
+    st.lists(SCALARS, max_size=3).map(tuple),
+    st.dictionaries(RECORD_KEYS, SCALARS, max_size=3),
+]
+# what one key holds in every record: one kind of value, or a mix
+COLUMNS = st.sampled_from([SCALARS, *LEAVES, st.one_of(SCALARS, *LEAVES), TREES])
+
+
+@st.composite
+def record_lists(draw):
+    keys = draw(st.lists(RECORD_KEYS, min_size=1, max_size=4, unique=True))
+    count = draw(st.integers(1, 5))
+    columns = [draw(st.lists(draw(COLUMNS), min_size=count, max_size=count)) for _ in keys]
+    records = [dict(zip(keys, row)) for row in zip(*columns)]
+    return draw(st.sampled_from([records, {"records": records}, [records]]))
+
+
+@hypothesis.settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@hypothesis.given(record_lists())
+def test_records_equal_the_stdlib(obj):
     assert _dumps(obj) == stdlib(obj)

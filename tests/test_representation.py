@@ -8,12 +8,13 @@ import pytest
 from minuscule.axioms import check
 from minuscule.catalog import FamilyId, all_family_ids, build, indexed
 from minuscule.dynkin import DynkinDiagram, validate
-from minuscule.poset import ColoredPoset, order_dual
+from minuscule.poset import ColoredPoset, connected_components, order_dual
 from minuscule.representation import (
     ECViolated,
     IntMatrix,
     Split,
     build_operators,
+    operator_maps,
     splits,
     verify_relations,
 )
@@ -24,9 +25,11 @@ from helpers import (
     commutator,
     differential_posets,
     mat_scale,
+    operator_maps_oracle,
     random_colored_poset,
     seed_from_env,
     split_count_oracle,
+    split_masks_oracle,
     transpose,
     verify_relations_oracle,
 )
@@ -59,6 +62,54 @@ def test_split_structure_and_order():
         assert not s.filter & s.ideal
         for x in s.ideal:
             assert all(z in s.ideal for z in p.covered_by_x(x))
+
+
+def _walked_posets() -> list[ColoredPoset]:
+    """The differential posets with at most 10**4 splits: all but the largest
+    disjoint unions, whose split count is the product of their components'."""
+    rng = random.Random(seed_from_env() + 15)
+    return [
+        p
+        for p in differential_posets(rng)
+        if math.prod(len(splits(c)) for c in connected_components(p)) <= 10**4
+    ]
+
+
+def test_the_cover_walk_equals_the_per_element_oracle():
+    posets = _walked_posets()
+    assert len(posets) > 400
+    ec = 0
+    for p in posets:
+        basis = splits(p)
+        assert basis.masks == split_masks_oracle(p), p
+        # each cover of the lattice of ideals once: (s, x, t) where x is not in
+        # the ideal s and its lower covers are, and t is s with x added
+        walked = {(s, x, t) for x, pairs in basis.covers.items() for s, t in zip(*pairs)}
+        expected = {
+            (s, x, basis.position[m | b])
+            for s, m in enumerate(basis.masks)
+            for x, b in basis.bit.items()
+            if not m & b and all(m & basis.bit[z] for z in p.covered_by_x(x))
+        }
+        kept = sum(len(sources) for sources, _ in basis.covers.values())
+        assert kept == len(walked) == len(expected)
+        assert walked == expected, p
+        for i in (0, len(basis) // 2, len(basis) - 1):
+            assert sorted(basis[i].ideal) == basis.ideal(i) == [
+                x for x, b in basis.bit.items() if basis.masks[i] & b
+            ]
+        if check(p, "EC").holds:
+            ec += 1
+            maps = operator_maps(p, basis=basis)
+            assert (maps.up, maps.down, maps.h) == operator_maps_oracle(p, basis.masks), p
+    assert ec > 250  # the rest fail EC, and only the walk runs on them
+
+
+def test_operator_maps_equal_the_per_color_oracle_on_the_catalog():
+    for fam in all_family_ids(8):
+        p = build(fam)
+        maps = operator_maps(p)
+        assert (maps.up, maps.down, maps.h) == operator_maps_oracle(p, maps.basis.masks), str(fam)
 
 
 def test_binomial_dimension_formula():

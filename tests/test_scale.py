@@ -16,10 +16,13 @@ B(30) and the 435-element D_spin(30) as coroot filters, each as the first
 coroot call on its diagram, with a budget each on the best of three cold
 calls.  The ninth runs `is_minuscule` cold on batches of 20 fresh copies of
 A_standard(1200) and of B(30), so both axiom passes run on every copy, with
-a budget each on the best of three batches.  Each budget is three times the
-time measured on a 2-vCPU container (Python 3.11.7): 0.95 s, 0.75 s,
-0.37 s, 0.07 s, 0.22 s, 0.35 s, 0.96 s, 0.053 s and 0.050 s, and 0.157 s
-and 0.036 s (the last four are medians of 75 cold measurements).
+a budget each on the best of three batches.  The tenth builds the operator
+maps of a fresh B(14) cold, its EC check and the walk over its 16384 splits
+included, with a budget on the best of three calls.  Each budget is three
+times the time measured on a 2-vCPU container (Python 3.11.7): 0.95 s,
+0.75 s, 0.37 s, 0.07 s, 0.22 s, 0.35 s, 0.96 s, 0.053 s and 0.050 s,
+0.157 s and 0.036 s (the last four are medians of 75 cold measurements),
+and 0.09 s (the best of three, taken in five runs: 0.071 to 0.105 s).
 """
 
 import contextlib
@@ -49,6 +52,7 @@ PSI_B30_BUDGET_S = 0.16
 PSI_D_SPIN30_BUDGET_S = 0.15
 AXIOMS_A1200_BUDGET_S = 0.47
 AXIOMS_B30_BUDGET_S = 0.11
+B14_MAPS_BUDGET_S = 0.27
 
 
 def test_relations_hold_at_thousands_of_splits():
@@ -160,3 +164,16 @@ def test_axioms_of_a_chain_of_1200_and_b30_cold():
             assert all(verdicts), str(fam)
         elapsed = min(times)
         assert elapsed <= budget, f"{fam}: {elapsed:.3f} s over the {budget} s budget"
+
+
+def test_operator_maps_of_b14_cold():
+    times = []
+    for _ in range(3):
+        p = build(FamilyId("B", 14))  # no axiom pass has run on it
+        started = time.perf_counter()
+        maps = operator_maps(p)
+        times.append(time.perf_counter() - started)
+        assert len(maps.basis) == 2**14
+    elapsed = min(times)
+    budget = B14_MAPS_BUDGET_S
+    assert elapsed <= budget, f"{elapsed:.3f} s over the {budget} s budget"
