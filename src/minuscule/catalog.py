@@ -1,18 +1,20 @@
 """
-Constructors for every connected finite colored minuscule poset family.
+Every connected finite colored minuscule poset, as the heap of a walk.
 
-Colors are the integers 1..n in the Kac node numbering, so each family
-constructor directly yields the representative with the documented maximal
-color: chains of type A carry color 1 on top, grids of type A carry their
+Colors are the integers 1..n in the Kac node numbering.  A connected colored
+minuscule poset is the heap of a reduced word of its minuscule Weyl group
+element (Proctor, Stembridge), and that word is the orbit walk down from the
+fundamental weight of the top color's node: `_heap` walks it and numbers the
+elements by its letters, the maximum first.  `indexed(letter, n, j)` walks
+from node j, and `build(family)` from the family's top color, a column of
+`FAMILIES`: chains of type A carry color 1 on top, grids of type A carry their
 defining index, type B carries n (the short node), type C carries 1, type D
 standard carries 1, type D spin carries n, E6 carries 1 and E7 carries 6.
-
-`indexed` relabels these representatives through the automorphisms of the
-Kac-numbered diagram (`kac_automorphisms`) to produce one poset per minuscule
-weight index, and `family_of` names the family of each index.
+`family_of` names the family of each index, and `kac_automorphisms` lists the
+diagram automorphisms that relate the indices of one family.
 
 Two tables hold which families and weights exist: `FAMILIES` (kind -> type
-letter, ranks, whether it takes an index, constructor) and `_TYPES` (letter ->
+letter, ranks, whether it takes an index, top color) and `_TYPES` (letter ->
 ranks, diagram, minuscule nodes).  `FamilyId` validation, `build`,
 `all_family_ids`, `diagram_of_type`, `minuscule_indices`, `indexed` and the
 command line's `--family` names all read them.
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from math import inf
 from typing import Iterable
 
@@ -142,162 +145,72 @@ def diagram_of_type(letter: str, n: int) -> DynkinDiagram:
     return diagram(n)
 
 
-# -- poset constructors --------------------------------------------------------
+# -- the orbit walk ------------------------------------------------------------
 
 
-def _chain(diagram: DynkinDiagram, colors_top_down: list[int]) -> ColoredPoset:
-    n = len(colors_top_down)
-    coloring = {i + 1: colors_top_down[i] for i in range(n)}
-    covers = [(i + 1, i) for i in range(1, n)]  # element i+1 sits below element i
-    return ColoredPoset(diagram, coloring, covers)
+def _heap(letter: str, n: int, j: int) -> ColoredPoset:
+    """
+    The heap of the orbit walk from the fundamental weight of node j of the
+    Kac-numbered diagram letter_n: for a minuscule node j, the colored
+    minuscule poset of (letter, n, j) (Proctor, Stembridge).
+
+    The weight's coefficients start at c_k = 1 if k == j else 0.  While some
+    node i has c_i = 1, the walk takes i as its next letter: c_i becomes -1
+    and each neighbour k loses theta[i][k].  Letter t is element t, colored
+    i, below the latest earlier letters adjacent to i that come after the
+    latest earlier i, or below that i if there are none.
+
+    Of the nodes ready at a step, type A takes the greatest and every other
+    type the least.  The orders give one poset, numbered differently: least
+    first numbers the type A grids by columns, greatest first by rows, as the
+    paper's worked example for A_4(2) reads its word (3, 4, 2, 3, 1, 2).
+    """
+    diagram = diagram_of_type(letter, n)
+    # lists indexed by node: the nonzero entries (k, theta[i][k]) of row i, the
+    # coefficients, and each node's latest letter, 0 before the first
+    m = diagram.matrix  # node i is row i - 1
+    row = [[]] + [[(k, m[i - 1][k - 1]) for k in diagram.neighbors(i)] for i in range(1, n + 1)]
+    c, last = [int(k == j) for k in range(n + 1)], [0] * (n + 1)
+    sign = -1 if letter == "A" else 1
+    # no coefficient reaches 2 on a minuscule orbit, so no two ready nodes are
+    # adjacent, and a ready node stays ready, pushed once, until it is taken
+    ready, word, covers = [sign * j], [], []
+    while ready:
+        i = sign * heappop(ready)
+        word.append(i)
+        t, previous, found = len(word), last[i], len(covers)
+        last[i], c[i] = t, -1
+        for k, theta in row[i]:
+            if last[k] > previous:
+                covers.append((t, last[k]))
+            c[k] -= theta
+            if c[k] == 1:
+                heappush(ready, sign * k)
+        if previous and len(covers) == found:
+            covers.append((t, previous))
+    return ColoredPoset(diagram, dict(enumerate(word, 1)), covers)
 
 
-def _cells(
-    diagram: DynkinDiagram, cells: list[tuple[int, int]], color, slant: int
-) -> ColoredPoset:
-    """The poset on the cells (r, c), numbered 1, 2, .. in the order given, in
-    which each cell covers (r, c + 1) and (r + 1, c + slant) where they exist."""
-    ids = {rc: x for x, rc in enumerate(cells, 1)}
-    coloring = {x: color(*rc) for rc, x in ids.items()}
-    covers = [
-        (ids[below], x)
-        for (r, c), x in ids.items()
-        for below in ((r, c + 1), (r + 1, c + slant))
-        if below in ids
-    ]
-    return ColoredPoset(diagram, coloring, covers)
-
-
-def _grid(diagram: DynkinDiagram, n: int, m: int) -> ColoredPoset:
-    """Type A grid for index m: rows 1..m, columns 1..n+1-m, cell (1,1) maximal
-    with color m, cell colors m - r + c along diagonals."""
-    cells = [(r, c) for r in range(1, m + 1) for c in range(1, n + 2 - m)]
-    return _cells(diagram, cells, lambda r, c: m - r + c, 0)
-
-
-def _type_b(diagram: DynkinDiagram, n: int) -> ColoredPoset:
-    """Staircase with rows of lengths n, n-1, .., 1; row cells colored n, n-1, ..
-    left to right; unique maximum colored n."""
-    cells = [(r, c) for r in range(1, n + 1) for c in range(1, n + 2 - r)]
-    return _cells(diagram, cells, lambda r, c: n + 1 - c, -1)
-
-
-def _type_d_standard(diagram: DynkinDiagram, n: int) -> ColoredPoset:
-    """Chain 1..n-2, the incomparable pair {n-1, n}, then the chain back down."""
-    coloring: dict[int, int] = {}
-    covers: list[tuple[int, int]] = []
-    for i in range(1, n - 1):
-        coloring[i] = i
-        if i > 1:
-            covers.append((i, i - 1))
-    top_of_diamond = n - 2
-    left, right = n - 1, n
-    coloring[left] = n - 1
-    coloring[right] = n
-    covers += [(left, top_of_diamond), (right, top_of_diamond)]
-    prev = [left, right]
-    for step, color in enumerate(range(n - 2, 0, -1)):
-        x = n + 1 + step
-        coloring[x] = color
-        for z in prev:
-            covers.append((x, z))
-        prev = [x]
-    return ColoredPoset(diagram, coloring, covers)
-
-
-def _type_d_spin(diagram: DynkinDiagram, n: int) -> ColoredPoset:
-    """Shifted staircase on cells (r, c), 1 <= r <= c <= n-1; the diagonal
-    alternates between the fork colors n and n-1 starting from the maximal
-    cell (1,1)."""
-
-    def color(r: int, c: int) -> int:
-        x = c - r
-        if x == 0:
-            return n if r % 2 == 1 else n - 1
-        if x == 1:
-            return n - 2
-        return n - 1 - x
-
-    cells = [(r, c) for r in range(1, n) for c in range(r, n)]
-    return _cells(diagram, cells, color, 0)
-
-
-# E6/E7 tables: (element, color, elements covering it), maxima first.
-_E6_TABLE = [
-    (1, 1, []),
-    (2, 2, [1]),
-    (3, 3, [2]),
-    (4, 4, [3]),
-    (5, 6, [3]),
-    (6, 5, [4]),
-    (7, 3, [4, 5]),
-    (8, 4, [6, 7]),
-    (9, 2, [7]),
-    (10, 3, [8, 9]),
-    (11, 1, [9]),
-    (12, 6, [10]),
-    (13, 2, [10, 11]),
-    (14, 3, [12, 13]),
-    (15, 4, [14]),
-    (16, 5, [15]),
-]
-
-_E7_TABLE = [
-    (1, 6, []),
-    (2, 5, [1]),
-    (3, 4, [2]),
-    (4, 3, [3]),
-    (5, 2, [4]),
-    (6, 7, [4]),
-    (7, 1, [5]),
-    (8, 3, [5, 6]),
-    (9, 2, [7, 8]),
-    (10, 4, [8]),
-    (11, 5, [10]),
-    (12, 3, [9, 10]),
-    (13, 4, [11, 12]),
-    (14, 6, [11]),
-    (15, 7, [12]),
-    (16, 5, [13, 14]),
-    (17, 3, [13, 15]),
-    (18, 4, [16, 17]),
-    (19, 2, [17]),
-    (20, 1, [19]),
-    (21, 3, [18, 19]),
-    (22, 2, [20, 21]),
-    (23, 7, [21]),
-    (24, 3, [22, 23]),
-    (25, 4, [24]),
-    (26, 5, [25]),
-    (27, 6, [26]),
-]
-
-
-def _from_table(diagram: DynkinDiagram, table) -> ColoredPoset:
-    coloring = {x: c for x, c, _ in table}
-    covers = [(x, up) for x, _, ups in table for up in ups]
-    return ColoredPoset(diagram, coloring, covers)
-
-
-# kind -> (type letter, least rank, most rank, takes an index j, constructor
-# from the Kac-numbered diagram, n and j), in sort order.  Only A_exterior
+# kind -> (type letter, least rank, most rank, takes an index j, the Kac
+# number of the top color from n and j), in sort order.  Only A_exterior
 # takes an index, 2 <= j <= n - 1; every other family has j = 0.
 FAMILIES = {
-    "A_standard": ("A", 1, inf, False, lambda d, n, j: _chain(d, range(1, n + 1))),
-    "A_exterior": ("A", 3, inf, True, _grid),
-    "B": ("B", 2, inf, False, lambda d, n, j: _type_b(d, n)),
-    "C": ("C", 3, inf, False, lambda d, n, j: _chain(d, [*range(1, n), *range(n, 0, -1)])),
-    "D_standard": ("D", 4, inf, False, lambda d, n, j: _type_d_standard(d, n)),
-    "D_spin": ("D", 5, inf, False, lambda d, n, j: _type_d_spin(d, n)),
-    "E6": ("E", 6, 6, False, lambda d, n, j: _from_table(d, _E6_TABLE)),
-    "E7": ("E", 7, 7, False, lambda d, n, j: _from_table(d, _E7_TABLE)),
+    "A_standard": ("A", 1, inf, False, lambda n, j: 1),
+    "A_exterior": ("A", 3, inf, True, lambda n, j: j),
+    "B": ("B", 2, inf, False, lambda n, j: n),
+    "C": ("C", 3, inf, False, lambda n, j: 1),
+    "D_standard": ("D", 4, inf, False, lambda n, j: 1),
+    "D_spin": ("D", 5, inf, False, lambda n, j: n),
+    "E6": ("E", 6, 6, False, lambda n, j: 1),
+    "E7": ("E", 7, 7, False, lambda n, j: 6),
 }
 
 
 def build(family: FamilyId) -> ColoredPoset:
-    """The family's poset, colored by Kac numbers."""
-    letter, _, _, _, construct = FAMILIES[family.kind]
-    return construct(diagram_of_type(letter, family.n), family.n, family.j)
+    """The family's poset, colored by Kac numbers: the heap of the orbit walk
+    from its top color."""
+    letter, _, _, _, top = FAMILIES[family.kind]
+    return _heap(letter, family.n, top(family.n, family.j))
 
 
 def minuscule_indices(max_n: int) -> list[tuple[str, int, int]]:
@@ -336,21 +249,13 @@ def family_of(letter: str, n: int, j: int) -> FamilyId:
 
 
 def indexed(letter: str, n: int, j: int) -> ColoredPoset:
-    """
-    The colored minuscule poset for the minuscule weight (letter, n, j); its
-    maximal element has color j.
-    """
+    """The colored minuscule poset of the minuscule weight (letter, n, j): the
+    heap of the orbit walk from node j, so its maximal element has color j."""
     # an unknown letter has no rank
     least, most, _, nodes = _TYPES.get(letter, (1, 0, None, None))
     if not (least <= n <= most and j in nodes(n)):
         raise NotAMinusculeWeight(f"{letter}_{n}({j}) is not a minuscule weight index")
-    base = build(family_of(letter, n, j))
-    top = base.color(base.maximal_elements()[0])
-    if top == j:
-        return base
-    # the involution exchanging the two top colors
-    sigma = next(s for s in kac_automorphisms(letter, n) if s[top] == j and s[j] == top)
-    return base.relabel_colors(sigma)
+    return _heap(letter, n, j)
 
 
 def top_tree_Y(i: int, j: int, k: int) -> ColoredPoset:

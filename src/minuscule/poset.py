@@ -232,11 +232,6 @@ class ColoredPoset:
         sub = self.diagram.restrict(set(coloring.values()))
         return ColoredPoset(sub, coloring, self.induced_covers(coloring))
 
-    def relabel_colors(self, gamma: Mapping[Color, Color]) -> "ColoredPoset":
-        """Replace every color c by gamma[c], an automorphism of the diagram."""
-        coloring = {x: gamma[c] for x, c in self.coloring.items()}
-        return ColoredPoset(self.diagram, coloring, self.covers)
-
     # -- serialization --------------------------------------------------------
 
     def to_json(self) -> dict:

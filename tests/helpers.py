@@ -9,7 +9,15 @@ from functools import lru_cache
 from typing import Iterator
 
 from minuscule.axioms import AxiomReport, Witness, check, is_d_complete, is_minuscule
-from minuscule.catalog import FamilyId, all_family_ids, build
+from minuscule.catalog import (
+    FAMILIES,
+    FamilyId,
+    all_family_ids,
+    build,
+    diagram_of_type,
+    family_of,
+    kac_automorphisms,
+)
 from minuscule.classify import ComponentClassification
 from minuscule.coroots import (
     Coroot,
@@ -1138,3 +1146,193 @@ def differential_posets(rng: random.Random) -> Iterator[ColoredPoset]:
         parts = [rng.choice(catalog[:30]) for _ in range(rng.randint(2, 4))]
         parts.append(random_colored_poset(rng, 6, 3))
         yield disjoint_union(parts)
+
+
+# -- the catalog by hand -------------------------------------------------------
+# The constructors the catalog used before it walked the orbit of the top
+# color's fundamental weight, kept as oracles for `build` and `indexed`.
+
+
+def _chain(diagram: DynkinDiagram, colors_top_down: list[int]) -> ColoredPoset:
+    n = len(colors_top_down)
+    coloring = {i + 1: colors_top_down[i] for i in range(n)}
+    covers = [(i + 1, i) for i in range(1, n)]  # element i+1 sits below element i
+    return ColoredPoset(diagram, coloring, covers)
+
+
+def _cells(
+    diagram: DynkinDiagram, cells: list[tuple[int, int]], color, slant: int
+) -> ColoredPoset:
+    """The poset on the cells (r, c), numbered 1, 2, .. in the order given, in
+    which each cell covers (r, c + 1) and (r + 1, c + slant) where they exist."""
+    ids = {rc: x for x, rc in enumerate(cells, 1)}
+    coloring = {x: color(*rc) for rc, x in ids.items()}
+    covers = [
+        (ids[below], x)
+        for (r, c), x in ids.items()
+        for below in ((r, c + 1), (r + 1, c + slant))
+        if below in ids
+    ]
+    return ColoredPoset(diagram, coloring, covers)
+
+
+def _grid(diagram: DynkinDiagram, n: int, m: int) -> ColoredPoset:
+    """Type A grid for index m: rows 1..m, columns 1..n+1-m, cell (1,1) maximal
+    with color m, cell colors m - r + c along diagonals."""
+    cells = [(r, c) for r in range(1, m + 1) for c in range(1, n + 2 - m)]
+    return _cells(diagram, cells, lambda r, c: m - r + c, 0)
+
+
+def _type_b(diagram: DynkinDiagram, n: int) -> ColoredPoset:
+    """Staircase with rows of lengths n, n-1, .., 1; row cells colored n, n-1, ..
+    left to right; unique maximum colored n."""
+    cells = [(r, c) for r in range(1, n + 1) for c in range(1, n + 2 - r)]
+    return _cells(diagram, cells, lambda r, c: n + 1 - c, -1)
+
+
+def _type_d_standard(diagram: DynkinDiagram, n: int) -> ColoredPoset:
+    """Chain 1..n-2, the incomparable pair {n-1, n}, then the chain back down."""
+    coloring: dict[int, int] = {}
+    covers: list[tuple[int, int]] = []
+    for i in range(1, n - 1):
+        coloring[i] = i
+        if i > 1:
+            covers.append((i, i - 1))
+    top_of_diamond = n - 2
+    left, right = n - 1, n
+    coloring[left] = n - 1
+    coloring[right] = n
+    covers += [(left, top_of_diamond), (right, top_of_diamond)]
+    prev = [left, right]
+    for step, color in enumerate(range(n - 2, 0, -1)):
+        x = n + 1 + step
+        coloring[x] = color
+        for z in prev:
+            covers.append((x, z))
+        prev = [x]
+    return ColoredPoset(diagram, coloring, covers)
+
+
+def _type_d_spin(diagram: DynkinDiagram, n: int) -> ColoredPoset:
+    """Shifted staircase on cells (r, c), 1 <= r <= c <= n-1; the diagonal
+    alternates between the fork colors n and n-1 starting from the maximal
+    cell (1,1)."""
+
+    def color(r: int, c: int) -> int:
+        x = c - r
+        if x == 0:
+            return n if r % 2 == 1 else n - 1
+        if x == 1:
+            return n - 2
+        return n - 1 - x
+
+    cells = [(r, c) for r in range(1, n) for c in range(r, n)]
+    return _cells(diagram, cells, color, 0)
+
+
+# E6/E7 tables: (element, color, elements covering it), maxima first.
+_E6_TABLE = [
+    (1, 1, []),
+    (2, 2, [1]),
+    (3, 3, [2]),
+    (4, 4, [3]),
+    (5, 6, [3]),
+    (6, 5, [4]),
+    (7, 3, [4, 5]),
+    (8, 4, [6, 7]),
+    (9, 2, [7]),
+    (10, 3, [8, 9]),
+    (11, 1, [9]),
+    (12, 6, [10]),
+    (13, 2, [10, 11]),
+    (14, 3, [12, 13]),
+    (15, 4, [14]),
+    (16, 5, [15]),
+]
+
+_E7_TABLE = [
+    (1, 6, []),
+    (2, 5, [1]),
+    (3, 4, [2]),
+    (4, 3, [3]),
+    (5, 2, [4]),
+    (6, 7, [4]),
+    (7, 1, [5]),
+    (8, 3, [5, 6]),
+    (9, 2, [7, 8]),
+    (10, 4, [8]),
+    (11, 5, [10]),
+    (12, 3, [9, 10]),
+    (13, 4, [11, 12]),
+    (14, 6, [11]),
+    (15, 7, [12]),
+    (16, 5, [13, 14]),
+    (17, 3, [13, 15]),
+    (18, 4, [16, 17]),
+    (19, 2, [17]),
+    (20, 1, [19]),
+    (21, 3, [18, 19]),
+    (22, 2, [20, 21]),
+    (23, 7, [21]),
+    (24, 3, [22, 23]),
+    (25, 4, [24]),
+    (26, 5, [25]),
+    (27, 6, [26]),
+]
+
+
+def _from_table(diagram: DynkinDiagram, table) -> ColoredPoset:
+    coloring = {x: c for x, c, _ in table}
+    covers = [(x, up) for x, _, ups in table for up in ups]
+    return ColoredPoset(diagram, coloring, covers)
+
+
+# kind -> constructor from the Kac-numbered diagram, n and j
+_FAMILY_CONSTRUCTORS = {
+    "A_standard": lambda d, n, j: _chain(d, range(1, n + 1)),
+    "A_exterior": _grid,
+    "B": lambda d, n, j: _type_b(d, n),
+    "C": lambda d, n, j: _chain(d, [*range(1, n), *range(n, 0, -1)]),
+    "D_standard": lambda d, n, j: _type_d_standard(d, n),
+    "D_spin": lambda d, n, j: _type_d_spin(d, n),
+    "E6": lambda d, n, j: _from_table(d, _E6_TABLE),
+    "E7": lambda d, n, j: _from_table(d, _E7_TABLE),
+}
+
+
+def family_oracle(family: FamilyId) -> ColoredPoset:
+    """The family's poset from its hand constructor, colored by Kac numbers."""
+    letter = FAMILIES[family.kind][0]
+    construct = _FAMILY_CONSTRUCTORS[family.kind]
+    return construct(diagram_of_type(letter, family.n), family.n, family.j)
+
+
+def relabel_colors(p: ColoredPoset, gamma: dict[Color, Color]) -> ColoredPoset:
+    """Replace every color c by gamma[c], an automorphism of the diagram."""
+    coloring = {x: gamma[c] for x, c in p.coloring.items()}
+    return ColoredPoset(p.diagram, coloring, p.covers)
+
+
+def indexed_oracle(letter: str, n: int, j: int) -> ColoredPoset:
+    """The poset of the minuscule index (letter, n, j): its family's hand-built
+    poset, relabeled by the diagram involution exchanging its top color and j."""
+    base = family_oracle(family_of(letter, n, j))
+    top = base.color(base.maximal_elements()[0])
+    if top == j:
+        return base
+    # the involution exchanging the two top colors
+    sigma = next(s for s in kac_automorphisms(letter, n) if s[top] == j and s[j] == top)
+    return relabel_colors(base, sigma)
+
+
+def class_chain_renumbered(p: ColoredPoset, q: ColoredPoset) -> ColoredPoset:
+    """q with each color class's elements given the ids of p's class of the
+    same color, matched along the two class chains from the top down."""
+    pi = {
+        y: x
+        for a in q.diagram.colors
+        for x, y in zip(reversed(p.class_chain(a)), reversed(q.class_chain(a)))
+    }
+    return ColoredPoset(
+        q.diagram, {pi[y]: c for y, c in q.coloring.items()}, [(pi[x], pi[y]) for x, y in q.covers]
+    )

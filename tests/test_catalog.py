@@ -1,5 +1,6 @@
 import pytest
 
+from minuscule import catalog
 from minuscule.axioms import is_minuscule
 from minuscule.catalog import (
     BadParameters,
@@ -16,7 +17,15 @@ from minuscule.catalog import (
 )
 from minuscule.poset import colored_isomorphism, order_dual, top_tree
 
-from helpers import automorphisms, rank_function, split_count_oracle
+from helpers import (
+    automorphisms,
+    class_chain_renumbered,
+    family_oracle,
+    indexed_oracle,
+    rank_function,
+    relabel_colors,
+    split_count_oracle,
+)
 
 
 def test_family_id_validation():
@@ -49,6 +58,80 @@ def test_family_lists_agree_with_the_index_lists():
     for m in range(13):
         named = {family_of(*index) for index in minuscule_indices(m)}
         assert all_family_ids(m) == sorted(named, key=FamilyId.sort_key), m
+
+
+def test_build_equals_the_hand_constructors():
+    # the walk numbers E6 and E7 otherwise; EC makes the renumbering unique
+    for fam in all_family_ids(12):
+        walked, by_hand = build(fam), family_oracle(fam)
+        if fam.kind in ("E6", "E7"):
+            assert walked != by_hand and class_chain_renumbered(walked, by_hand) == walked
+        else:
+            assert walked == by_hand, str(fam)
+
+
+def test_indexed_equals_the_relabeled_hand_constructors():
+    renumbered = {("D", 4, 4), ("E", 6, 1), ("E", 6, 5), ("E", 7, 6)}
+    for index in minuscule_indices(12):
+        walked, by_hand = indexed(*index), indexed_oracle(*index)
+        if index in renumbered:
+            assert walked != by_hand and class_chain_renumbered(walked, by_hand) == walked
+        else:
+            assert walked == by_hand, index
+
+
+def walk_meets_two(diagram, j):
+    """Whether the orbit walk down from the fundamental weight of node j ever
+    gives a node a coefficient of 2 or more."""
+    c = {k: int(k == j) for k in diagram.colors}
+    while max(c.values()) < 2:
+        ready = [i for i in diagram.colors if c[i] == 1]
+        if not ready:
+            return False
+        c = {k: c[k] - diagram.theta(ready[0], k) for k in diagram.colors}
+    return True
+
+
+def test_minuscule_nodes_are_those_whose_walk_never_meets_two():
+    listed = set(minuscule_indices(12))
+    for letter in "ABCDE":
+        for n in range(1, 13):
+            try:
+                diagram = diagram_of_type(letter, n)
+            except BadParameters:
+                continue
+            for j in diagram.colors:
+                assert ((letter, n, j) in listed) == (not walk_meets_two(diagram, j)), (letter, n, j)
+
+
+def test_the_walk_reads_no_zero_pairing(monkeypatch):
+    zeros = []
+
+    class Row(tuple):
+        """A pairing row that records every read of a zero entry."""
+
+        def __getitem__(self, k):
+            value = tuple.__getitem__(self, k)
+            if value == 0:
+                zeros.append(k)
+            return value
+
+        def __iter__(self):
+            zeros.extend(k for k, value in enumerate(tuple.__iter__(self)) if value == 0)
+            return tuple.__iter__(self)
+
+    def watched(letter, n):
+        diagram = diagram_of_type(letter, n)
+        object.__setattr__(diagram, "matrix", tuple(map(Row, diagram.matrix)))
+        return diagram
+
+    monkeypatch.setattr(catalog, "diagram_of_type", watched)
+    for fam in all_family_ids(9):
+        build(fam)
+        assert not zeros, str(fam)
+    for index in minuscule_indices(9):
+        indexed(*index)
+        assert not zeros, index
 
 
 def test_a_standard_shape():
@@ -189,7 +272,7 @@ def test_indexed_isomorphism_pairs():
     # the same index through either diagram automorphism gives the same poset
     a53 = indexed("A", 5, 3)
     flip = {1: 5, 2: 4, 3: 3, 4: 2, 5: 1}
-    assert colored_isomorphism(a53, a53.relabel_colors(flip)) is not None
+    assert colored_isomorphism(a53, relabel_colors(a53, flip)) is not None
 
 
 def test_indexed_covers_all_minuscule_weights():

@@ -18,11 +18,20 @@ calls.  The ninth runs `is_minuscule` cold on batches of 20 fresh copies of
 A_standard(1200) and of B(30), so both axiom passes run on every copy, with
 a budget each on the best of three batches.  The tenth builds the operator
 maps of a fresh B(14) cold, its EC check and the walk over its 16384 splits
-included, with a budget on the best of three calls.  Each budget is three
-times the time measured on a 2-vCPU container (Python 3.11.7): 0.95 s,
-0.75 s, 0.37 s, 0.07 s, 0.22 s, 0.35 s, 0.96 s, 0.053 s and 0.050 s,
-0.157 s and 0.036 s (the last four are medians of 75 cold measurements),
-and 0.09 s (the best of three, taken in five runs: 0.071 to 0.105 s).
+included, with a budget on the best of three calls.  The eleventh builds
+A_standard(1200) once and B(30) twenty times as one batch, with a budget
+each on the best of three.  The orbit walk reads only the nonzero pairings
+of each letter's row.  The chain's diagram is a dense table, so a walk that
+scans whole rows costs only a few times more (0.17 s to scan every row once,
+0.23 s to scan each letter's row, against this budget of 0.22 s):
+`test_catalog` checks that no zero pairing is read, and this test bounds the
+whole build.
+Each budget is three times the time measured on a 2-vCPU container (Python
+3.11.7): 0.95 s, 0.75 s, 0.37 s, 0.07 s, 0.22 s, 0.35 s, 0.96 s, 0.053 s and
+0.050 s, 0.157 s and 0.036 s (the last four are medians of 75 cold
+measurements), 0.09 s (the best of three, taken in five runs: 0.071 to
+0.105 s), and 0.073 s and 0.043 s (the medians of five runs of the best of
+three: 0.068 to 0.095 s and 0.041 to 0.066 s).
 """
 
 import contextlib
@@ -53,6 +62,8 @@ PSI_D_SPIN30_BUDGET_S = 0.15
 AXIOMS_A1200_BUDGET_S = 0.47
 AXIOMS_B30_BUDGET_S = 0.11
 B14_MAPS_BUDGET_S = 0.27
+BUILD_A1200_BUDGET_S = 0.22
+BUILD_B30_BATCH_BUDGET_S = 0.13
 
 
 def test_relations_hold_at_thousands_of_splits():
@@ -177,3 +188,18 @@ def test_operator_maps_of_b14_cold():
     elapsed = min(times)
     budget = B14_MAPS_BUDGET_S
     assert elapsed <= budget, f"{elapsed:.3f} s over the {budget} s budget"
+
+
+def test_build_a_chain_of_1200_and_b30():
+    for fam, size, copies, budget in [
+        (FamilyId("A_standard", 1200), 1200, 1, BUILD_A1200_BUDGET_S),
+        (FamilyId("B", 30), 465, 20, BUILD_B30_BATCH_BUDGET_S),
+    ]:
+        times = []
+        for _ in range(3):
+            started = time.perf_counter()
+            built = [build(fam) for _ in range(copies)]
+            times.append(time.perf_counter() - started)
+            assert all(len(p) == size for p in built), str(fam)
+        elapsed = min(times)
+        assert elapsed <= budget, f"{fam}: {elapsed:.3f} s over the {budget} s budget"
