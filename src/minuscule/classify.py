@@ -101,7 +101,7 @@ def _classified(p: ColoredPoset) -> tuple[ComponentClassification, list[AxiomRep
     q = build(matches[0])
     top = q.color(q.maximal_elements()[0])
     # of the pairings sending top to top, the least along p's color order: the
-    # one a search through p's colors in order meets first
+    # one the test oracle, a search through p's colors in order, meets first
     gamma = min(
         ({a: s[nu[a]] for a in p.diagram.colors} for s in sigmas if s[j] == top),
         key=lambda g: [g[a] for a in p.diagram.colors],

@@ -43,10 +43,6 @@ def _load_json(path: str) -> dict:
         raise InputError(f"cannot read {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise InputError(f"{path} does not hold a JSON object")
-    # JSON true would pass for 1 by equality alone
-    version = data.get("version")
-    if type(version) is not int or version != SCHEMA_VERSION:
-        raise InputError(f"unsupported schema version {version!r}")
     return data
 
 
@@ -343,6 +339,8 @@ def cmd_coroots(args) -> int:
         if given and args.j is None:
             raise InputError(f"{option} needs --j")
     system = coroots.coroot_system(catalog.diagram_of_type(args.type.upper(), args.n))
+    if args.j is not None and not 1 <= args.j <= args.n:
+        raise InputError(f"--j must lie in 1..{args.n}")
     out: dict = {
         "version": SCHEMA_VERSION,
         "type": f"{args.type.upper()}{args.n}",
@@ -352,8 +350,6 @@ def cmd_coroots(args) -> int:
     code = 0
     real = None
     if args.j is not None:
-        if not 1 <= args.j <= args.n:
-            raise InputError(f"--j must lie in 1..{args.n}")
         out["filter"] = [list(b) for b in system.filter_at(args.j)]
         if args.psi:
             p = _load_poset(args.psi)

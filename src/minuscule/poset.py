@@ -393,96 +393,74 @@ def colored_isomorphism(
     A pair (pi, gamma) with pi an order isomorphism, gamma a pairing-preserving
     diagram bijection, and color(pi(x)) = gamma(color(x)); None if there is none.
 
-    Deterministic backtracking over color-class-respecting candidate maps.
+    One backtracking search places p1's positions breadth first along covers,
+    each component from its least, so all but the first of each have a placed
+    cover neighbour.  A position takes a free one of p2 with equal up, down,
+    cover and lower-cover counts whose placed upper and lower covers are the
+    images of its own; gamma is fixed as colors are met, a new pair's placed
+    neighbours mapping exactly onto each other with equal pairings.  A full pi
+    maps covers onto covers both ways, an order isomorphism; gamma meets every
+    color, is one-to-one into a diagram of equal size, and keeps every pairing.
     """
-    if len(p1) != len(p2) or len(p1.diagram) != len(p2.diagram):
+    n = len(p1)
+    if n != len(p2) or len(p1.diagram) != len(p2.diagram):
         return None
-
-    def class_profile(p: ColoredPoset, a: Color) -> tuple:
-        cls = p.class_masks[a]
-        degrees = (
-            (p.cover_masks[i].bit_count(), p.lower_cover_masks[i].bit_count()) for i in bits(cls)
-        )
-        return cls.bit_count(), tuple(sorted(degrees))
-
+    key1, key2 = (
+        [(u.bit_count(), d.bit_count(), c.bit_count(), lo.bit_count())
+         for u, d, c, lo in zip(p.up_masks, p.down_masks, p.cover_masks, p.lower_cover_masks)]
+        for p in (p1, p2)
+    )
+    if sorted(key1) != sorted(key2):
+        return None
+    bucket: dict[tuple[int, ...], int] = {}
+    for j, key in enumerate(key2):
+        bucket[key] = bucket.get(key, 0) | 1 << j
+    covers = ((p1.cover_masks, p2.cover_masks), (p1.lower_cover_masks, p2.lower_cover_masks))
+    order, rest = [], (1 << n) - 1
+    for head in range(n):
+        if head == len(order):  # a new component, from its least position
+            order.append((rest & -rest).bit_length() - 1)
+            rest &= rest - 1
+        reached = (p1.cover_masks[order[head]] | p1.lower_cover_masks[order[head]]) & rest
+        order += bits(reached)
+        rest ^= reached
     d1, d2 = p1.diagram, p2.diagram
-    candidates: dict[Color, list[Color]] = {}
-    for a in d1.colors:
-        opts = [
-            b
-            for b in d2.colors
-            if d1.degree(a) == d2.degree(b) and class_profile(p1, a) == class_profile(p2, b)
-        ]
-        if not opts:
-            return None
-        candidates[a] = opts
+    col1, col2 = [p1.coloring[x] for x in p1.elements], [p2.coloring[y] for y in p2.elements]
+    pi, gamma, back, placed, used = [-1] * n, {}, {}, 0, 0
 
-    def extend_gamma(i: int, gamma: dict[Color, Color]) -> Iterator[dict[Color, Color]]:
-        if i == len(d1.colors):
-            yield dict(gamma)
-            return
-        a = d1.colors[i]
-        for b in candidates[a]:
-            if b in gamma.values():
-                continue
-            ok = all(
-                d1.theta(a, c) == d2.theta(b, gamma[c]) and d1.theta(c, a) == d2.theta(gamma[c], b)
-                for c in gamma
-            )
-            if not ok:
-                continue
-            gamma[a] = b
-            yield from extend_gamma(i + 1, gamma)
-            del gamma[a]
+    def fits(i: int, j: int) -> bool:
+        for m1, m2 in covers:
+            if sum(1 << pi[k] for k in bits(m1[i] & placed)) != m2[j] & used:
+                return False
+        a, b = col1[i], col2[j]
+        if a in gamma or b in back:
+            return a in gamma and gamma[a] == b
+        near = [c for c in d1.neighbors(a) if c in gamma]
+        return {gamma[c] for c in near} == {e for e in d2.neighbors(b) if e in back} and all(
+            d1.theta(a, c) == d2.theta(b, gamma[c]) and d1.theta(c, a) == d2.theta(gamma[c], b)
+            for c in near
+        )
 
-    def element_signature(p: ColoredPoset, x: int) -> tuple:
-        i = p.position[x]
-        masks = (p.cover_masks, p.lower_cover_masks, p.up_masks, p.down_masks)
-        return tuple(m[i].bit_count() for m in masks)
-
-    def find_pi(gamma: dict[Color, Color]) -> Optional[dict[int, int]]:
-        pi: dict[int, int] = {}
-        used: set[int] = set()
-
-        def rec(i: int) -> bool:
-            if i == len(p1.elements):
-                return True
-            x = p1.elements[i]
-            for y in p2.elements:
-                if y in used:
-                    continue
-                if p2.color(y) != gamma[p1.color(x)]:
-                    continue
-                if element_signature(p1, x) != element_signature(p2, y):
-                    continue
-                ok = True
-                for z, w in pi.items():
-                    if p1.lt(x, z) != p2.lt(y, w) or p1.lt(z, x) != p2.lt(w, y):
-                        ok = False
-                        break
-                    if ((x, z) in p1.covers) != ((y, w) in p2.covers):
-                        ok = False
-                        break
-                    if ((z, x) in p1.covers) != ((w, y) in p2.covers):
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                pi[x] = y
-                used.add(y)
-                if rec(i + 1):
-                    return True
-                del pi[x]
-                used.discard(y)
-            return False
-
-        return dict(pi) if rec(0) else None
-
-    for gamma in extend_gamma(0, {}):
-        pi = find_pi(gamma)
-        if pi is not None:
-            return pi, gamma
-    return None
+    left, fixed, depth = [iter(())] * n, [False] * n, 0
+    while depth < n:
+        i = order[depth]
+        if pi[i] < 0:  # a fresh depth: its candidates, lowest first
+            left[depth] = bits(bucket.get(key1[i], 0) & ~used)
+        else:  # back from a dead end: undo this depth's placement
+            placed, used, pi[i] = placed ^ 1 << i, used ^ 1 << pi[i], -1
+            if fixed[depth]:
+                del back[gamma.pop(col1[i])]
+        j = next((j for j in left[depth] if fits(i, j)), -1)
+        if j < 0:
+            if not depth:
+                return None
+            depth -= 1
+            continue
+        fixed[depth] = col1[i] not in gamma
+        gamma[col1[i]], back[col2[j]] = col2[j], col1[i]
+        pi[i], placed, used = j, placed | 1 << i, used | 1 << j
+        depth += 1
+    return dict(zip(p1.elements, (p2.elements[j] for j in pi))), {a: gamma[a] for a in d1.colors}
 
 
 def connected_components(poset: ColoredPoset) -> list[ColoredPoset]:

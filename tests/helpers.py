@@ -6,7 +6,7 @@ import itertools
 import os
 import random
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterator, Optional
 
 from minuscule.axioms import AxiomReport, Witness, check, is_d_complete, is_minuscule
 from minuscule.catalog import (
@@ -57,7 +57,7 @@ from minuscule.representation import (
 from minuscule.poset import (
     ColoredPoset,
     PosetError,
-    colored_isomorphism,
+    bits,
     connected_components,
     disjoint_union,
     order_dual,
@@ -226,6 +226,108 @@ def candidate_families(p: ColoredPoset) -> list[FamilyId]:
     return [f for f in out if class_sizes(f) == sizes]
 
 
+# The search `colored_isomorphism` ran before it fixed gamma as it placed
+# elements: every gamma in the diagram's color order, then pi by recursion for
+# each.  `classify_connected_oracle` names its first witness.
+def colored_isomorphism_oracle(
+    p1: ColoredPoset, p2: ColoredPoset
+) -> Optional[tuple[dict[int, int], dict[Color, Color]]]:
+    """
+    A pair (pi, gamma) with pi an order isomorphism, gamma a pairing-preserving
+    diagram bijection, and color(pi(x)) = gamma(color(x)); None if there is none.
+
+    Deterministic backtracking over color-class-respecting candidate maps.
+    """
+    if len(p1) != len(p2) or len(p1.diagram) != len(p2.diagram):
+        return None
+
+    def class_profile(p: ColoredPoset, a: Color) -> tuple:
+        cls = p.class_masks[a]
+        degrees = (
+            (p.cover_masks[i].bit_count(), p.lower_cover_masks[i].bit_count()) for i in bits(cls)
+        )
+        return cls.bit_count(), tuple(sorted(degrees))
+
+    d1, d2 = p1.diagram, p2.diagram
+    candidates: dict[Color, list[Color]] = {}
+    for a in d1.colors:
+        opts = [
+            b
+            for b in d2.colors
+            if d1.degree(a) == d2.degree(b) and class_profile(p1, a) == class_profile(p2, b)
+        ]
+        if not opts:
+            return None
+        candidates[a] = opts
+
+    def extend_gamma(i: int, gamma: dict[Color, Color]) -> Iterator[dict[Color, Color]]:
+        if i == len(d1.colors):
+            yield dict(gamma)
+            return
+        a = d1.colors[i]
+        for b in candidates[a]:
+            if b in gamma.values():
+                continue
+            ok = all(
+                d1.theta(a, c) == d2.theta(b, gamma[c]) and d1.theta(c, a) == d2.theta(gamma[c], b)
+                for c in gamma
+            )
+            if not ok:
+                continue
+            gamma[a] = b
+            yield from extend_gamma(i + 1, gamma)
+            del gamma[a]
+
+    def element_signature(p: ColoredPoset, x: int) -> tuple:
+        i = p.position[x]
+        masks = (p.cover_masks, p.lower_cover_masks, p.up_masks, p.down_masks)
+        return tuple(m[i].bit_count() for m in masks)
+
+    def find_pi(gamma: dict[Color, Color]) -> Optional[dict[int, int]]:
+        pi: dict[int, int] = {}
+        used: set[int] = set()
+
+        def rec(i: int) -> bool:
+            if i == len(p1.elements):
+                return True
+            x = p1.elements[i]
+            for y in p2.elements:
+                if y in used:
+                    continue
+                if p2.color(y) != gamma[p1.color(x)]:
+                    continue
+                if element_signature(p1, x) != element_signature(p2, y):
+                    continue
+                ok = True
+                for z, w in pi.items():
+                    if p1.lt(x, z) != p2.lt(y, w) or p1.lt(z, x) != p2.lt(w, y):
+                        ok = False
+                        break
+                    if ((x, z) in p1.covers) != ((y, w) in p2.covers):
+                        ok = False
+                        break
+                    if ((z, x) in p1.covers) != ((w, y) in p2.covers):
+                        ok = False
+                        break
+                if not ok:
+                    continue
+                pi[x] = y
+                used.add(y)
+                if rec(i + 1):
+                    return True
+                del pi[x]
+                used.discard(y)
+            return False
+
+        return dict(pi) if rec(0) else None
+
+    for gamma in extend_gamma(0, {}):
+        pi = find_pi(gamma)
+        if pi is not None:
+            return pi, gamma
+    return None
+
+
 def classify_connected_oracle(p: ColoredPoset) -> ComponentClassification:
     """Reference classification by search: a colored isomorphism search
     against every candidate family, the first match in family order named."""
@@ -234,7 +336,7 @@ def classify_connected_oracle(p: ColoredPoset) -> ComponentClassification:
         return ComponentClassification(p, None, (), None, tuple(reports))
     matches = []
     for fam in sorted(candidate_families(p), key=FamilyId.sort_key):
-        iso = colored_isomorphism(p, build(fam))
+        iso = colored_isomorphism_oracle(p, build(fam))
         if iso is not None:
             matches.append((fam, iso))
     if not matches:

@@ -171,8 +171,9 @@ def test_theorem_route_matches_search_oracle():
 
 
 def test_long_chains_with_colors_out_of_path_order():
-    """The isomorphism search needed seconds at 20 colors listed every fifth
-    along the path and grew exponentially; the theorem route is polynomial."""
+    """A search through the colors in order, `colored_isomorphism_oracle`,
+    needs seconds at 20 colors listed every fifth along the path and grows
+    exponentially; the theorem route is polynomial."""
     rng = random.Random(seed_from_env() + 40)
     started = time.perf_counter()
     for kind in ("A_standard", "C"):

@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import minuscule
-from minuscule import cli, representation
+from minuscule import cli, coroots, representation
 from minuscule.catalog import FamilyId, all_family_ids, build
 from minuscule.cli import run
 from minuscule.dynkin import validate
@@ -261,11 +261,20 @@ def test_coroots_verb():
     assert len(data["filter"]) == 6
 
 
-def test_coroots_j_out_of_range_exits_two():
+def test_coroots_j_out_of_range_exits_two(monkeypatch):
+    """The range of --j is checked before any coroot is enumerated."""
+    calls = []
+    enumerate_coroots = coroots.CorootSystem.positive_coroots
+    monkeypatch.setattr(
+        coroots.CorootSystem,
+        "positive_coroots",
+        lambda system: calls.append(system) or enumerate_coroots(system),
+    )
     for j in ("0", "7"):
         code, out, err = capture(["coroots", "--type", "A", "--n", "3", "--j", j])
         assert code == 2
         assert "--j" in err and out == ""
+    assert calls == []
 
 
 def test_coroots_dot_on_non_minuscule_index_exits_one():
@@ -558,6 +567,9 @@ def test_poset_files_validate_against_published_schema(tmp_path):
             payload = json.loads(out)
             payload["boundary"] = [1]
         jsonschema.validate(payload, schema)
+    # the empty poset, which every verb accepts
+    empty = {"version": 1, "diagram": {"colors": [], "theta": []}, "elements": [], "covers": []}
+    jsonschema.validate(empty, schema)
     # every fault the schema can express fails it as it fails the loaders
     for doc, _, _, in_schema in malformed_documents():
         if in_schema:

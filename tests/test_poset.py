@@ -22,6 +22,7 @@ from helpers import (
     brute_force_colored_isomorphic,
     brute_force_linear_extension_count,
     ch_set,
+    colored_isomorphism_oracle,
     component_element_sets_oracle,
     differential_posets,
     first_linear_extension_oracle,
@@ -330,14 +331,57 @@ def test_colored_isomorphism_matches_brute_force():
         assert (got is not None) == expected
         if got is not None:
             hits += 1
-            pi, gamma = got
-            assert all(p2.color(pi[x]) == gamma[p1.color(x)] for x in p1.elements)
-            assert all(
-                p1.lt(x, y) == p2.lt(pi[x], pi[y])
-                for x in p1.elements
-                for y in p1.elements
-            )
+            assert_colored_isomorphism(p1, p2, got)
     assert hits >= 5
+
+
+def assert_colored_isomorphism(p1, p2, witness):
+    """pi is a bijection of the elements that carries each color through
+    gamma and maps the covers onto the covers, and gamma is a bijection of the
+    colors that keeps every pairing."""
+    pi, gamma = witness
+    assert sorted(pi) == list(p1.elements) and sorted(pi.values()) == list(p2.elements)
+    assert list(gamma) == list(p1.diagram.colors)
+    assert set(gamma.values()) == set(p2.diagram.colors)
+    assert all(p2.color(pi[x]) == gamma[p1.color(x)] for x in p1.elements)
+    assert {(pi[x], pi[y]) for x, y in p1.covers} == p2.covers
+    d1, d2 = p1.diagram, p2.diagram
+    assert all(d1.theta(a, b) == d2.theta(gamma[a], gamma[b]) for a in gamma for b in gamma)
+
+
+def test_colored_isomorphism_checks_both_cover_directions_and_both_pairings():
+    """Two cases the random pairs seldom reach.  In the first, a search that
+    checked only the upper covers of each placed element returns a witness
+    that maps a cover onto a non-cover.  In the second, the diagrams differ
+    only in theta[b][a], which a search that compared only the pairings of a
+    new color towards the placed ones never reads."""
+    d = validate(["a"], [[2]])
+    six = dict.fromkeys(range(6), "a")
+    p1 = ColoredPoset(d, six, [(1, 3), (2, 0), (2, 4), (4, 3), (5, 0), (5, 1)])
+    p2 = ColoredPoset(d, six, [(0, 2), (1, 4), (1, 5), (3, 0), (3, 4), (5, 2)])
+    assert_colored_isomorphism(p1, p2, colored_isomorphism(p1, p2))
+    b2 = validate(["a", "b"], [[2, -2], [-1, 2]])
+    affine = validate(["a", "b"], [[2, -2], [-2, 2]])
+    q1 = ColoredPoset(b2, {1: "b", 2: "a"}, [(2, 1)])
+    q2 = ColoredPoset(affine, {1: "b", 2: "a"}, [(2, 1)])
+    assert colored_isomorphism(q1, q2) is None and colored_isomorphism(q2, q1) is None
+
+
+def test_colored_isomorphism_matches_the_search_oracle():
+    """Each differential poset against a scrambled copy of itself and against
+    another: a witness exactly when the old search finds one, and every
+    witness checked on its own."""
+    rng = random.Random(seed_from_env() + 4)
+    posets = list(differential_posets(rng))
+    found = 0
+    for p in posets:
+        for q in (scrambled(p, rng), rng.choice(posets)):
+            got = colored_isomorphism(p, q)
+            assert (got is None) == (colored_isomorphism_oracle(p, q) is None)
+            if got is not None:
+                found += 1
+                assert_colored_isomorphism(p, q, got)
+    assert found >= len(posets)
 
 
 def test_rank_function_conventions():

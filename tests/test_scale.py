@@ -32,12 +32,20 @@ Each budget is three times the time measured on a 2-vCPU container (Python
 measurements), 0.09 s (the best of three, taken in five runs: 0.071 to
 0.105 s), and 0.073 s and 0.043 s (the medians of five runs of the best of
 three: 0.068 to 0.095 s and 0.041 to 0.066 s).
+The twelfth searches for a colored isomorphism from A_standard(400) and C(400)
+to copies scrambled with their colors listed every fifth along the path, and
+from A_standard(1200) to a randomly scrambled copy, with a budget each on the
+best of three calls: three times the medians of seven runs, 0.0028 s,
+0.0057 s and 0.0124 s.  The search that fixed gamma before placing any
+element grew exponentially on the first two and exceeded the recursion limit
+on the third.
 """
 
 import contextlib
 import io
 import json
 import math
+import random
 import time
 
 from minuscule import coroots
@@ -47,8 +55,10 @@ from minuscule.classify import classify
 from minuscule.cli import run
 from minuscule.coroots import CorootSystem, psi
 from minuscule.extension import run_extension
-from minuscule.poset import ColoredPoset
+from minuscule.poset import ColoredPoset, colored_isomorphism
 from minuscule.representation import operator_maps, splits, verify_relations
+
+from helpers import scrambled
 
 BUDGET_S = 2.85
 CLASSIFY_BUDGET_S = 2.25
@@ -64,6 +74,9 @@ AXIOMS_B30_BUDGET_S = 0.11
 B14_MAPS_BUDGET_S = 0.27
 BUILD_A1200_BUDGET_S = 0.22
 BUILD_B30_BATCH_BUDGET_S = 0.13
+ISO_A400_BUDGET_S = 0.0085
+ISO_C400_BUDGET_S = 0.017
+ISO_A1200_BUDGET_S = 0.037
 
 
 def test_relations_hold_at_thousands_of_splits():
@@ -203,3 +216,23 @@ def test_build_a_chain_of_1200_and_b30():
             assert all(len(p) == size for p in built), str(fam)
         elapsed = min(times)
         assert elapsed <= budget, f"{fam}: {elapsed:.3f} s over the {budget} s budget"
+
+
+def test_colored_isomorphism_of_long_scrambled_chains():
+    rng = random.Random(1)
+    every_fifth = [i for r in range(5) for i in range(r, 400, 5)]
+    for fam, order, budget in [
+        (FamilyId("A_standard", 400), every_fifth, ISO_A400_BUDGET_S),
+        (FamilyId("C", 400), every_fifth, ISO_C400_BUDGET_S),
+        (FamilyId("A_standard", 1200), None, ISO_A1200_BUDGET_S),
+    ]:
+        p = build(fam)
+        q = scrambled(p, rng, order)
+        times = []
+        for _ in range(3):
+            started = time.perf_counter()
+            found = colored_isomorphism(p, q)
+            times.append(time.perf_counter() - started)
+            assert found is not None, str(fam)
+        elapsed = min(times)
+        assert elapsed <= budget, f"{fam}: {elapsed:.4f} s over the {budget} s budget"
