@@ -59,10 +59,11 @@ def _emit(data: dict) -> None:
 # sends every leaf container (members all scalars or empty containers) through
 # the C encoder, whose item separator breaks each item onto the leaf's indented
 # line, and walks in Python only the containers that hold non-empty ones.  A
-# list of dicts with one set of keys is written a key at a time: the C encoder
-# takes all values of a key at once where they are leaves.  An encoded scalar
-# never holds a raw newline, never starts with [ or { and never ends with ] or
-# }, so every seam the writer rewrites or splits at is structural.
+# list of two or more dicts with one set of keys is written a key at a time:
+# the C encoder takes all values of a key at once where they are leaves.  An
+# encoded scalar never holds a raw newline, never starts with [ or { and never
+# ends with ] or }, so every seam the writer rewrites or splits at is
+# structural.
 
 _SCALARS = frozenset((str, int, float, bool, type(None)))
 _NESTED = (list, tuple, dict)
@@ -203,7 +204,7 @@ def _write(o, depth: int, out: list) -> None:
         )
         out.append(f"[\n{inner}{open_}\n{innermost}{body}\n{inner}{close}\n{outer}]")
         return
-    records = _records(o, depth + 1) if kinds == {dict} else None
+    records = _records(o, depth + 1) if kinds == {dict} and len(o) > 1 else None
     if records:
         out.append(f"[\n{inner}" + f",\n{inner}".join(records) + f"\n{outer}]")
         return
@@ -324,9 +325,9 @@ def cmd_represent(args) -> int:
         _, ops = build_operators(p, maps=maps)
         out["operators"] = {
             str(a): {
-                "raising": x.to_coordinate_json(),
-                "lowering": y.to_coordinate_json(),
-                "diagonal": h.to_coordinate_json(),
+                "raising": x.coordinates,
+                "lowering": y.coordinates,
+                "diagonal": h.coordinates,
             }
             for a, (x, y, h) in ops.items()
         }

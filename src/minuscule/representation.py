@@ -14,13 +14,19 @@ Under EC each color class is a chain and X_a e_s = e_t exactly where the ideal
 t covers the ideal s by an added a-element, so a raising or lowering operator
 sends a basis vector to at most one basis vector: it is stored as a partial
 map on split indices, read off the covers (the lowering map is the inverse of
-the raising one), and the diagonal operator as a vector.  The generator
-relations are decided from these maps by three arguments, with no matrix
-products and no word evaluated term by term except the brackets of depth 3
-or more: HH, the eigenvalue range, XY with a != b and the brackets deeper
-than their color class hold by construction; HX and HY are one comparison
-of packed weights per color; the brackets of depth 1 and 2 are equalities of
-target lists (see `verify_relations`).  `IntMatrix` serves the matrix export.
+the raising one, so Y_a is the transpose of X_a), and the diagonal operator
+as a vector.  The generator relations are decided from these maps with no
+matrix products and no word evaluated term by term except the brackets of
+depth 3 or more (see `verify_relations`).  HH, the eigenvalue range, XY with
+a != b and the brackets deeper than their color class hold by construction.
+Two more hold by the covers: a depth-1 bracket whose two color classes share
+no cover, and XY with a = b where no element of color a covers another.  HX
+is one comparison of packed weights per color, and the other brackets of
+depth 1 and 2 are equalities of target lists.  HY and YY are minus the
+transpose of HX and a signed transpose of XX, so they are evaluated only
+where their X partner fails, for their own least failing index.  The matrix
+export reads each operator's coordinate list off the maps in row order
+(`OperatorMaps.coordinates`), and `IntMatrix` wraps those lists.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass
 from math import comb
-from typing import Iterable, Mapping, Optional
+from typing import Optional
 
 from .axioms import check
 from .dynkin import Color
@@ -164,6 +170,20 @@ class OperatorMaps:
     down: dict[Color, list[int]]
     h: dict[Color, list[int]]
 
+    def coordinates(self, a: Color) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
+        """
+        X_a, Y_a and H_a as coordinate lists of [row, column, value], in row
+        order.  Each row of X_a or Y_a holds at most one entry: row t of X_a
+        holds e_t's preimage under X_a, which is Y_a e_t, and row s of Y_a
+        holds X_a e_s.  So raising reads the lowering map, lowering reads the
+        raising map, and the diagonal reads h.
+        """
+        return (
+            [[t, s, 1] for t, s in enumerate(self.down[a]) if s >= 0],
+            [[s, t, 1] for s, t in enumerate(self.up[a]) if t >= 0],
+            [[s, s, v] for s, v in enumerate(self.h[a]) if v],
+        )
+
 
 def operator_maps(p: ColoredPoset, *, basis: Optional[SplitBasis] = None) -> OperatorMaps:
     """
@@ -195,44 +215,37 @@ def operator_maps(p: ColoredPoset, *, basis: Optional[SplitBasis] = None) -> Ope
 
 
 class IntMatrix:
-    """Sparse square matrix with exact integer entries."""
+    """
+    Sparse square matrix with exact integer entries, held as its coordinate
+    list of [row, column, value] for the nonzero entries, in row order.
+    """
 
-    __slots__ = ("n", "entries")
+    __slots__ = ("n", "coordinates")
 
-    def __init__(self, n: int, entries: Optional[Mapping[tuple[int, int], int]] = None):
+    def __init__(self, n: int, coordinates: list[list[int]]):
         self.n = n
-        self.entries: dict[tuple[int, int], int] = {}
-        if entries:
-            for k, v in entries.items():
-                if v:
-                    self.entries[k] = v
-
-    @staticmethod
-    def diagonal(values: Iterable[int]) -> "IntMatrix":
-        vals = list(values)
-        return IntMatrix(len(vals), {(i, i): v for i, v in enumerate(vals) if v})
+        self.coordinates = coordinates
 
     # products: the test oracles' commutators, counted by perfbench's tracer
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         rows: dict[int, list[tuple[int, int]]] = {}
-        for (r, c), v in other.entries.items():
+        for r, c, v in other.coordinates:
             rows.setdefault(r, []).append((c, v))
         out: dict[tuple[int, int], int] = {}
-        for (r, k), v in self.entries.items():
+        for r, k, v in self.coordinates:
             for c, w in rows.get(k, ()):
                 key = (r, c)
                 out[key] = out.get(key, 0) + v * w
-        return IntMatrix(self.n, out)
+        return IntMatrix(self.n, sorted([r, c, v] for (r, c), v in out.items() if v))
 
     def __eq__(self, other: object) -> bool:
         return (
-            isinstance(other, IntMatrix) and self.n == other.n and self.entries == other.entries
+            isinstance(other, IntMatrix)
+            and self.n == other.n
+            and self.coordinates == other.coordinates
         )
 
     __hash__ = None
-
-    def to_coordinate_json(self) -> list[list[int]]:
-        return sorted([r, c, v] for (r, c), v in self.entries.items())
 
 
 def build_operators(
@@ -240,18 +253,16 @@ def build_operators(
 ) -> tuple[SplitBasis, dict[Color, tuple[IntMatrix, IntMatrix, IntMatrix]]]:
     """
     The (raising, lowering, diagonal) operator triple for every color, over
-    the canonical split basis, as matrices, from `maps` or `operator_maps(p)`.
+    the canonical split basis, as matrices wrapping `maps.coordinates`, from
+    `maps` or `operator_maps(p)`.
     """
     if maps is None:
         maps = operator_maps(p)
     n = len(maps.basis)
     ops: dict[Color, tuple[IntMatrix, IntMatrix, IntMatrix]] = {}
     for a in p.diagram.colors:
-        ops[a] = (
-            IntMatrix(n, {(t, s): 1 for s, t in enumerate(maps.up[a]) if t >= 0}),
-            IntMatrix(n, {(t, s): 1 for s, t in enumerate(maps.down[a]) if t >= 0}),
-            IntMatrix.diagonal(maps.h[a]),
-        )
+        x, y, h = maps.coordinates(a)
+        ops[a] = (IntMatrix(n, x), IntMatrix(n, y), IntMatrix(n, h))
     return maps.basis, ops
 
 
@@ -324,65 +335,99 @@ def verify_relations(
     same amounts, and under EC an ideal is fixed by these counts (it holds an
     initial segment of each color chain).  So every word sends e_s to one and
     the same basis vector or to zero, and each relation is decided by lists
-    built once per color, with no word evaluated term by term:
+    built once per color, with no word evaluated term by term.  Write x for
+    the least a-element of the filter F and y for the top b-element of the
+    ideal I of split s: X_a moves only x into I, and Y_b only y out of it.
 
     - HH and the eigenvalue range hold by construction: each H is diagonal,
       and `operator_maps` only writes h in {-1, 0, 1}.
-    - HX and HY for every b at once.  Where X_a e_s = e_t, the (a, b) relation
+    - HX for every b at once.  Where X_a e_s = e_t, the (a, b) relation
       sends e_s to (h_b(t) - h_b(s) - theta(a,b)) e_t.  Pack the eigenvalues
       of e_s into one int code[s], one digit per color, in radix
       max|theta| + 3, which exceeds every digit of that mismatch.  Then X_a
       satisfies all its (a, b) relations exactly when code[t] - code[s] is
-      the packed row theta(a, .) over the domain of X_a; HY is the same check
-      along Y_a with the row negated.  Only a color whose packed check fails
-      is evaluated per b.
-    - XY with a != b holds on every EC poset.  Let x be the least a-element
-      of the filter F and y the top b-element of the ideal I of split s.
-      Y_b moves only y and X_a only x, and a != b, so X_a Y_b e_s and
-      Y_b X_a e_s are both nonzero exactly when the lower covers of x lie in
-      I, the upper covers of y lie in F, and y is not covered by x; both
-      words then land on the split of the ideal I - y + x.
-    - XX and YY at depth 1 or 2.  Every word has coefficient 1 or 0 on e_s,
-      so x - y vanishes exactly where both words send e_s to the same place,
-      and x - 2y + z exactly where all three do.  The relation holds exactly
-      when the words' target lists are equal, index n standing for zero, and
-      the first index where two lists differ is the failing one.
+      the packed row theta(a, .) over the domain of X_a.  Only a color whose
+      packed check fails is evaluated per b.
+    - HY is minus the transpose of HX.  `operator_maps` builds Y_a as the
+      inverse map of X_a, so Y_a is the transpose of X_a, H_b is diagonal,
+      and (H_b Y_a - Y_a H_b + theta Y_a)^T = -(H_b X_a - X_a H_b - theta X_a).
+      So HY fails exactly where HX does, and is evaluated, along Y_a with the
+      row negated, only then, for its own least failing index.
+    - XY with a != b holds on every EC poset.  Y_b moves only y and X_a only
+      x, and a != b, so X_a Y_b e_s and Y_b X_a e_s are both nonzero exactly
+      when the lower covers of x lie in I, the upper covers of y lie in F,
+      and y is not covered by x; both words then land on the split of the
+      ideal I - y + x.
     - XY with a = b.  X_a Y_a e_s = e_s wherever Y_a e_s is nonzero, and
       Y_a X_a e_s = e_s wherever X_a e_s is nonzero (each moves one chain
       element out and back), so the relation sends e_s to
       ([Y_a e_s != 0] - [X_a e_s != 0] - h_a(s)) e_s.  By the rule for h this
-      is nonzero exactly where both X_a e_s and Y_a e_s are.
-    - XX and YY deeper than the a-class is long hold by construction.  Each
-      word has `depth` letters Z_a, and a Z_b with b != a moves no a-element,
-      so each Z_a must move one more element of the a-chain than the last:
-      no word is nonzero.  No target list is built for such a bracket, so a
+      is nonzero exactly where both X_a e_s and Y_a e_s are.  That needs the
+      top a-element y of I maximal in I and x minimal in F, with y < x in the
+      a-chain; so it holds when no a-element covers another: an element
+      strictly between y and x lies in I above y or in F below x.  Only a
+      color with such a cover is evaluated.
+    - XX at depth 1 or 2.  Every word has coefficient 1 or 0 on e_s, so
+      x - y vanishes exactly where both words send e_s to the same place,
+      and x - 2y + z exactly where all three do.  The relation holds exactly
+      when the words' target lists are equal, index n standing for zero, and
+      the first index where two lists differ is the failing one.
+    - XX at depth 1 holds when no cover joins an a-element and a b-element.
+      With x the least a-element and z the least b-element of F (a != b,
+      so moving one does not change the other), X_a X_b e_s and X_b X_a e_s
+      both land on the split of I + x + z where nonzero.  If X_a X_b e_s is
+      nonzero and X_b X_a e_s is zero, then x's lower covers lie in I + z but
+      not in I, so z is covered by x; the other way round, x is covered by
+      z.  Only pairs joined by a cover are evaluated.
+    - XX deeper than the a-class is long holds by construction.  Each word
+      has `depth` letters X_a, and an X_b with b != a moves no a-element, so
+      each X_a must move one more element of the a-chain than the last: no
+      word is nonzero.  No target list is built for such a bracket, so a
       pairing as large as theta(b,a) = -10**20 costs nothing.
-    - XX and YY at depth 3 or more keep the weighted sum: the binomial
+    - XX at depth 3 or more keeps the weighted sum: the binomial
       coefficients of the words nonzero on e_s, which by the argument above
       all land on one basis vector, must sum to zero.
+    - YY at depth d is (-1)^d times the transpose of XX: transposing turns
+      the word Y_a^(d-k) Y_b Y_a^k into X_a^k X_b X_a^(d-k), the word of
+      index d - k.  So YY holds exactly when XX does.  Its least failing
+      index is the least nonzero row of XX, so where XX fails, YY is
+      evaluated by the rules above along the Y target lists, which are built
+      only then.
     """
     if maps is None:
         maps = operator_maps(p)
     n = len(maps.basis)
     colors = p.diagram.colors
     theta = p.diagram.theta
+    classes = p.class_masks
     checks: list[RelationCheck] = []
 
     def record(relation: str, a: Color, b: Color, s: Optional[int]) -> None:
         checks.append(RelationCheck(relation, a, b, s is None, s))
 
-    # where each map sends every index, with index n standing for zero
-    moves: dict[tuple[str, Color], list[int]] = {}
-    for a in colors:
-        moves["X", a] = [n if t < 0 else t for t in maps.up[a]] + [n]
-        moves["Y", a] = [n if t < 0 else t for t in maps.down[a]] + [n]
+    # linked[a]: the elements that cover an a-element or are covered by one
+    linked: dict[Color, int] = {}
+    for a, m in classes.items():
+        joined = 0
+        for i in bits(m):
+            joined |= p.cover_masks[i] | p.lower_cover_masks[i]
+        linked[a] = joined
 
-    # powers[letter, a][k - 1] is the target list of Z_a^k
+    # moves[letter, a] is where Z_a sends every index, with index n standing
+    # for zero, and powers[letter, a][k - 1] the target list of Z_a^k
+    moves: dict[tuple[str, Color], list[int]] = {}
     powers: dict[tuple[str, Color], list[list[int]]] = {}
+
+    def move(letter: str, a: Color) -> list[int]:
+        z = moves.get((letter, a))
+        if z is None:
+            targets = maps.up[a] if letter == "X" else maps.down[a]
+            z = moves[letter, a] = [n if t < 0 else t for t in targets] + [n]
+        return z
 
     def power(letter: str, a: Color, k: int) -> list[int]:
         """The target list of Z_a^k, k >= 1, cached per color."""
-        z = moves[letter, a]
+        z = move(letter, a)
         known = powers.setdefault((letter, a), [z])
         while len(known) < k:
             known.append(_then(known[-1], z))
@@ -390,11 +435,14 @@ def verify_relations(
 
     def bracket(letter: str, a: Color, b: Color, depth: int) -> Optional[int]:
         """ad(Z_a)^depth (Z_b) = sum over k of (-1)^k C(depth, k) Z_a^(depth-k) Z_b Z_a^k."""
-        if depth > p.class_masks[a].bit_count():
+        if depth > classes[a].bit_count():
             return None  # every word is zero
+        if depth == 1 and not linked[a] & classes[b]:
+            return None  # no cover joins the two classes
+        zb = move(letter, b)
         words = []
         for k in range(depth + 1):
-            targets = moves[letter, b] if k == 0 else _then(power(letter, a, k), moves[letter, b])
+            targets = zb if k == 0 else _then(power(letter, a, k), zb)
             words.append(targets if k == depth else _then(targets, power(letter, a, depth - k)))
         if depth <= 2:
             found = [_first_difference(words[0], w) for w in words[1:]]
@@ -417,8 +465,9 @@ def verify_relations(
 
     for a, b in pairs:
         depth = 1 - theta(b, a)
-        record("XX", a, b, bracket("X", a, b, depth))
-        record("YY", a, b, bracket("Y", a, b, depth))
+        xx = bracket("X", a, b, depth)
+        record("XX", a, b, xx)
+        record("YY", a, b, None if xx is None else bracket("Y", a, b, depth))
 
     radix = 3 + max((abs(v) for row in p.diagram.matrix for v in row), default=0)
     code = [0] * n
@@ -445,8 +494,10 @@ def verify_relations(
         up, down = maps.up[a], maps.down[a]
         row = [theta(a, b) for b in colors]
         hx = weight_failures(up, row)
-        hy = weight_failures(down, [-v for v in row])
-        both = next((s for s, (u, d) in enumerate(zip(up, down)) if u >= 0 and d >= 0), None)
+        hy = weight_failures(down, [-v for v in row]) if hx else {}
+        both = None
+        if linked[a] & classes[a]:
+            both = next((s for s, (u, d) in enumerate(zip(up, down)) if u >= 0 and d >= 0), None)
         for b in colors:
             record("HH", a, b, None)
             record("HX", a, b, hx.get(b))

@@ -679,22 +679,32 @@ def build_operators_oracle(
             else:
                 h_values.append(0)
         ops[a] = (
-            IntMatrix(n, x_entries),
-            IntMatrix(n, y_entries),
-            IntMatrix.diagonal(h_values),
+            matrix(n, x_entries),
+            matrix(n, y_entries),
+            matrix(n, {(i, i): v for i, v in enumerate(h_values)}),
         )
     return basis, ops
 
 
+def matrix(n: int, entries: dict[tuple[int, int], int]) -> IntMatrix:
+    """The n x n matrix with these entries, zeros dropped."""
+    return IntMatrix(n, sorted([r, c, v] for (r, c), v in entries.items() if v))
+
+
+def entries(a: IntMatrix) -> dict[tuple[int, int], int]:
+    """The nonzero entries of a, keyed by (row, column)."""
+    return {(r, c): v for r, c, v in a.coordinates}
+
+
 def mat_add(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    out = dict(a.entries)
-    for k, v in b.entries.items():
+    out = entries(a)
+    for k, v in entries(b).items():
         out[k] = out.get(k, 0) + v
-    return IntMatrix(a.n, out)
+    return matrix(a.n, out)
 
 
 def mat_scale(a: IntMatrix, c: int) -> IntMatrix:
-    return IntMatrix(a.n, {k: c * v for k, v in a.entries.items()})
+    return matrix(a.n, {k: c * v for k, v in entries(a).items()})
 
 
 def mat_sub(a: IntMatrix, b: IntMatrix) -> IntMatrix:
@@ -706,7 +716,7 @@ def commutator(a: IntMatrix, b: IntMatrix) -> IntMatrix:
 
 
 def transpose(a: IntMatrix) -> IntMatrix:
-    return IntMatrix(a.n, {(c, r): v for (r, c), v in a.entries.items()})
+    return matrix(a.n, {(c, r): v for (r, c), v in entries(a).items()})
 
 
 def verify_relations_oracle(p: ColoredPoset, *, full_sweep: bool = False) -> RelationReport:
@@ -717,8 +727,8 @@ def verify_relations_oracle(p: ColoredPoset, *, full_sweep: bool = False) -> Rel
     checks: list[RelationCheck] = []
 
     def record(relation: str, a: Color, b: Color, mat: IntMatrix) -> None:
-        first = min((c for _, c in mat.entries), default=None)
-        checks.append(RelationCheck(relation, a, b, not mat.entries, first))
+        first = min((c for _, c, _ in mat.coordinates), default=None)
+        checks.append(RelationCheck(relation, a, b, not mat.coordinates, first))
 
     def nested(xa: IntMatrix, xb: IntMatrix, depth: int) -> IntMatrix:
         acc = xb
@@ -752,13 +762,13 @@ def verify_relations_oracle(p: ColoredPoset, *, full_sweep: bool = False) -> Rel
             record("HH", a, b, commutator(hb, ha))
             record("HX", a, b, mat_sub(commutator(hb, xa), mat_scale(xa, theta)))
             record("HY", a, b, mat_add(commutator(hb, ya), mat_scale(ya, theta)))
-            delta = ops[a][2] if a == b else IntMatrix(len(basis))
+            delta = ops[a][2] if a == b else IntMatrix(len(basis), [])
             record("XY", a, b, mat_sub(commutator(xa, yb), delta))
 
     eig_ok = True
     witness = None
     for a in colors:
-        for (r, c), v in ops[a][2].entries.items():
+        for r, c, v in ops[a][2].coordinates:
             if v not in (-1, 0, 1):
                 eig_ok = False
                 witness = (a, r)

@@ -16,6 +16,8 @@ from minuscule.dynkin import validate
 from minuscule.heapwindow import cyclic_chain_window
 from minuscule.poset import ColoredPoset
 
+from helpers import build_operators_oracle
+
 
 def capture(argv):
     buf = io.StringIO()
@@ -229,6 +231,20 @@ def test_represent_builds_the_operator_maps_once(tmp_path, monkeypatch):
     path.write_text(json.dumps(anti.to_json()))
     code, out, _ = capture(["represent", str(path)])
     assert (code, json.loads(out)["splits"], len(calls)) == (0, 4, 1)
+
+
+def test_matrices_equal_the_operator_oracle_on_the_catalog(tmp_path):
+    path = tmp_path / "family.json"
+    for fam in all_family_ids(8):
+        p = build(fam)
+        path.write_text(json.dumps(p.to_json()))
+        code, out, _ = capture(["represent", str(path), "--matrices"])
+        _, ops = build_operators_oracle(p)
+        want = {
+            str(a): {"raising": x.coordinates, "lowering": y.coordinates, "diagonal": h.coordinates}
+            for a, (x, y, h) in ops.items()
+        }
+        assert (code, json.loads(out)["operators"]) == (0, want), str(fam)
 
 
 def test_every_verb_accepts_the_empty_poset(tmp_path):
@@ -487,6 +503,7 @@ def test_byte_for_byte_determinism(tmp_path):
         ["classify", str(path)],
         ["represent", str(catalog_path), "--weights"],
         ["represent", str(catalog_path), "--matrices"],
+        ["represent", str(catalog_path), "--relations", "--full-sweep"],
         ["verify", str(failing_path)],
     ):
         _, first, _ = capture(argv)

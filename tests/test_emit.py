@@ -9,7 +9,8 @@ lists; the first property draws random trees of every JSON type, with strings
 that look like seams.  The second draws lists of dicts that share their keys,
 as `represent --weights` and the axiom reports print them, whose values a
 key at a time are scalars, scalar-only lists or dicts (empty ones included),
-a mix of these, or whole trees.
+a mix of these, or whole trees.  A list of one record, such as classify's
+`components` for a connected input, takes the plain path.
 """
 
 import json
@@ -47,6 +48,19 @@ def stdlib(obj) -> str:
         [{"a": [[1]]}, {"a": []}],
         [{"a": {"x": [1]}}, {"a": {"y": 2}}],
         [{"a": 1}, {"b": [1]}],
+        [{"a": [1], "b": {"c": None}}],
+        # one record, as classify prints the components of a connected input
+        {
+            "components": [
+                {
+                    "elements": [4],
+                    "family": "A_standard(1)",
+                    "matches": ["A_standard(1)"],
+                    "minuscule": True,
+                    "witness": {"colors": {"c1": "1"}, "elements": {"4": 1}},
+                }
+            ]
+        },
         [{1: [2]}, {1: [3]}],
         [],
         {},

@@ -5,13 +5,12 @@ import random
 
 import pytest
 
-from minuscule.axioms import check
+from minuscule.axioms import check, is_minuscule
 from minuscule.catalog import FamilyId, all_family_ids, build, indexed
 from minuscule.dynkin import DynkinDiagram, validate
 from minuscule.poset import ColoredPoset, connected_components, order_dual
 from minuscule.representation import (
     ECViolated,
-    IntMatrix,
     Split,
     build_operators,
     operator_maps,
@@ -24,7 +23,9 @@ from helpers import (
     build_operators_oracle,
     commutator,
     differential_posets,
+    entries,
     mat_scale,
+    matrix,
     operator_maps_oracle,
     random_colored_poset,
     seed_from_env,
@@ -127,7 +128,7 @@ def test_single_element_realizes_sl2():
     basis, ops = build_operators(p)
     x, y, h = ops[1]
     assert commutator(x, y) == h
-    assert sorted(v for _, v in h.entries.items()) == [-1, 1]
+    assert sorted(v for _, _, v in h.coordinates) == [-1, 1]
     assert commutator(h, x) == mat_scale(x, 2)
     assert commutator(h, y) == mat_scale(y, -2)
 
@@ -138,14 +139,14 @@ def test_operator_shapes():
     for a in p.diagram.colors:
         x, y, h = ops[a]
         assert y == transpose(x)
-        assert all(v == 1 for v in x.entries.values())
-        assert all(v in (-1, 0, 1) for (r, c), v in h.entries.items() if r == c)
-        assert all(r == c for (r, c) in h.entries)
+        assert all(v == 1 for _, _, v in x.coordinates)
+        assert all(v in (-1, 0, 1) for _, _, v in h.coordinates)
+        assert all(r == c for r, c, _ in h.coordinates)
 
 
 def diagonal_weight(ops, i: int) -> dict:
     """The eigenvalues of basis vector i under every diagonal operator."""
-    return {a: h.entries.get((i, i), 0) for a, (_, _, h) in ops.items()}
+    return {a: entries(h).get((i, i), 0) for a, (_, _, h) in ops.items()}
 
 
 def test_h_rule_on_extreme_splits():
@@ -170,7 +171,7 @@ def test_x_step_changes_weights_along_theta_row():
         index = {s: i for i, s in enumerate(basis)}
         for a in p.diagram.colors:
             x, _, _ = ops[a]
-            for (r, c), v in x.entries.items():
+            for r, c, v in x.coordinates:
                 src, dst = basis[c], basis[r]
                 assert len(dst.ideal) == len(src.ideal) + 1
                 w_src = diagonal_weight(ops, c)
@@ -223,7 +224,7 @@ def test_dual_swaps_raising_and_lowering():
         for a in p.diagram.colors:
             xp, yp, hp = pops[a]
             xq, yq, hq = qops[a]
-            remapped = IntMatrix(xq.n, {(flip[r], flip[c]): v for (r, c), v in xp.entries.items()})
+            remapped = matrix(xq.n, {(flip[r], flip[c]): v for r, c, v in xp.coordinates})
             assert remapped == yq, str(fam)
         assert verify_relations(q).all_pass, str(fam)
 
@@ -357,3 +358,67 @@ def test_xy_of_distinct_colors_holds_on_every_ec_poset():
             assert all(c.ok for c in report.checks if c.relation == "XY" and c.a != c.b), p
             checked += 1
     assert checked >= 150
+
+
+def test_relations_hold_exactly_on_minuscule_posets():
+    # The relations hold on the split basis exactly when the colored poset is
+    # minuscule.  The relation layer and the axiom layer share no code.  The
+    # split bound is read off the components, since a disjoint union's split
+    # count is the product of theirs.
+    rng = random.Random(seed_from_env())
+    verdicts = []
+    for p in differential_posets(rng):
+        if check(p, "EC").holds and math.prod(len(splits(c)) for c in connected_components(p)) <= 5000:
+            verdicts.append((verify_relations(p, full_sweep=True).all_pass, is_minuscule(p)[0]))
+    assert len(verdicts) > 200
+    assert {True, False} <= {v for v, _ in verdicts}
+    assert all(v == m for v, m in verdicts)
+
+
+# A1 x A1: the colors a and b are distant, so (a, b) is checked at depth 1
+DISTANT = validate(["a", "b"], [[2, 0], [0, 2]])
+
+
+def _failing(p: ColoredPoset, full_sweep: bool = False) -> dict[tuple[str, str, str], int]:
+    report = verify_relations(p, full_sweep=full_sweep)
+    return {(c.relation, c.a, c.b): c.failing_basis_index for c in report.failures()}
+
+
+def test_xy_is_evaluated_where_two_elements_of_one_color_share_a_cover():
+    # the chain 1 < 2, both a, covered by the other color's element 3
+    p = ColoredPoset(DISTANT, {1: "a", 2: "a", 3: "b"}, [(1, 2), (2, 3)])
+    assert ("XY", "a", "a") in _failing(p) and ("XY", "b", "b") not in _failing(p)
+    assert_matches_oracle(p)
+
+
+def test_depth_one_brackets_are_evaluated_where_a_cover_joins_distant_colors():
+    # splits: {} (0), {1} (1), {1, 2} (2).  X_b X_a moves e_0 to e_2 and
+    # X_a X_b e_0 = 0, so XX fails at 0; YY, its transpose up to sign, at 2
+    p = ColoredPoset(DISTANT, {1: "a", 2: "b"}, [(1, 2)])
+    for full_sweep in (False, True):
+        failing = _failing(p, full_sweep)
+        assert failing[("XX", "a", "b")] == failing[("XX", "b", "a")] == 0
+        assert failing[("YY", "a", "b")] == failing[("YY", "b", "a")] == 2
+    assert_matches_oracle(p)
+    # distant colors with no cover between their classes: every bracket holds
+    apart = ColoredPoset(DISTANT, {1: "a", 2: "b", 3: "a"}, [(1, 3)])
+    assert not any(r in ("XX", "YY") for r, _, _ in _failing(apart, True))
+    assert_matches_oracle(apart)
+
+
+def test_yy_reports_its_own_failing_index_at_depth_two():
+    # A2 on the chain 1 < 2 < 3 colored a, b, b: (a, b) at depth 2
+    d = validate(["a", "b"], [[2, -1], [-1, 2]])
+    p = ColoredPoset(d, {1: "a", 2: "b", 3: "b"}, [(1, 2), (2, 3)])
+    failing = _failing(p, full_sweep=True)
+    assert failing[("XX", "b", "a")] != failing[("YY", "b", "a")]
+    assert_matches_oracle(p)
+
+
+def test_hy_reports_its_own_failing_index():
+    # splits: {} (0), {1} (1), {1, 2} (2).  X_2 e_0 = e_1 breaks the (2, 1)
+    # weight shift, so HX fails at 0 and HY, along Y_2, at 1
+    p = ColoredPoset(DOUBLE_BOND, {1: "2", 2: "1"}, [(1, 2)])
+    failing = _failing(p)
+    assert (failing[("HX", "2", "1")], failing[("HY", "2", "1")]) == (0, 1)
+    assert_matches_oracle(p)

@@ -39,6 +39,12 @@ best of three calls: three times the medians of seven runs, 0.0028 s,
 0.0057 s and 0.0124 s.  The search that fixed gamma before placing any
 element grew exponentially on the first two and exceeded the recursion limit
 on the third.
+The thirteenth verifies every relation of a freshly built B(14) with
+`full_sweep`, cold, so its operator maps and EC check are included: 182
+ordered color pairs on 16384 splits, most of them distant pairs decided
+without evaluation.  The budget is three times the median of five runs,
+0.26 s (0.18 to 0.30 s); evaluating every bracket and both HX and HY took
+0.67 to 0.92 s.
 """
 
 import contextlib
@@ -77,6 +83,7 @@ BUILD_B30_BATCH_BUDGET_S = 0.13
 ISO_A400_BUDGET_S = 0.0085
 ISO_C400_BUDGET_S = 0.017
 ISO_A1200_BUDGET_S = 0.037
+B14_FULL_SWEEP_BUDGET_S = 0.79
 
 
 def test_relations_hold_at_thousands_of_splits():
@@ -236,3 +243,13 @@ def test_colored_isomorphism_of_long_scrambled_chains():
             assert found is not None, str(fam)
         elapsed = min(times)
         assert elapsed <= budget, f"{fam}: {elapsed:.4f} s over the {budget} s budget"
+
+
+def test_full_sweep_of_b14_cold():
+    p = build(FamilyId("B", 14))
+    started = time.perf_counter()
+    report = verify_relations(p, full_sweep=True)
+    elapsed = time.perf_counter() - started
+    assert report.all_pass and len(report.checks) == 2 * 182 + 4 * 14 * 14
+    budget = B14_FULL_SWEEP_BUDGET_S
+    assert elapsed <= budget, f"{elapsed:.3f} s over the {budget} s budget"
