@@ -316,10 +316,12 @@ def cmd_represent(args) -> int:
         code = 0 if report.all_pass else 1
     if args.weights:
         # a split's weight is its eigenvalue under every diagonal operator
-        h = [(str(a), hs) for a, hs in maps.h.items()]
+        names = [str(a) for a in maps.h]
+        # with no colors, zip would drop the empty poset's one split
+        weights = zip(*maps.h.values()) if names else repeat(())
         out["weights"] = [
-            {"ideal": basis.ideal(i), "weight": {a: hs[i] for a, hs in h}}
-            for i in range(len(basis))
+            {"ideal": ideal, "weight": dict(zip(names, weight))}
+            for ideal, weight in zip(basis.ideals(), weights)
         ]
     if args.matrices:
         _, ops = build_operators(p, maps=maps)

@@ -9,28 +9,33 @@ according to whether the color marks a minimal element of F, a maximal
 element of I, or neither.  All arithmetic is exact integer arithmetic.
 
 The split basis is enumerated once, as ideal bitmasks, by a walk over the
-covers of the lattice of ideals, and the basis keeps every cover it visits.
-Under EC each color class is a chain and X_a e_s = e_t exactly where the ideal
-t covers the ideal s by an added a-element, so a raising or lowering operator
-sends a basis vector to at most one basis vector: it is stored as a partial
-map on split indices, read off the covers (the lowering map is the inverse of
-the raising one, so Y_a is the transpose of X_a), and the diagonal operator
-as a vector.  The generator relations are decided from these maps with no
-matrix products and no word evaluated term by term except the brackets of
-depth 3 or more (see `verify_relations`).  HH, the eigenvalue range, XY with
-a != b and the brackets deeper than their color class hold by construction.
-Two more hold by the covers: a depth-1 bracket whose two color classes share
-no cover, and XY with a = b where no element of color a covers another.  HX
-is one comparison of packed weights per color, and the other brackets of
-depth 1 and 2 are equalities of target lists.  HY and YY are minus the
+covers of the lattice of ideals, and the basis keeps every cover it visits;
+`SplitBasis.ideals` reads every ideal off them.  Under EC each color class is
+a chain and X_a e_s = e_t exactly where the ideal t covers the ideal s by an
+added a-element, so a raising or lowering operator sends a basis vector to at
+most one basis vector: it is stored as a partial map on split indices, read
+off the covers (the lowering map is the inverse of the raising one, so Y_a is
+the transpose of X_a), and the diagonal operator as a vector.  The generator
+relations are decided from the covers and these maps with no matrix products
+(see `verify_relations`).  HH, the eigenvalue range and XY with a != b hold
+by construction.  Three more hold by the order: a depth-1 bracket whose two
+color classes share no cover, XY with a = b where no element of color a
+covers another, and a bracket of depth d >= 2 where no d - 1 consecutive gaps
+of the a-chain (the open intervals between its consecutive elements) hold
+between them at most one element, of color b; on a poset with ICE2 that is
+every such bracket.  HX is one comparison of packed weights along each
+color's covers, the other brackets of depth 1 and 2 are equalities of target
+lists, and deeper ones sum their words' weights.  HY and YY are minus the
 transpose of HX and a signed transpose of XX, so they are evaluated only
-where their X partner fails, for their own least failing index.  The matrix
-export reads each operator's coordinate list off the maps in row order
-(`OperatorMaps.coordinates`), and `IntMatrix` wraps those lists.
+where their X partner fails, for their own least failing index.  The report
+keeps one row per check.  The matrix export reads each operator's coordinate
+list off the maps in row order (`OperatorMaps.coordinates`), and `IntMatrix`
+wraps those lists.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -104,6 +109,21 @@ class SplitBasis(Sequence):
         """The ids in the ideal of split i, ascending, read off its set bits."""
         owners = self._owners
         return [owners[r] for r in bits(self.masks[i])][::-1]
+
+    def ideals(self) -> list[list[int]]:
+        """The ids in the ideal of every split, ascending, each read off one
+        cover into it: the ideal it covers, with the added id inserted.  A
+        covered ideal is smaller, so it comes first in canonical order."""
+        into: dict[int, tuple[int, int]] = {}
+        for x, (sources, targets) in self.covers.items():
+            into.update(zip(targets, zip(sources, itertools.repeat(x))))
+        out: list[list[int]] = [[]]
+        for t in range(1, len(self.masks)):
+            s, x = into[t]
+            ideal = out[s][:]
+            bisect.insort(ideal, x)
+            out.append(ideal)
+        return out
 
 
 def splits(p: ColoredPoset) -> SplitBasis:
@@ -204,13 +224,19 @@ def operator_maps(p: ColoredPoset, *, basis: Optional[SplitBasis] = None) -> Ope
     down: dict[Color, list[int]] = {}
     h: dict[Color, list[int]] = {}
     for a in p.diagram.colors:
-        ups, downs = [-1] * n, [-1] * n
+        ups, downs, hs = [-1] * n, [-1] * n, [0] * n
         for x in p.color_class(a):
-            for s, t in zip(*basis.covers[x]):
+            sources, targets = basis.covers[x]
+            for s, t in zip(sources, targets):
                 ups[s] = t
                 downs[t] = s
-        up[a], down[a] = ups, downs
-        h[a] = [-1 if u >= 0 else 1 if d >= 0 else 0 for u, d in zip(ups, downs)]
+            # h is +1 where only Y_a is defined and -1 wherever X_a is
+            for t in targets:
+                if not hs[t]:
+                    hs[t] = 1
+            for s in sources:
+                hs[s] = -1
+        up[a], down[a], h[a] = ups, downs, hs
     return OperatorMaps(basis, up, down, h)
 
 
@@ -266,6 +292,9 @@ def build_operators(
     return maps.basis, ops
 
 
+Row = tuple[str, Color, Color, Optional[int]]
+
+
 @dataclass(frozen=True)
 class RelationCheck:
     relation: str
@@ -274,36 +303,41 @@ class RelationCheck:
     ok: bool
     failing_basis_index: Optional[int] = None
 
-    def to_json(self) -> dict:
-        out: dict = {
-            "relation": self.relation,
-            "a": str(self.a),
-            "b": str(self.b),
-            "ok": self.ok,
-        }
-        if self.failing_basis_index is not None:
-            out["basis_index"] = self.failing_basis_index
-        return out
-
 
 @dataclass(frozen=True)
 class RelationReport:
-    checks: tuple[RelationCheck, ...]
+    """
+    Every relation check as one (relation, a, b, index) row, in check order:
+    index is the least failing basis index, or None where the check holds.
+    `checks` builds a `RelationCheck` per row each time it is read.
+    """
+
+    rows: tuple[Row, ...]
     eigenvalues_in_range: bool
     eigenvalue_witness: Optional[tuple[Color, int]] = None
 
     @property
+    def checks(self) -> tuple[RelationCheck, ...]:
+        return tuple(RelationCheck(r, a, b, s is None, s) for r, a, b, s in self.rows)
+
+    @property
     def all_pass(self) -> bool:
-        return self.eigenvalues_in_range and all(c.ok for c in self.checks)
+        indices = [s for _, _, _, s in self.rows]
+        return self.eigenvalues_in_range and indices.count(None) == len(indices)
 
     def failures(self) -> list[RelationCheck]:
-        return [c for c in self.checks if not c.ok]
+        return [RelationCheck(r, a, b, False, s) for r, a, b, s in self.rows if s is not None]
 
     def to_json(self) -> dict:
         return {
             "all_pass": self.all_pass,
             "eigenvalues_in_range": self.eigenvalues_in_range,
-            "checks": [c.to_json() for c in self.checks],
+            "checks": [
+                {"relation": r, "a": str(a), "b": str(b), "ok": True}
+                if s is None
+                else {"relation": r, "a": str(a), "b": str(b), "ok": False, "basis_index": s}
+                for r, a, b, s in self.rows
+            ],
         }
 
 
@@ -317,6 +351,36 @@ def _first_difference(x: list[int], y: list[int]) -> Optional[int]:
     if x == y:
         return None
     return next(s for s, (u, v) in enumerate(zip(x, y)) if u != v)
+
+
+def _gaps(p: ColoredPoset) -> dict[Color, list[int]]:
+    """The gaps of every color chain of an EC poset, bottom first, as masks:
+    the open intervals between consecutive elements.  An element's place in
+    its chain is the number of elements of its color below it."""
+    up, down = p.up_masks, p.down_masks
+    gaps: dict[Color, list[int]] = {}
+    for a, m in p.class_masks.items():
+        chain = [0] * m.bit_count()
+        for i in bits(m):
+            chain[(down[i] & m).bit_count()] = i
+        gaps[a] = [up[i] & down[j] for i, j in zip(chain, chain[1:])]
+    return gaps
+
+
+def _crossable(gaps: list[int], b_class: int, length: int) -> bool:
+    """Whether `length` consecutive gaps hold at most one element between
+    them, of the class `b_class`: a window of that many gap costs, 0 for an
+    empty gap, 1 for a single b-element and 2 otherwise, sums to at most 1.
+    Linear in the number of gaps, whatever `length` is."""
+    if length > len(gaps):
+        return False
+    costs = [0 if not g else 1 if not g & (g - 1) and g & b_class else 2 for g in gaps]
+    total = sum(costs[:length])
+    for new, old in zip(costs[length:], costs):
+        if total <= 1:
+            return True
+        total += new - old
+    return total <= 1
 
 
 def verify_relations(
@@ -334,25 +398,31 @@ def verify_relations(
     Every word of a relation changes each color's count in the ideal by the
     same amounts, and under EC an ideal is fixed by these counts (it holds an
     initial segment of each color chain).  So every word sends e_s to one and
-    the same basis vector or to zero, and each relation is decided by lists
-    built once per color, with no word evaluated term by term.  Write x for
-    the least a-element of the filter F and y for the top b-element of the
-    ideal I of split s: X_a moves only x into I, and Y_b only y out of it.
+    the same basis vector or to zero, and each relation is decided by
+    argument, along the covers `splits` keeps, or by lists built once per
+    color, with no word evaluated term by term.  Write x for the least
+    a-element of the filter F and y for the top b-element of the ideal I of
+    split s: X_a moves only x into I, and Y_b only y out of it.  X_a e_s = e_t
+    exactly along a cover s -> t of the lattice of ideals that adds an
+    a-element.  The gaps of the a-chain are the open intervals between its
+    consecutive elements.
 
     - HH and the eigenvalue range hold by construction: each H is diagonal,
       and `operator_maps` only writes h in {-1, 0, 1}.
-    - HX for every b at once.  Where X_a e_s = e_t, the (a, b) relation
+    - HX for every b at once.  Along an a-cover s -> t the (a, b) relation
       sends e_s to (h_b(t) - h_b(s) - theta(a,b)) e_t.  Pack the eigenvalues
       of e_s into one int code[s], one digit per color, in radix
       max|theta| + 3, which exceeds every digit of that mismatch.  Then X_a
       satisfies all its (a, b) relations exactly when code[t] - code[s] is
-      the packed row theta(a, .) over the domain of X_a.  Only a color whose
-      packed check fails is evaluated per b.
+      the packed row theta(a, .) on every a-cover.  The code is summed
+      along the covers too: h_b is -1 on the sources of the b-covers and +1
+      on their other targets.  Only a color whose packed check fails is
+      evaluated per b, along the same covers.
     - HY is minus the transpose of HX.  `operator_maps` builds Y_a as the
       inverse map of X_a, so Y_a is the transpose of X_a, H_b is diagonal,
       and (H_b Y_a - Y_a H_b + theta Y_a)^T = -(H_b X_a - X_a H_b - theta X_a).
-      So HY fails exactly where HX does, and is evaluated, along Y_a with the
-      row negated, only then, for its own least failing index.
+      So HY fails on the same a-covers as HX, and its least failing index is
+      the least target t of one of them.
     - XY with a != b holds on every EC poset.  Y_b moves only y and X_a only
       x, and a != b, so X_a Y_b e_s and Y_b X_a e_s are both nonzero exactly
       when the lower covers of x lie in I, the upper covers of y lie in F,
@@ -364,9 +434,10 @@ def verify_relations(
       ([Y_a e_s != 0] - [X_a e_s != 0] - h_a(s)) e_s.  By the rule for h this
       is nonzero exactly where both X_a e_s and Y_a e_s are.  That needs the
       top a-element y of I maximal in I and x minimal in F, with y < x in the
-      a-chain; so it holds when no a-element covers another: an element
-      strictly between y and x lies in I above y or in F below x.  Only a
-      color with such a cover is evaluated.
+      a-chain; so it holds when no a-element covers another, that is, when
+      no gap of the a-chain is empty: an element strictly between y and x
+      lies in I above y or in F below x.  Only a color with such a cover is
+      evaluated, over the sources of its covers.
     - XX at depth 1 or 2.  Every word has coefficient 1 or 0 on e_s, so
       x - y vanishes exactly where both words send e_s to the same place,
       and x - 2y + z exactly where all three do.  The relation holds exactly
@@ -379,14 +450,25 @@ def verify_relations(
       nonzero and X_b X_a e_s is zero, then x's lower covers lie in I + z but
       not in I, so z is covered by x; the other way round, x is covered by
       z.  Only pairs joined by a cover are evaluated.
-    - XX deeper than the a-class is long holds by construction.  Each word
-      has `depth` letters X_a, and an X_b with b != a moves no a-element, so
-      each X_a must move one more element of the a-chain than the last: no
-      word is nonzero.  No target list is built for such a bracket, so a
-      pairing as large as theta(b,a) = -10**20 costs nothing.
-    - XX at depth 3 or more keeps the weighted sum: the binomial
-      coefficients of the words nonzero on e_s, which by the argument above
-      all land on one basis vector, must sum to zero.
+    - XX at depth d >= 2 holds unless some d - 1 consecutive gaps of the
+      a-chain hold at most one element between them, of color b.  An X_b
+      with b != a moves no a-element, and each X_a moves the next element of
+      the a-chain, so a word nonzero on e_s adds d consecutive a-elements and
+      one b-element.  The elements of the gap between two of those
+      a-elements lie above the lower one and below the upper one, so they
+      enter the ideal after the lower one and before the upper one: each of
+      the d - 1 gaps between the word's a-elements is empty or is that one
+      b-element.  The gaps are scanned once, so a bracket deeper than its
+      class is long (fewer gaps than d - 1) holds, and a pairing as large as
+      theta(b,a) = -10**20 costs nothing.  On a poset with ICE2 every
+      bracket of depth 2 or more holds this way.  Each gap has census 2, so
+      none is empty.  At depth 2 the one gap would be a single b-element,
+      of census -theta(b,a) = 1, and a deeper bracket needs a run of two or
+      more gaps, one of them empty.
+    - XX at depth 3 or more, where the gaps do not decide it, keeps the
+      weighted sum: the binomial coefficients of the words nonzero on e_s,
+      which by the argument above all land on one basis vector, must sum to
+      zero.
     - YY at depth d is (-1)^d times the transpose of XX: transposing turns
       the word Y_a^(d-k) Y_b Y_a^k into X_a^k X_b X_a^(d-k), the word of
       index d - k.  So YY holds exactly when XX does.  Its least failing
@@ -398,20 +480,17 @@ def verify_relations(
         maps = operator_maps(p)
     n = len(maps.basis)
     colors = p.diagram.colors
-    theta = p.diagram.theta
+    matrix = p.diagram.matrix
     classes = p.class_masks
-    checks: list[RelationCheck] = []
+    rows: list[Row] = []
 
-    def record(relation: str, a: Color, b: Color, s: Optional[int]) -> None:
-        checks.append(RelationCheck(relation, a, b, s is None, s))
+    # joined: the color pairs (a, b) with a cover between an a-element and a
+    # b-element, either way round
+    coloring = p.coloring
+    joined = {(coloring[x], coloring[y]) for x, y in p.covers}
+    joined |= {(b, a) for a, b in joined}
 
-    # linked[a]: the elements that cover an a-element or are covered by one
-    linked: dict[Color, int] = {}
-    for a, m in classes.items():
-        joined = 0
-        for i in bits(m):
-            joined |= p.cover_masks[i] | p.lower_cover_masks[i]
-        linked[a] = joined
+    gaps = _gaps(p)
 
     # moves[letter, a] is where Z_a sends every index, with index n standing
     # for zero, and powers[letter, a][k - 1] the target list of Z_a^k
@@ -435,10 +514,6 @@ def verify_relations(
 
     def bracket(letter: str, a: Color, b: Color, depth: int) -> Optional[int]:
         """ad(Z_a)^depth (Z_b) = sum over k of (-1)^k C(depth, k) Z_a^(depth-k) Z_b Z_a^k."""
-        if depth > classes[a].bit_count():
-            return None  # every word is zero
-        if depth == 1 and not linked[a] & classes[b]:
-            return None  # no cover joins the two classes
         zb = move(letter, b)
         words = []
         for k in range(depth + 1):
@@ -451,57 +526,80 @@ def verify_relations(
         sums = (sum(c for c, t in zip(weights, ts) if t < n) for ts in zip(*words))
         return next((s for s, v in enumerate(sums) if v), None)
 
-    pairs: list[tuple[Color, Color]] = []
-    for a, b in itertools.permutations(colors, 2):
-        if full_sweep or p.diagram.adjacent(a, b):
-            pairs.append((a, b))
+    # (a, b, depth) in check order: adjacent pairs, or every pair with
+    # full_sweep, then one distant pair per color, which keeps the depth-1
+    # commutation covered
+    pairs: list[tuple[Color, Color, int]] = []
+    for i, a in enumerate(colors):
+        for j, b in enumerate(colors):
+            if j != i and (full_sweep or matrix[i][j] < 0):
+                pairs.append((a, b, 1 - matrix[j][i]))
     if not full_sweep:
-        # one distant pair per color keeps the depth-1 commutation covered
-        for a in colors:
-            for b in colors:
-                if a != b and p.diagram.distant(a, b):
-                    pairs.append((a, b))
-                    break
+        for i, a in enumerate(colors):
+            j = next((j for j, v in enumerate(matrix[i]) if not v), None)
+            if j is not None:
+                pairs.append((a, colors[j], 1))
 
-    for a, b in pairs:
-        depth = 1 - theta(b, a)
-        xx = bracket("X", a, b, depth)
-        record("XX", a, b, xx)
-        record("YY", a, b, None if xx is None else bracket("Y", a, b, depth))
+    for a, b, depth in pairs:
+        if depth == 1:
+            decided = (a, b) not in joined
+        else:
+            decided = not _crossable(gaps[a], classes[b], depth - 1)
+        if decided:
+            rows += (("XX", a, b, None), ("YY", a, b, None))
+        else:
+            xx = bracket("X", a, b, depth)
+            yy = None if xx is None else bracket("Y", a, b, depth)
+            rows += (("XX", a, b, xx), ("YY", a, b, yy))
 
-    radix = 3 + max((abs(v) for row in p.diagram.matrix for v in row), default=0)
+    # covers[a]: the sources and targets of the a-covers, X_a e_s = e_t
+    covers: dict[Color, tuple[list[int], list[int]]] = {a: ([], []) for a in colors}
+    for x, (s, t) in maps.basis.covers.items():
+        sources, targets = covers[coloring[x]]
+        sources += s
+        targets += t
+
+    # code[s] packs h_b(s) for every b, the last color in the lowest digit:
+    # h_b is -1 on the sources of the b-covers, and +1 on their targets
+    # where X_b is not defined
+    radix = 3 + max((abs(v) for row in matrix for v in row), default=0)
     code = [0] * n
+    digit = radix ** len(colors)
     for b in colors:
-        code = [c * radix + h for c, h in zip(code, maps.h[b])]
+        digit //= radix
+        raises = maps.up[b]
+        sources, targets = covers[b]
+        for s in sources:
+            code[s] -= digit
+        for t in targets:
+            if raises[t] < 0:
+                code[t] += digit
 
-    def weight_failures(targets: list[int], row: list[int]) -> dict[Color, int]:
-        """For each b whose relation h_b(t) - h_b(s) == row[b] fails at some
-        s with t = targets[s] >= 0, the least such s."""
+    for i, a in enumerate(colors):
+        sources, targets = covers[a]
+        row = matrix[i]
         shift = 0
         for v in row:
             shift = shift * radix + v
-        if all(code[t] - c == shift for c, t in zip(code, targets) if t >= 0):
-            return {}
-        failures = {}
-        for b, v in zip(colors, row):
-            hb = maps.h[b]
-            s = next((s for s, t in enumerate(targets) if t >= 0 and hb[t] - hb[s] != v), None)
-            if s is not None:
-                failures[b] = s
-        return failures
-
-    for a in colors:
-        up, down = maps.up[a], maps.down[a]
-        row = [theta(a, b) for b in colors]
-        hx = weight_failures(up, row)
-        hy = weight_failures(down, [-v for v in row]) if hx else {}
+        hx: dict[Color, int] = {}
+        hy: dict[Color, int] = {}
+        if [code[t] for t in targets] != [code[s] + shift for s in sources]:
+            for b, v in zip(colors, row):
+                hb = maps.h[b]
+                failing = [(s, t) for s, t in zip(sources, targets) if hb[t] - hb[s] != v]
+                if failing:
+                    hx[b] = min(s for s, _ in failing)
+                    hy[b] = min(t for _, t in failing)
         both = None
-        if linked[a] & classes[a]:
-            both = next((s for s, (u, d) in enumerate(zip(up, down)) if u >= 0 and d >= 0), None)
+        if (a, a) in joined:
+            lowers = maps.down[a]
+            both = min((s for s in sources if lowers[s] >= 0), default=None)
         for b in colors:
-            record("HH", a, b, None)
-            record("HX", a, b, hx.get(b))
-            record("HY", a, b, hy.get(b))
-            record("XY", a, b, both if a == b else None)
+            rows += (
+                ("HH", a, b, None),
+                ("HX", a, b, hx.get(b)),
+                ("HY", a, b, hy.get(b)),
+                ("XY", a, b, both if a == b else None),
+            )
 
-    return RelationReport(tuple(checks), True)
+    return RelationReport(tuple(rows), True)

@@ -50,7 +50,6 @@ from minuscule.heapwindow import PeriodicWindow
 from minuscule.representation import (
     ECViolated,
     IntMatrix,
-    RelationCheck,
     RelationReport,
     Split,
 )
@@ -724,11 +723,10 @@ def verify_relations_oracle(p: ColoredPoset, *, full_sweep: bool = False) -> Rel
     nested commutators of the oracle operators."""
     basis, ops = build_operators_oracle(p)
     colors = p.diagram.colors
-    checks: list[RelationCheck] = []
+    rows: list[tuple] = []
 
     def record(relation: str, a: Color, b: Color, mat: IntMatrix) -> None:
-        first = min((c for _, c, _ in mat.coordinates), default=None)
-        checks.append(RelationCheck(relation, a, b, not mat.coordinates, first))
+        rows.append((relation, a, b, min((c for _, c, _ in mat.coordinates), default=None)))
 
     def nested(xa: IntMatrix, xb: IntMatrix, depth: int) -> IntMatrix:
         acc = xb
@@ -775,7 +773,7 @@ def verify_relations_oracle(p: ColoredPoset, *, full_sweep: bool = False) -> Rel
                 break
         if not eig_ok:
             break
-    return RelationReport(tuple(checks), eig_ok, witness)
+    return RelationReport(tuple(rows), eig_ok, witness)
 
 
 def coroot_covers_oracle(diagram: DynkinDiagram, j: int) -> set[tuple[Coroot, Coroot]]:

@@ -115,7 +115,7 @@ def test_criterion_4_representation_relations():
         if split_count_oracle(p) > 60:
             continue
         rep = verify_relations(p, full_sweep=True)
-        assert rep.all_pass, (str(fam), [c.to_json() for c in rep.failures()])
+        assert rep.all_pass, (str(fam), rep.failures())
         assert rep.eigenvalues_in_range, str(fam)
         checked += 1
     assert checked >= 20

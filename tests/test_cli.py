@@ -253,6 +253,9 @@ def test_every_verb_accepts_the_empty_poset(tmp_path):
     path.write_text(json.dumps(empty))
     for verb in (["verify"], ["classify"], ["window"], ["represent", "--weights", "--matrices"]):
         assert capture(verb + [str(path)])[0] == 0, verb
+    # one split, the empty ideal, of empty weight
+    code, out, _ = capture(["represent", str(path), "--weights"])
+    assert (code, json.loads(out)["weights"]) == (0, [{"ideal": [], "weight": {}}])
     code, out, err = capture(["represent", str(path), "--relations"])
     assert (code, err) == (0, "")
     assert json.loads(out)["relations"] == {"all_pass": True, "checks": [], "eigenvalues_in_range": True}
@@ -492,6 +495,9 @@ def test_byte_for_byte_determinism(tmp_path):
     path.write_text(json.dumps(cyclic_chain_window(4, 2).to_json()))
     catalog_path = tmp_path / "e6.json"
     catalog_path.write_text(json.dumps(build(FamilyId("E6", 6)).to_json()))
+    # B(5) has a double bond, so its full sweep decides brackets of depth 3
+    b5_path = tmp_path / "b5.json"
+    b5_path.write_text(json.dumps(build(FamilyId("B", 5)).to_json()))
     _, out, _ = capture(["extend", "--shape", "2,2,2"])
     failing_path = tmp_path / "blocked.json"
     failing_path.write_text(json.dumps(json.loads(out)["poset"]))
@@ -504,6 +510,7 @@ def test_byte_for_byte_determinism(tmp_path):
         ["represent", str(catalog_path), "--weights"],
         ["represent", str(catalog_path), "--matrices"],
         ["represent", str(catalog_path), "--relations", "--full-sweep"],
+        ["represent", str(b5_path), "--relations", "--full-sweep"],
         ["verify", str(failing_path)],
     ):
         _, first, _ = capture(argv)

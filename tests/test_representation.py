@@ -12,6 +12,8 @@ from minuscule.poset import ColoredPoset, connected_components, order_dual
 from minuscule.representation import (
     ECViolated,
     Split,
+    _crossable,
+    _gaps,
     build_operators,
     operator_maps,
     splits,
@@ -99,6 +101,8 @@ def test_the_cover_walk_equals_the_per_element_oracle():
             assert sorted(basis[i].ideal) == basis.ideal(i) == [
                 x for x, b in basis.bit.items() if basis.masks[i] & b
             ]
+        # the ideals read off the covers, each from the one it covers
+        assert basis.ideals() == [[x for x, b in basis.bit.items() if m & b] for m in basis.masks], p
         if check(p, "EC").holds:
             ec += 1
             maps = operator_maps(p, basis=basis)
@@ -186,7 +190,7 @@ def test_relations_pass_on_catalog():
         if split_count_oracle(p) > 40:
             continue
         report = verify_relations(p)
-        assert report.all_pass, (str(fam), [c.to_json() for c in report.failures()])
+        assert report.all_pass, (str(fam), report.failures())
 
 
 def test_full_sweep_matches_sampled():
@@ -422,3 +426,70 @@ def test_hy_reports_its_own_failing_index():
     failing = _failing(p)
     assert (failing[("HX", "2", "1")], failing[("HY", "2", "1")]) == (0, 1)
     assert_matches_oracle(p)
+
+
+# A2: theta(a, b) = theta(b, a) = -1, so (a, b) is checked at depth 2
+SIMPLE_BOND = validate(["a", "b"], [[2, -1], [-1, 2]])
+
+
+@pytest.mark.parametrize("p, a, b", [
+    # the a-chain 1 < 2 has one empty gap; 3 above it is b
+    (ColoredPoset(SIMPLE_BOND, {1: "a", 2: "a", 3: "b"}, [(1, 2), (2, 3)]), "a", "b"),
+    # the a-chain 1 < 3 has the gap {2}, a single b-element, at depth 2
+    (ColoredPoset(SIMPLE_BOND, {1: "a", 2: "b", 3: "a"}, [(1, 2), (2, 3)]), "a", "b"),
+    # (1, 2) at depth 3: the 1-chain 1 < 2 < 4 has an empty gap, then {3} of color 2
+    (ColoredPoset(DOUBLE_BOND, {1: "1", 2: "1", 3: "2", 4: "1"}, [(1, 2), (2, 3), (3, 4)]), "1", "2"),
+], ids=["empty-gap", "single-b-gap-at-depth-2", "empty-and-single-b-gaps-at-depth-3"])
+def test_brackets_are_evaluated_where_a_run_of_gaps_can_be_crossed(p, a, b):
+    depth = 1 - p.diagram.theta(b, a)
+    assert _crossable(_gaps(p)[a], p.class_masks[b], depth - 1)
+    for full_sweep in (False, True):
+        # a word adds the a-chain and the b-element from the empty ideal up
+        failing = _failing(p, full_sweep)
+        assert failing[("XX", a, b)] == 0 and ("YY", a, b) in failing
+    assert_matches_oracle(p)
+
+
+def test_brackets_the_gaps_decide_vanish_as_matrix_commutators():
+    # Every bracket of depth 2 or more that no run of gaps can carry is zero
+    # as a nested commutator of the operator matrices, XX and YY alike.  The
+    # split bound is read off the components: the largest disjoint unions
+    # have over a million splits.
+    posets = decided = 0
+    for offset in range(5):
+        rng = random.Random(seed_from_env() + 40 + offset)
+        for p in differential_posets(rng):
+            if not check(p, "EC").holds:
+                continue
+            if math.prod(len(splits(c)) for c in connected_components(p)) > 500:
+                continue
+            posets += 1
+            gaps, ops = _gaps(p), None
+            for a, b in itertools.permutations(p.diagram.colors, 2):
+                depth = 1 - p.diagram.theta(b, a)
+                if depth < 2 or _crossable(gaps[a], p.class_masks[b], depth - 1):
+                    continue
+                if ops is None:
+                    _, ops = build_operators(p)
+                for letter in (0, 1):  # X, then Y
+                    nested = ops[b][letter]
+                    for _ in range(depth):
+                        nested = commutator(ops[a][letter], nested)
+                    assert not nested.coordinates, (p, a, b, letter)
+                decided += 1
+    assert posets > 1000 and decided > 4000, (posets, decided)
+
+
+def test_the_gaps_decide_every_adjacent_bracket_on_the_catalog():
+    # by ICE2 no gap is empty, and a gap of one b-element has census
+    # -theta(b, a) = depth - 1, which is 2 only at depth 3
+    brackets = 0
+    for fam in all_family_ids(8):
+        p = build(fam)
+        gaps = _gaps(p)
+        for a, b in itertools.permutations(p.diagram.colors, 2):
+            depth = 1 - p.diagram.theta(b, a)
+            if depth >= 2:
+                assert not _crossable(gaps[a], p.class_masks[b], depth - 1), (str(fam), a, b)
+                brackets += 1
+    assert brackets == 506
