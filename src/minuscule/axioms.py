@@ -45,6 +45,7 @@ __all__ = [
     "NotDComplete",
     "NotConnectedPoset",
     "check",
+    "frontier_censuses",
     "is_d_complete",
     "is_minuscule",
     "is_dominant_minuscule_heap",
@@ -320,9 +321,17 @@ def check(p: ColoredPoset, prop: str) -> AxiomReport:
     note = "upper" if side == "UCB" else "lower"
     return _report(name, [
         Witness((x,), value=census, note=f"{note} frontier census for {a!r}")
-        for a, x, census in _memo(p, _census_pass)[side]
+        for a, x, census in frontier_censuses(p, side)
         if census > k
     ])
+
+
+def frontier_censuses(p: ColoredPoset, side: str) -> list[tuple[Color, int, int]]:
+    """The frontier census of every maximal ("UCB") or minimal ("LCB")
+    element of each color class, as (color, element, census) triples,
+    color-major and in element order within a class, read from the census
+    pass (run once per poset)."""
+    return _memo(p, _census_pass)[side]
 
 
 def is_d_complete(p: ColoredPoset) -> tuple[bool, list[AxiomReport]]:

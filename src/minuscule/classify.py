@@ -79,14 +79,9 @@ class Classification:
 
 def classify_connected(p: ColoredPoset) -> ComponentClassification:
     """Name the family of one connected poset, with an isomorphism witness."""
-    return _classified(p)[0]
-
-
-def _classified(p: ColoredPoset) -> tuple[ComponentClassification, list[AxiomReport]]:
-    """`classify_connected` with the axiom reports it decided on."""
     ok, reports = is_minuscule(p)
     if not ok:
-        return ComponentClassification(p, None, (), None, tuple(reports)), reports
+        return ComponentClassification(p, None, (), None, tuple(reports))
     ftype = recognize_finite_type(p.diagram)
     maxima = p.maximal_elements()
     if ftype is None or len(maxima) != 1:
@@ -112,21 +107,17 @@ def _classified(p: ColoredPoset) -> tuple[ComponentClassification, list[AxiomRep
     }
     if len(pi) != len(p) or len(p) != len(q) or {(pi[x], pi[y]) for x, y in p.covers} != q.covers:
         raise AssertionError(f"minuscule poset does not match {matches[0]}")
-    return ComponentClassification(p, matches[0], tuple(matches), (pi, gamma), ()), reports
+    return ComponentClassification(p, matches[0], tuple(matches), (pi, gamma), ())
 
 
 def classify(p: ColoredPoset) -> Classification:
     """
     Component-wise classification; minuscule iff every component matches and
     the comparability axioms hold across components (equal or adjacent colors
-    may not straddle two components).
+    may not straddle two components).  A connected p is its own only
+    component, so its EC and AC reports are read from the passes that
+    classifying it ran, and no pass runs twice.
     """
-    comps = connected_components(p)
-    if len(comps) == 1:
-        # p is its own component, so the component's EC and AC reports are the cross-checks
-        entry, reports = _classified(p)
-        cross = tuple(r for r in reports if r.property in ("EC", "AC") and not r.holds)
-        return Classification((entry,), cross)
-    entries = tuple(classify_connected(c) for c in comps)
+    entries = tuple(classify_connected(c) for c in connected_components(p))
     cross = tuple(r for r in (check(p, "EC"), check(p, "AC")) if not r.holds)
     return Classification(entries, cross)

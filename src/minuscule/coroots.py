@@ -40,7 +40,6 @@ __all__ = [
     "NotMinusculeInput",
     "CorootSystem",
     "coroot_system",
-    "simple_reflection",
     "positive_coroots",
     "highest_coroot",
     "coroot_filter",
@@ -86,12 +85,14 @@ class CorootSystem:
         self.diagram = diagram
         self.type: FiniteTypeId = ft
         self.n = ft.rank
-        order = [ft.color_of(i) for i in range(1, self.n + 1)]
-        self.theta = [
-            [diagram.theta(a, b) for b in order] for a in order
-        ]
-        # the nonzero entries of each row: node i and its neighbours
-        self._row_support = [[(j, v) for j, v in enumerate(row) if v] for row in self.theta]
+        # the nonzero entries of each row of theta in Kac order: node i and
+        # its neighbours, by node
+        nu = ft.numbering_map
+        self._row_support: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
+        for a in diagram.colors:
+            i = nu[a] - 1
+            row = [(nu[b] - 1, diagram.theta(a, b)) for b in diagram.neighbors(a)]
+            self._row_support[i] = sorted(row + [(i, 2)])
         self._positive: Optional[tuple[Coroot, ...]] = None
         self._filters: dict[int, tuple[Coroot, ...]] = {}
 
@@ -155,10 +156,6 @@ def coroot_system(diagram: DynkinDiagram) -> CorootSystem:
     if diagram not in _SYSTEMS:
         _SYSTEMS[diagram] = CorootSystem(diagram)
     return _SYSTEMS[diagram]
-
-
-def simple_reflection(diagram: DynkinDiagram, i: int, beta: Coroot) -> Coroot:
-    return coroot_system(diagram).reflect(i, beta)
 
 
 def positive_coroots(diagram: DynkinDiagram) -> tuple[Coroot, ...]:

@@ -250,12 +250,6 @@ class FiniteTypeId:
     def numbering_map(self) -> dict[Color, int]:
         return dict(self.numbering)
 
-    def color_of(self, index: int) -> Color:
-        for c, i in self.numbering:
-            if i == index:
-                return c
-        raise KeyError(index)
-
     def __str__(self) -> str:
         return f"{self.letter}{self.rank}"
 
@@ -280,16 +274,6 @@ def _path_order(diagram: DynkinDiagram) -> Optional[list[Color]]:
     return order
 
 
-def _single_edges_only(diagram: DynkinDiagram, skip: frozenset[frozenset] = frozenset()) -> bool:
-    m, colors = diagram.matrix, diagram.colors
-    return all(
-        m[i][j] == -1 == m[j][i] or frozenset((colors[i], colors[j])) in skip
-        for i, row in enumerate(diagram._edges)
-        for j in row
-        if i < j
-    )
-
-
 def _canonical(colors: Sequence[Color], diagram: DynkinDiagram) -> list[Color]:
     """Sort colors by canonical (construction) order."""
     return sorted(colors, key=diagram.index)
@@ -311,6 +295,8 @@ def recognize_finite_type(diagram: DynkinDiagram) -> Optional[FiniteTypeId]:
     if not is_acyclic(diagram):
         return None
 
+    # both entries of an edge are negative integers, so an edge whose product
+    # is 1 is -1 both ways: every edge but those listed here is single
     m, colors = diagram.matrix, diagram.colors
     doubles = [
         (colors[i], colors[j])
@@ -327,7 +313,7 @@ def recognize_finite_type(diagram: DynkinDiagram) -> Optional[FiniteTypeId]:
         if pair != {-1, -2}:
             return None
         path = _path_order(diagram)
-        if path is None or not _single_edges_only(diagram, skip=frozenset({frozenset((a, b))})):
+        if path is None:
             return None
         if frozenset((path[-1], path[-2])) == frozenset((a, b)):
             path.reverse()
@@ -347,9 +333,6 @@ def recognize_finite_type(diagram: DynkinDiagram) -> Optional[FiniteTypeId]:
         return FiniteTypeId(letter, n, numbering)
 
     # simply laced from here on
-    if not _single_edges_only(diagram):
-        return None
-
     path = _path_order(diagram)
     if path is not None:
         if diagram.index(path[0]) > diagram.index(path[-1]):

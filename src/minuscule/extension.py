@@ -14,7 +14,9 @@ colors are pairwise non-adjacent.  So a stage changes few censuses:
 census(a) drops to 0, and census(c) grows by -theta(a, c) for each color c
 adjacent to a whose minimal element lies above x_a.  `run_extension` keeps
 the censuses and the order as bitmasks in one private state, updated stage
-by stage, and builds one `ColoredPoset` at the end.
+by stage, and builds one `ColoredPoset` at the end.  The first censuses are
+the seed's lower frontier censuses, which its d-completeness check has
+already taken (`axioms.frontier_censuses`).
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
-from .axioms import is_d_complete
+from .axioms import frontier_censuses, is_d_complete
 from .dynkin import Color, DynkinDiagram, is_simply_laced
 from .poset import ColoredPoset, bits
 
@@ -88,24 +90,18 @@ class _Growth:
     """
 
     def __init__(self, seed: ColoredPoset) -> None:
-        d = self.diagram = seed.diagram
+        self.diagram = seed.diagram
         self.ids = list(seed.elements)
         self.colors = [seed.color(x) for x in self.ids]
         self.covers = list(seed.covers)
         self.up = list(seed.up_masks)
-        self.members = {a: seed.class_masks[a] for a in d.colors}
-        self.minimum = {
-            a: next(i for i in bits(m) if (m & ~self.up[i]) == 1 << i)
-            for a, m in self.members.items()
-        }
+        self.members = {a: seed.class_masks[a] for a in self.diagram.colors}
+        # the seed's census pass found each class minimum and its census
+        self.minimum: dict[Color, int] = {}
+        self.census: dict[Color, int] = {}
+        for a, x, census in frontier_censuses(seed, "LCB"):
+            self.minimum[a], self.census[a] = seed.position[x], census
         self.below = {a: seed.down_masks[i] for a, i in self.minimum.items()}
-        self.census = {
-            b: sum(
-                -d.theta(c, b) * (self.below[b] & self.members[c]).bit_count()
-                for c in d.neighbors(b)
-            )
-            for b in d.colors
-        }
 
     def extend(self, colors: tuple[Color, ...]) -> tuple[tuple[int, Color], ...]:
         """Adjoin one new minimal element of each census-2 color, the colors

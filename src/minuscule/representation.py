@@ -24,13 +24,13 @@ covers another, and a bracket of depth d >= 2 where no d - 1 consecutive gaps
 of the a-chain (the open intervals between its consecutive elements) hold
 between them at most one element, of color b; on a poset with ICE2 that is
 every such bracket.  HX is one comparison of packed weights along each
-color's covers, the other brackets of depth 1 and 2 are equalities of target
-lists, and deeper ones sum their words' weights.  HY and YY are minus the
-transpose of HX and a signed transpose of XX, so they are evaluated only
-where their X partner fails, for their own least failing index.  The report
-keeps one row per check.  The matrix export reads each operator's coordinate
-list off the maps in row order (`OperatorMaps.coordinates`), and `IntMatrix`
-wraps those lists.
+color's covers, and the other brackets sum their X words' weights.  HY and
+YY are minus the transpose of HX and a signed transpose of XX, so each is
+read off its X partner's failures: its least failing index is the least
+target they land on, and no Y word is evaluated.  The report keeps one row
+per check.  The matrix export reads each operator's coordinate list off the
+maps in row order (`OperatorMaps.coordinates`), and `IntMatrix` wraps those
+lists.
 """
 
 from __future__ import annotations
@@ -91,24 +91,18 @@ class SplitBasis(Sequence):
         self.elements = frozenset(bit)
         self.bit = bit
         self.masks = masks
-        self.position = {m: i for i, m in enumerate(masks)}
-        index = self.position.__getitem__
+        index = {m: i for i, m in enumerate(masks)}.__getitem__
         self.covers = {
             x: (sources, list(map(index, targets))) for x, (sources, targets) in covers.items()
         }
-        self._owners = sorted(bit, reverse=True)  # the id owning bit r
 
     def __len__(self) -> int:
         return len(self.masks)
 
     def __getitem__(self, i: int) -> Split:
-        ideal = frozenset(self.ideal(i))
+        m = self.masks[i]
+        ideal = frozenset(x for x, b in self.bit.items() if m & b)
         return Split(self.elements - ideal, ideal)
-
-    def ideal(self, i: int) -> list[int]:
-        """The ids in the ideal of split i, ascending, read off its set bits."""
-        owners = self._owners
-        return [owners[r] for r in bits(self.masks[i])][::-1]
 
     def ideals(self) -> list[list[int]]:
         """The ids in the ideal of every split, ascending, each read off one
@@ -346,13 +340,6 @@ def _then(first: list[int], second: list[int]) -> list[int]:
     return [second[t] for t in first]
 
 
-def _first_difference(x: list[int], y: list[int]) -> Optional[int]:
-    """The least index at which two lists of equal length differ, or None."""
-    if x == y:
-        return None
-    return next(s for s, (u, v) in enumerate(zip(x, y)) if u != v)
-
-
 def _gaps(p: ColoredPoset) -> dict[Color, list[int]]:
     """The gaps of every color chain of an EC poset, bottom first, as masks:
     the open intervals between consecutive elements.  An element's place in
@@ -438,11 +425,6 @@ def verify_relations(
       no gap of the a-chain is empty: an element strictly between y and x
       lies in I above y or in F below x.  Only a color with such a cover is
       evaluated, over the sources of its covers.
-    - XX at depth 1 or 2.  Every word has coefficient 1 or 0 on e_s, so
-      x - y vanishes exactly where both words send e_s to the same place,
-      and x - 2y + z exactly where all three do.  The relation holds exactly
-      when the words' target lists are equal, index n standing for zero, and
-      the first index where two lists differ is the failing one.
     - XX at depth 1 holds when no cover joins an a-element and a b-element.
       With x the least a-element and z the least b-element of F (a != b,
       so moving one does not change the other), X_a X_b e_s and X_b X_a e_s
@@ -465,16 +447,14 @@ def verify_relations(
       none is empty.  At depth 2 the one gap would be a single b-element,
       of census -theta(b,a) = 1, and a deeper bracket needs a run of two or
       more gaps, one of them empty.
-    - XX at depth 3 or more, where the gaps do not decide it, keeps the
-      weighted sum: the binomial coefficients of the words nonzero on e_s,
-      which by the argument above all land on one basis vector, must sum to
-      zero.
-    - YY at depth d is (-1)^d times the transpose of XX: transposing turns
-      the word Y_a^(d-k) Y_b Y_a^k into X_a^k X_b X_a^(d-k), the word of
-      index d - k.  So YY holds exactly when XX does.  Its least failing
-      index is the least nonzero row of XX, so where XX fails, YY is
-      evaluated by the rules above along the Y target lists, which are built
-      only then.
+    - XX where neither rule decides it is a weighted sum: the binomial
+      coefficients of the words nonzero on e_s, which by the argument above
+      all land on one basis vector, must sum to zero.  YY at depth d is
+      (-1)^d times the transpose of XX: transposing turns the word
+      Y_a^(d-k) Y_b Y_a^k into X_a^k X_b X_a^(d-k), the word of index d - k.
+      So YY holds exactly when XX does, and its least failing index is the
+      least nonzero row of XX: the least basis vector that XX's failing
+      words land on.  Only X words are evaluated.
     """
     if maps is None:
         maps = operator_maps(p)
@@ -492,39 +472,43 @@ def verify_relations(
 
     gaps = _gaps(p)
 
-    # moves[letter, a] is where Z_a sends every index, with index n standing
-    # for zero, and powers[letter, a][k - 1] the target list of Z_a^k
-    moves: dict[tuple[str, Color], list[int]] = {}
-    powers: dict[tuple[str, Color], list[list[int]]] = {}
+    # moves[a] is where X_a sends every index, with index n standing for zero,
+    # and powers[a][k - 1] the target list of X_a^k
+    moves: dict[Color, list[int]] = {}
+    powers: dict[Color, list[list[int]]] = {}
 
-    def move(letter: str, a: Color) -> list[int]:
-        z = moves.get((letter, a))
+    def move(a: Color) -> list[int]:
+        z = moves.get(a)
         if z is None:
-            targets = maps.up[a] if letter == "X" else maps.down[a]
-            z = moves[letter, a] = [n if t < 0 else t for t in targets] + [n]
+            z = moves[a] = [n if t < 0 else t for t in maps.up[a]] + [n]
         return z
 
-    def power(letter: str, a: Color, k: int) -> list[int]:
-        """The target list of Z_a^k, k >= 1, cached per color."""
-        z = move(letter, a)
-        known = powers.setdefault((letter, a), [z])
+    def power(a: Color, k: int) -> list[int]:
+        """The target list of X_a^k, k >= 1, cached per color."""
+        z = move(a)
+        known = powers.setdefault(a, [z])
         while len(known) < k:
             known.append(_then(known[-1], z))
         return known[k - 1]
 
-    def bracket(letter: str, a: Color, b: Color, depth: int) -> Optional[int]:
-        """ad(Z_a)^depth (Z_b) = sum over k of (-1)^k C(depth, k) Z_a^(depth-k) Z_b Z_a^k."""
-        zb = move(letter, b)
+    def bracket(a: Color, b: Color, depth: int) -> tuple[Optional[int], Optional[int]]:
+        """The least failing indices of XX and YY, from the words of
+        ad(X_a)^depth (X_b) = sum over k of (-1)^k C(depth, k) X_a^(depth-k) X_b X_a^k."""
+        xb = move(b)
         words = []
         for k in range(depth + 1):
-            targets = zb if k == 0 else _then(power(letter, a, k), zb)
-            words.append(targets if k == depth else _then(targets, power(letter, a, depth - k)))
-        if depth <= 2:
-            found = [_first_difference(words[0], w) for w in words[1:]]
-            return min((s for s in found if s is not None), default=None)
+            targets = xb if k == 0 else _then(power(a, k), xb)
+            words.append(targets if k == depth else _then(targets, power(a, depth - k)))
         weights = [(-1) ** k * comb(depth, k) for k in range(depth + 1)]
-        sums = (sum(c for c, t in zip(weights, ts) if t < n) for ts in zip(*words))
-        return next((s for s, v in enumerate(sums) if v), None)
+        # the words nonzero on e_s share one target, the least entry of ts
+        failing = [
+            (s, min(ts))
+            for s, ts in enumerate(zip(*words))
+            if sum(c for c, t in zip(weights, ts) if t < n)
+        ]
+        if not failing:
+            return None, None
+        return failing[0][0], min(t for _, t in failing)
 
     # (a, b, depth) in check order: adjacent pairs, or every pair with
     # full_sweep, then one distant pair per color, which keeps the depth-1
@@ -545,12 +529,8 @@ def verify_relations(
             decided = (a, b) not in joined
         else:
             decided = not _crossable(gaps[a], classes[b], depth - 1)
-        if decided:
-            rows += (("XX", a, b, None), ("YY", a, b, None))
-        else:
-            xx = bracket("X", a, b, depth)
-            yy = None if xx is None else bracket("Y", a, b, depth)
-            rows += (("XX", a, b, xx), ("YY", a, b, yy))
+        xx, yy = (None, None) if decided else bracket(a, b, depth)
+        rows += (("XX", a, b, xx), ("YY", a, b, yy))
 
     # covers[a]: the sources and targets of the a-covers, X_a e_s = e_t
     covers: dict[Color, tuple[list[int], list[int]]] = {a: ([], []) for a in colors}

@@ -10,6 +10,7 @@ from minuscule.axioms import (
     NotDComplete,
     UnknownProperty,
     check,
+    frontier_censuses,
     is_d_complete,
     is_dominant_minuscule_heap,
     is_minuscule,
@@ -22,6 +23,8 @@ from minuscule.extension import run_extension
 from minuscule.poset import ColoredPoset, connected_components, disjoint_union, order_dual
 
 from helpers import (
+    FrozensetOrder,
+    _frontier_oracle,
     check_oracle,
     differential_posets,
     random_colored_poset,
@@ -258,3 +261,17 @@ def test_classify_reads_cross_component_reports_from_one_pass(pass_calls):
     runs = pass_calls["_comparability_pass"]
     assert sum(q is union for q in runs) == 1
     assert len(runs) == 3  # the union and each component
+
+
+def test_frontier_censuses_equal_the_oracle_censuses():
+    # at bound -1 the oracle lists every class extreme with its census
+    rng = random.Random(seed_from_env() + 22)
+    posets = 0
+    for p in differential_posets(rng):
+        o = FrozensetOrder(p)
+        for side in ("LCB", "UCB"):
+            want = [(w.elements[0], w.value) for w in _frontier_oracle(p, o, side == "UCB", -1)]
+            got = [(x, census) for _, x, census in frontier_censuses(p, side)]
+            assert got == want, (p, side)
+        posets += 1
+    assert posets > 400

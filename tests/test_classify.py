@@ -2,7 +2,7 @@ import itertools
 import random
 import time
 
-from minuscule.axioms import is_minuscule
+from minuscule.axioms import check, is_minuscule
 from minuscule.catalog import (
     FamilyId,
     all_family_ids,
@@ -199,3 +199,27 @@ def test_completeness_random_five_elements_four_colors():
             assert (entry.family is not None) == ok
             found += ok
     assert found >= 10
+
+
+def test_a_connected_input_lists_its_ec_and_ac_failures_globally():
+    # each input is connected; the global failures are its own failing EC
+    # and AC reports, the very ones its classification decided on
+    distant = validate(["a", "b"], [[2, 0], [0, 2]])
+    bond = validate(["a", "b"], [[2, -1], [-1, 2]])
+    for p, failing in [
+        # 1 and 2 share the upper cover 3 and a color
+        (ColoredPoset(distant, {1: "a", 2: "a", 3: "b"}, [(1, 3), (2, 3)]), ("EC",)),
+        # 1 and 2 share the upper cover 3 and have adjacent colors
+        (ColoredPoset(bond, {1: "a", 2: "b", 3: "a"}, [(1, 3), (2, 3)]), ("AC",)),
+        # both, and 4 < 3 of color b is incomparable to 1 and 2
+        (ColoredPoset(bond, {1: "a", 2: "a", 3: "b", 4: "b"}, [(1, 3), (2, 3), (4, 3)]), ("EC", "AC")),
+        # NA fails alone: not a cross-component property
+        (ColoredPoset(distant, {1: "a", 2: "b"}, [(1, 2)]), ()),
+    ]:
+        assert connected_components(p) == [p]
+        result = classify(p)
+        assert tuple(r.property for r in result.global_failures) == failing
+        assert all(r is check(p, r.property) for r in result.global_failures)
+        assert not result.minuscule and not result.components[0].minuscule
+        doc = result.to_json()
+        assert [r["property"] for r in doc.get("global_failures", [])] == list(failing)

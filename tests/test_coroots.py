@@ -15,14 +15,15 @@ from minuscule.coroots import (
     NotReduced,
     coroot_filter,
     coroot_poset,
+    coroot_system,
     heap_to_word,
     highest_coroot,
     inversion_sequence,
     positive_coroots,
     psi,
-    simple_reflection,
 )
 from minuscule.cli import run
+from minuscule.dynkin import DynkinDiagram
 from minuscule.poset import first_linear_extension, order_dual
 
 from helpers import (
@@ -39,16 +40,17 @@ A4 = diagram_of_type("A", 4)
 
 
 def test_simple_reflection_examples():
-    assert simple_reflection(A4, 1, (1, 0, 0, 0)) == (-1, 0, 0, 0)
-    assert simple_reflection(A4, 2, (1, 0, 0, 0)) == (1, 1, 0, 0)
+    reflect = coroot_system(A4).reflect
+    assert reflect(1, (1, 0, 0, 0)) == (-1, 0, 0, 0)
+    assert reflect(2, (1, 0, 0, 0)) == (1, 1, 0, 0)
     # distant support is fixed
-    assert simple_reflection(A4, 4, (1, 1, 0, 0)) == (1, 1, 0, 0)
+    assert reflect(4, (1, 1, 0, 0)) == (1, 1, 0, 0)
     # involution
     rng = random.Random(seed_from_env() + 30)
     for _ in range(20):
         beta = tuple(rng.randint(-2, 2) for _ in range(4))
         i = rng.randint(1, 4)
-        assert simple_reflection(A4, i, simple_reflection(A4, i, beta)) == beta
+        assert reflect(i, reflect(i, beta)) == beta
 
 
 def test_positive_coroot_counts():
@@ -360,3 +362,21 @@ def test_inversion_sets_are_ideals_of_the_filter_with_unique_max():
                 if not any(g != h and all(a <= b for a, b in zip(g, h)) for h in chunk)
             ]
             assert maxima == [real.assignment[x]]
+
+
+def test_row_support_equals_the_dense_kac_ordered_table():
+    # colors renamed and listed in a random order, so neither the names nor
+    # the construction order follow the Kac numbering
+    rng = random.Random(seed_from_env() + 22)
+    for letter, n in sorted({(letter, n) for letter, n, _ in minuscule_indices(12)}):
+        d = diagram_of_type(letter, n)
+        order = list(range(n))
+        rng.shuffle(order)
+        colors = tuple(f"c{rng.randrange(10**6)}:{i}" for i in order)
+        matrix = tuple(tuple(d.matrix[i][j] for j in order) for i in order)
+        relabeled = DynkinDiagram(colors, matrix)
+        system = CorootSystem(relabeled)
+        by_node = sorted(colors, key=system.type.numbering_map.__getitem__)
+        table = [[relabeled.theta(a, b) for b in by_node] for a in by_node]
+        expected = [[(j, v) for j, v in enumerate(row) if v] for row in table]
+        assert system._row_support == expected, (letter, n)

@@ -88,8 +88,9 @@ def test_the_cover_walk_equals_the_per_element_oracle():
         # each cover of the lattice of ideals once: (s, x, t) where x is not in
         # the ideal s and its lower covers are, and t is s with x added
         walked = {(s, x, t) for x, pairs in basis.covers.items() for s, t in zip(*pairs)}
+        position = {m: i for i, m in enumerate(basis.masks)}
         expected = {
-            (s, x, basis.position[m | b])
+            (s, x, position[m | b])
             for s, m in enumerate(basis.masks)
             for x, b in basis.bit.items()
             if not m & b and all(m & basis.bit[z] for z in p.covered_by_x(x))
@@ -98,7 +99,7 @@ def test_the_cover_walk_equals_the_per_element_oracle():
         assert kept == len(walked) == len(expected)
         assert walked == expected, p
         for i in (0, len(basis) // 2, len(basis) - 1):
-            assert sorted(basis[i].ideal) == basis.ideal(i) == [
+            assert sorted(basis[i].ideal) == [
                 x for x, b in basis.bit.items() if basis.masks[i] & b
             ]
         # the ideals read off the covers, each from the one it covers
@@ -447,6 +448,36 @@ def test_brackets_are_evaluated_where_a_run_of_gaps_can_be_crossed(p, a, b):
         # a word adds the a-chain and the b-element from the empty ideal up
         failing = _failing(p, full_sweep)
         assert failing[("XX", a, b)] == 0 and ("YY", a, b) in failing
+    assert_matches_oracle(p)
+
+
+@pytest.mark.parametrize("p, a, b, xx, yy", [
+    (ColoredPoset(DISTANT, {1: "a", 2: "b", 3: "b", 4: "a"}, [(1, 3), (1, 4), (2, 3), (2, 4)]),
+     "a", "b", 1, 4),
+    (ColoredPoset(SIMPLE_BOND, {1: "b", 2: "a", 3: "a", 4: "a", 5: "b"},
+                  [(1, 4), (1, 5), (2, 3), (3, 4), (3, 5)]),
+     "a", "b", 1, 6),
+    (ColoredPoset(DOUBLE_BOND, {1: "1", 2: "1", 3: "2", 4: "2", 5: "1", 6: "1"},
+                  [(1, 2), (2, 4), (2, 5), (3, 4), (3, 6), (5, 6)]),
+     "1", "2", 1, 9),
+], ids=["depth-1", "depth-2", "depth-3"])
+def test_yy_fails_at_the_least_target_of_the_failing_xx_words(p, a, b, xx, yy):
+    # XX fails at several basis vectors, and the least basis vector its
+    # failing words land on is neither XX's index nor the target of its words
+    # at that index
+    up = operator_maps(p).up
+    depth = 1 - p.diagram.theta(b, a)
+    targets = set()
+    for k in range(depth + 1):  # X_a^(depth - k) X_b X_a^k on e_xx
+        s = xx
+        for c in [a] * k + [b] + [a] * (depth - k):
+            s = up[c][s] if s >= 0 else -1
+        targets.add(s)
+    targets.discard(-1)
+    assert len(targets) == 1 and yy not in targets | {xx}
+    for full_sweep in (False, True):
+        failing = _failing(p, full_sweep)
+        assert (failing[("XX", a, b)], failing[("YY", a, b)]) == (xx, yy)
     assert_matches_oracle(p)
 
 

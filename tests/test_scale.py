@@ -50,6 +50,10 @@ its EC check, the walk over its 65536 splits and its operator maps
 included.  The budget is three times the median of five runs, 0.53 s (0.52
 to 0.55 s); the same call took 0.97 to 1.09 s while the adjacent brackets
 were evaluated word by word and the weight checks scanned every split.
+The fifteenth builds the `CorootSystem` of the A1200 diagram cold, finite
+type recognition included, with a budget on the best of three calls: three
+times the median of five runs, 0.0069 s (0.0067 to 0.0071 s).  Reading a
+dense table of the pairings in Kac order took 0.18 s.
 """
 
 import contextlib
@@ -90,6 +94,7 @@ ISO_C400_BUDGET_S = 0.017
 ISO_A1200_BUDGET_S = 0.037
 B14_FULL_SWEEP_BUDGET_S = 0.79
 B16_BUDGET_S = 1.6
+COROOT_SYSTEM_A1200_BUDGET_S = 0.021
 
 
 def test_relations_hold_at_thousands_of_splits():
@@ -270,3 +275,16 @@ def test_relations_of_b16_cold():
     assert report.all_pass and len(report.rows) == 2 * (30 + 16) + 4 * 16 * 16
     budget = B16_BUDGET_S
     assert elapsed <= budget, f"{elapsed:.3f} s over the {budget} s budget"
+
+
+def test_coroot_system_of_a1200_cold():
+    diagram = diagram_of_type("A", 1200)
+    times = []
+    for _ in range(3):
+        started = time.perf_counter()
+        system = CorootSystem(diagram)  # a fresh system, not the shared one
+        times.append(time.perf_counter() - started)
+        assert system.n == 1200 and system.reflect(1, system.simple(2)) == (1, 1) + (0,) * 1198
+    elapsed = min(times)
+    budget = COROOT_SYSTEM_A1200_BUDGET_S
+    assert elapsed <= budget, f"{elapsed:.4f} s over the {budget} s budget"
