@@ -36,33 +36,22 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 from .dynkin import Color
-from .poset import ColoredPoset, bits, top_tree
+from .poset import ColoredPoset, bits
 
 __all__ = [
     "AxiomReport",
     "Witness",
     "UnknownProperty",
-    "NotDComplete",
-    "NotConnectedPoset",
     "check",
     "frontier_censuses",
     "is_d_complete",
     "is_minuscule",
     "is_dominant_minuscule_heap",
-    "is_slant_irreducible",
     "D_COMPLETE_PROPERTIES",
 ]
 
 
 class UnknownProperty(ValueError):
-    pass
-
-
-class NotDComplete(ValueError):
-    pass
-
-
-class NotConnectedPoset(ValueError):
     pass
 
 
@@ -351,23 +340,3 @@ def is_minuscule(p: ColoredPoset) -> tuple[bool, list[AxiomReport]]:
 def is_dominant_minuscule_heap(p: ColoredPoset) -> bool:
     """S1, S2, S3 and S4 together."""
     return all(check(p, name).holds for name in ("S1", "S2", "S3", "S4"))
-
-
-def is_slant_irreducible(p: ColoredPoset) -> bool:
-    """
-    No top-tree cover x -> y where y is the only element of its color.
-
-    Defined for connected finite d-complete posets.
-    """
-    from .poset import connected_components
-
-    if len(connected_components(p)) != 1:
-        raise NotConnectedPoset("slant irreducibility needs a connected poset")
-    ok, _ = is_d_complete(p)
-    if not ok:
-        raise NotDComplete("slant irreducibility is defined for d-complete posets")
-    tree = top_tree(p)
-    for x, y in tree.covers:
-        if len(p.color_class(p.color(y))) == 1:
-            return False
-    return True

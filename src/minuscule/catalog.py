@@ -4,14 +4,19 @@ Every connected finite colored minuscule poset, as the heap of a walk.
 Colors are the integers 1..n in the Kac node numbering.  A connected colored
 minuscule poset is the heap of a reduced word of its minuscule Weyl group
 element (Proctor, Stembridge), and that word is the orbit walk down from the
-fundamental weight of the top color's node: `_heap` walks it and numbers the
-elements by its letters, the maximum first.  `indexed(letter, n, j)` walks
-from node j, and `build(family)` from the family's top color, a column of
-`FAMILIES`: chains of type A carry color 1 on top, grids of type A carry their
-defining index, type B carries n (the short node), type C carries 1, type D
-standard carries 1, type D spin carries n, E6 carries 1 and E7 carries 6.
-`family_of` names the family of each index, and `kac_automorphisms` lists the
-diagram automorphisms that relate the indices of one family.
+fundamental weight of the top color's node.  `orbit_walk` walks it over the
+nonzero pairings of each node's row, listed in any order, and returns the
+word and the heap's covers: element t is letter t, the maximum first.  The
+rows may come from any diagram read through a Kac numbering, so `classify`
+walks a component's own diagram and builds no catalog poset; `_heap` reads
+them from the Kac-numbered template and wraps the walk in a `ColoredPoset`.
+`indexed(letter, n, j)` walks from node j, and `build(family)` from the
+family's top color, a column of `FAMILIES`: chains of type A carry color 1 on
+top, grids of type A carry their defining index, type B carries n (the short
+node), type C carries 1, type D standard carries 1, type D spin carries n, E6
+carries 1 and E7 carries 6.  `family_of` names the family of each index, and
+`kac_automorphisms` lists the diagram automorphisms that relate the indices
+of one family.
 
 Two tables hold which families and weights exist: `FAMILIES` (kind -> type
 letter, ranks, whether it takes an index, top color) and `_TYPES` (letter ->
@@ -26,7 +31,7 @@ import itertools
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from math import inf
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .dynkin import DynkinDiagram
 from .poset import ColoredPoset
@@ -40,6 +45,7 @@ __all__ = [
     "indexed",
     "family_of",
     "kac_automorphisms",
+    "orbit_walk",
     "top_tree_Y",
     "all_family_ids",
     "minuscule_indices",
@@ -148,11 +154,16 @@ def diagram_of_type(letter: str, n: int) -> DynkinDiagram:
 # -- the orbit walk ------------------------------------------------------------
 
 
-def _heap(letter: str, n: int, j: int) -> ColoredPoset:
+def orbit_walk(
+    letter: str, rows: Sequence[Sequence[tuple[int, int]]], j: int
+) -> tuple[list[int], list[tuple[int, int]]]:
     """
-    The heap of the orbit walk from the fundamental weight of node j of the
-    Kac-numbered diagram letter_n: for a minuscule node j, the colored
-    minuscule poset of (letter, n, j) (Proctor, Stembridge).
+    The orbit walk from the fundamental weight of node j of a diagram of type
+    letter, numbered 1..n: its word, letter t at index t - 1, and the covers
+    (t, u) of its heap, element t below element u.  ``rows[i]`` lists node
+    i's nonzero pairings (k, theta[i][k]); ``rows[0]`` is not read.  For a
+    minuscule node j the heap is the colored minuscule poset of (letter, n, j)
+    (Proctor, Stembridge).
 
     The weight's coefficients start at c_k = 1 if k == j else 0.  While some
     node i has c_i = 1, the walk takes i as its next letter: c_i becomes -1
@@ -164,13 +175,13 @@ def _heap(letter: str, n: int, j: int) -> ColoredPoset:
     type the least.  The orders give one poset, numbered differently: least
     first numbers the type A grids by columns, greatest first by rows, as the
     paper's worked example for A_4(2) reads its word (3, 4, 2, 3, 1, 2).
+
+    A row may list its pairings in any order.  The ready nodes sit in a heap,
+    so the next letter does not depend on the order they were pushed in, and
+    the updates of one letter's neighbours commute, so every order gives the
+    same word and the same set of covers.
     """
-    diagram = diagram_of_type(letter, n)
-    # lists indexed by node: the nonzero entries (k, theta[i][k]) of row i, the
-    # coefficients, and each node's latest letter, 0 before the first
-    m = diagram.matrix  # node i is row i - 1
-    row = [[]] + [[(k, m[i - 1][k - 1]) for k in diagram.neighbors(i)] for i in range(1, n + 1)]
-    c, last = [int(k == j) for k in range(n + 1)], [0] * (n + 1)
+    c, last = [int(k == j) for k in range(len(rows))], [0] * len(rows)
     sign = -1 if letter == "A" else 1
     # no coefficient reaches 2 on a minuscule orbit, so no two ready nodes are
     # adjacent, and a ready node stays ready, pushed once, until it is taken
@@ -180,7 +191,7 @@ def _heap(letter: str, n: int, j: int) -> ColoredPoset:
         word.append(i)
         t, previous, found = len(word), last[i], len(covers)
         last[i], c[i] = t, -1
-        for k, theta in row[i]:
+        for k, theta in rows[i]:
             if last[k] > previous:
                 covers.append((t, last[k]))
             c[k] -= theta
@@ -188,6 +199,16 @@ def _heap(letter: str, n: int, j: int) -> ColoredPoset:
                 heappush(ready, sign * k)
         if previous and len(covers) == found:
             covers.append((t, previous))
+    return word, covers
+
+
+def _heap(letter: str, n: int, j: int) -> ColoredPoset:
+    """The heap of the orbit walk from node j of the Kac-numbered diagram
+    letter_n, colored by Kac numbers."""
+    diagram = diagram_of_type(letter, n)
+    m = diagram.matrix  # node i is row i - 1
+    rows = [()] + [[(k, m[i - 1][k - 1]) for k in diagram.neighbors(i)] for i in range(1, n + 1)]
+    word, covers = orbit_walk(letter, rows, j)
     return ColoredPoset(diagram, dict(enumerate(word, 1)), covers)
 
 

@@ -9,6 +9,14 @@ sigma . nu for the recognized numbering nu and each diagram automorphism
 sigma, so the families matched are those of sigma(j).  The witness is forced
 too: by EC every color class is a chain, so once the colors are paired the
 k-th element of a class goes to the k-th element of its image class.
+
+The family's poset is the heap of the orbit walk from its top color, and nu
+carries the component's own diagram onto the Kac-numbered one, so the walk
+runs on the component's pairings, row nu(a) listing a's neighbours in the
+diagram's order.  The walk gives the same word and covers in any row order
+(`catalog.orbit_walk`), so no catalog poset is built: the family's class
+chain of a color is its letters, latest first, and the witness must carry
+the component's covers onto the walk's.
 """
 
 from __future__ import annotations
@@ -17,7 +25,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .axioms import AxiomReport, check, is_minuscule
-from .catalog import FamilyId, build, family_of, kac_automorphisms
+from .catalog import FAMILIES, FamilyId, family_of, kac_automorphisms, orbit_walk
 from .dynkin import Color, recognize_finite_type
 from .poset import ColoredPoset, connected_components
 
@@ -87,25 +95,36 @@ def classify_connected(p: ColoredPoset) -> ComponentClassification:
     if ftype is None or len(maxima) != 1:
         # cannot happen for minuscule inputs; classification is complete
         raise AssertionError("minuscule poset matched no family")
-    nu = ftype.numbering_map
+    nu, d = ftype.numbering_map, p.diagram
     j = nu[p.color(maxima[0])]
     sigmas = kac_automorphisms(ftype.letter, ftype.rank)
     matches = sorted(
         {family_of(ftype.letter, ftype.rank, s[j]) for s in sigmas}, key=FamilyId.sort_key
     )
-    q = build(matches[0])
-    top = q.color(q.maximal_elements()[0])
+    # the family's poset is the heap of the walk from its top color, walked on
+    # p's own diagram read through nu: row nu(a) lists a's pairings
+    _, _, _, _, top_of = FAMILIES[matches[0].kind]
+    top = top_of(matches[0].n, matches[0].j)
+    rows = [()] * (ftype.rank + 1)
+    for a, row in zip(d.colors, d.matrix):
+        rows[nu[a]] = [(nu[b], row[d.index(b)]) for b in d.neighbors(a)]
+    word, covers = orbit_walk(ftype.letter, rows, top)
     # of the pairings sending top to top, the least along p's color order: the
     # one the test oracle, a search through p's colors in order, meets first
     gamma = min(
-        ({a: s[nu[a]] for a in p.diagram.colors} for s in sigmas if s[j] == top),
-        key=lambda g: [g[a] for a in p.diagram.colors],
+        ({a: s[nu[a]] for a in d.colors} for s in sigmas if s[j] == top),
+        key=lambda g: [g[a] for a in d.colors],
         default=None,
     )
+    # later letters lie lower, so the family's class chain of color k, bottom
+    # first, is the letters equal to k, latest first
+    chains: list[list[int]] = [[] for _ in rows]
+    for t in range(len(word), 0, -1):
+        chains[word[t - 1]].append(t)
     pi = {} if gamma is None else {
-        x: y for a in p.diagram.colors for x, y in zip(p.class_chain(a), q.class_chain(gamma[a]))
+        x: y for a in d.colors for x, y in zip(p.class_chain(a), chains[gamma[a]])
     }
-    if len(pi) != len(p) or len(p) != len(q) or {(pi[x], pi[y]) for x, y in p.covers} != q.covers:
+    if len(pi) != len(p) or len(p) != len(word) or {(pi[x], pi[y]) for x, y in p.covers} != set(covers):
         raise AssertionError(f"minuscule poset does not match {matches[0]}")
     return ComponentClassification(p, matches[0], tuple(matches), (pi, gamma), ())
 

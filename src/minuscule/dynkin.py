@@ -292,7 +292,8 @@ def recognize_finite_type(diagram: DynkinDiagram) -> Optional[FiniteTypeId]:
     if not diagram.is_connected():
         raise NotConnected("finite type recognition needs a connected diagram")
     n = len(diagram.colors)
-    if not is_acyclic(diagram):
+    # a connected graph is a tree iff it has n - 1 edges
+    if sum(map(len, diagram._edges)) != 2 * (n - 1):
         return None
 
     # both entries of an edge are negative integers, so an edge whose product

@@ -143,10 +143,6 @@ class ColoredPoset:
         """Elements covering x, in id order."""
         return self.members(self.cover_masks[self.position[x]])
 
-    def covered_by_x(self, x: int) -> tuple[int, ...]:
-        """Elements covered by x, in id order."""
-        return self.members(self.lower_cover_masks[self.position[x]])
-
     def members(self, mask: int) -> tuple[int, ...]:
         """The elements a mask stands for, in id order."""
         ids = self.elements
@@ -165,10 +161,6 @@ class ColoredPoset:
         """The principal filter {y : y >= x}."""
         i = self.position[x]
         return frozenset(self.members(self.up_masks[i] | 1 << i))
-
-    def down_set(self, x: int) -> frozenset[int]:
-        i = self.position[x]
-        return frozenset(self.members(self.down_masks[i] | 1 << i))
 
     def open_interval(self, x: int, y: int) -> frozenset[int]:
         return frozenset(
@@ -222,15 +214,6 @@ class ColoredPoset:
 
     def __repr__(self) -> str:
         return f"ColoredPoset({len(self.elements)} elements, {len(self.diagram)} colors)"
-
-    # -- derived posets ------------------------------------------------------
-
-    def subposet(self, keep: Iterable[int]) -> "ColoredPoset":
-        """Induced subposet on a subset, with the covers of the induced order,
-        over the diagram restricted to the colors that appear."""
-        coloring = {x: self.coloring[x] for x in sorted(set(keep))}
-        sub = self.diagram.restrict(set(coloring.values()))
-        return ColoredPoset(sub, coloring, self.induced_covers(coloring))
 
     # -- serialization --------------------------------------------------------
 
@@ -299,10 +282,6 @@ class TopTree:
         self.poset = poset
         self.elements = elements
         self.covers = frozenset(poset.induced_covers(elements))
-
-    def is_filter(self) -> bool:
-        eset = set(self.elements)
-        return all(set(self.poset.covers_of(x)) <= eset for x in self.elements)
 
     def splitting_element(self) -> Optional[int]:
         """The unique top-tree element covering two others in the tree, if any."""
@@ -467,11 +446,15 @@ def connected_components(poset: ColoredPoset) -> list[ColoredPoset]:
     """Connected components, each carrying its induced (surjective) sub-diagram,
     in the order of their least elements.
 
-    Each component is flooded over the upper and lower cover masks.  It is up-
-    and down-closed, so its covers are exactly the covers of the poset between
-    its elements.  A connected poset is its own only component."""
+    A poset with one maximal element is connected, every element lying below
+    it, and is its own only component.  Otherwise each component is flooded
+    over the upper and lower cover masks.  It is up- and down-closed, so its
+    covers are exactly the covers of the poset between its elements, handed
+    out to the components in one pass."""
+    if sum(not m for m in poset.cover_masks) == 1:
+        return [poset]
     links = [u | d for u, d in zip(poset.cover_masks, poset.lower_cover_masks)]
-    comps = []
+    comps, owner = [], [0] * len(poset)
     rest = (1 << len(poset)) - 1
     while rest:
         comp = reached = rest & -rest
@@ -481,15 +464,19 @@ def connected_components(poset: ColoredPoset) -> list[ColoredPoset]:
                 step |= links[i]
             reached = step & ~comp
             comp |= reached
+        for i in bits(comp):
+            owner[i] = len(comps)
         comps.append(poset.members(comp))
         rest &= ~comp
     if len(comps) == 1:
         return [poset]
+    covers: list[list[tuple[int, int]]] = [[] for _ in comps]
+    for x, y in poset.covers:
+        covers[owner[poset.position[x]]].append((x, y))
     out = []
-    for comp in comps:
+    for comp, below in zip(comps, covers):
         coloring = {x: poset.coloring[x] for x in comp}
-        covers = [(x, y) for x, y in poset.covers if x in coloring]
-        out.append(ColoredPoset(poset.diagram.restrict(set(coloring.values())), coloring, covers))
+        out.append(ColoredPoset(poset.diagram.restrict(set(coloring.values())), coloring, below))
     return out
 
 

@@ -38,6 +38,7 @@ from minuscule.dynkin import (
     DynkinDiagram,
     PositiveOffDiagonal,
     is_simply_laced,
+    recognize_finite_type,
     validate,
 )
 from minuscule.extension import (
@@ -56,6 +57,7 @@ from minuscule.representation import (
 from minuscule.poset import (
     ColoredPoset,
     PosetError,
+    TopTree,
     bits,
     connected_components,
     disjoint_union,
@@ -66,6 +68,60 @@ from minuscule.poset import (
 
 def seed_from_env(default: int = 20250808) -> int:
     return int(os.environ.get("MINUSCULE_SEED", default))
+
+
+# -- queries only the tests read --------------------------------------------
+
+
+def covered_by_x(p: ColoredPoset, x: int) -> tuple[int, ...]:
+    """Elements covered by x, in id order."""
+    return p.members(p.lower_cover_masks[p.position[x]])
+
+
+def down_set(p: ColoredPoset, x: int) -> frozenset[int]:
+    """The principal ideal {y : y <= x}."""
+    i = p.position[x]
+    return frozenset(p.members(p.down_masks[i] | 1 << i))
+
+
+def subposet(p: ColoredPoset, keep) -> ColoredPoset:
+    """Induced subposet on a subset, with the covers of the induced order,
+    over the diagram restricted to the colors that appear."""
+    coloring = {x: p.coloring[x] for x in sorted(set(keep))}
+    sub = p.diagram.restrict(set(coloring.values()))
+    return ColoredPoset(sub, coloring, p.induced_covers(coloring))
+
+
+def is_filter(tree: TopTree) -> bool:
+    """Whether every element covering a top-tree element lies in the tree."""
+    eset = set(tree.elements)
+    return all(set(tree.poset.covers_of(x)) <= eset for x in tree.elements)
+
+
+class NotDComplete(ValueError):
+    pass
+
+
+class NotConnectedPoset(ValueError):
+    pass
+
+
+def is_slant_irreducible(p: ColoredPoset) -> bool:
+    """
+    No top-tree cover x -> y where y is the only element of its color.
+
+    Defined for connected finite d-complete posets.
+    """
+    if len(connected_components(p)) != 1:
+        raise NotConnectedPoset("slant irreducibility needs a connected poset")
+    ok, _ = is_d_complete(p)
+    if not ok:
+        raise NotDComplete("slant irreducibility is defined for d-complete posets")
+    tree = top_tree(p)
+    for x, y in tree.covers:
+        if len(p.color_class(p.color(y))) == 1:
+            return False
+    return True
 
 
 def random_diagram(rng: random.Random, n_colors: int, multiply_laced: bool = True) -> DynkinDiagram:
@@ -121,7 +177,7 @@ def random_filter_poset(rng: random.Random, base: ColoredPoset) -> ColoredPoset:
     for x in base.elements:
         if rng.random() < 0.4:
             members |= base.up_set(x)
-    return base.subposet(members)
+    return subposet(base, members)
 
 
 def brute_force_linear_extension_count(p: ColoredPoset) -> int:
@@ -166,7 +222,7 @@ def brute_force_ideal_count(p: ColoredPoset) -> int:
     count = 0
     for mask in range(1 << n):
         members = {elts[i] for i in range(n) if mask >> i & 1}
-        if all(set(p.covered_by_x(x)) <= members for x in members):
+        if all(set(covered_by_x(p, x)) <= members for x in members):
             count += 1
     return count
 
@@ -344,6 +400,39 @@ def classify_connected_oracle(p: ColoredPoset) -> ComponentClassification:
     return ComponentClassification(p, fam, tuple(f for f, _ in matches), iso, ())
 
 
+# The route `classify_connected` took before it walked the component's own
+# diagram: it built the family's poset a second time and zipped class chains.
+def classify_connected_build_oracle(p: ColoredPoset) -> ComponentClassification:
+    """Reference classification by the theorem route over a second catalog
+    build: family and matches from the finite type and the top color's Kac
+    number, the witness zipped along the class chains of `build(family)`."""
+    ok, reports = is_minuscule(p)
+    if not ok:
+        return ComponentClassification(p, None, (), None, tuple(reports))
+    ftype = recognize_finite_type(p.diagram)
+    maxima = p.maximal_elements()
+    if ftype is None or len(maxima) != 1:
+        raise AssertionError("minuscule poset matched no family")
+    nu = ftype.numbering_map
+    j = nu[p.color(maxima[0])]
+    sigmas = kac_automorphisms(ftype.letter, ftype.rank)
+    matches = sorted(
+        {family_of(ftype.letter, ftype.rank, s[j]) for s in sigmas}, key=FamilyId.sort_key
+    )
+    q = build(matches[0])
+    top = q.color(q.maximal_elements()[0])
+    gamma = min(
+        ({a: s[nu[a]] for a in p.diagram.colors} for s in sigmas if s[j] == top),
+        key=lambda g: [g[a] for a in p.diagram.colors],
+    )
+    pi = {
+        x: y for a in p.diagram.colors for x, y in zip(p.class_chain(a), q.class_chain(gamma[a]))
+    }
+    if len(pi) != len(p) or len(p) != len(q) or {(pi[x], pi[y]) for x, y in p.covers} != q.covers:
+        raise AssertionError(f"minuscule poset does not match {matches[0]}")
+    return ComponentClassification(p, matches[0], tuple(matches), (pi, gamma), ())
+
+
 def split_count_oracle(p: ColoredPoset) -> int:
     """
     Independent ideal count via the deletion recurrence: for a minimal element
@@ -356,7 +445,7 @@ def split_count_oracle(p: ColoredPoset) -> int:
         if not members:
             return 1
         m = min(
-            x for x in members if not any(y in members for y in p.covered_by_x(x))
+            x for x in members if not any(y in members for y in covered_by_x(p, x))
         )
         return count(members - up[m]) + count(members - {m})
 
@@ -395,7 +484,7 @@ def ch_set(poset: ColoredPoset) -> frozenset[int]:
 
 def linear_extensions(poset: ColoredPoset) -> Iterator[tuple[int, ...]]:
     """All linear extensions, each exactly once, in lexicographic id order."""
-    down = {x: set(poset.covered_by_x(x)) for x in poset.elements}
+    down = {x: set(covered_by_x(poset, x)) for x in poset.elements}
     taken: list[int] = []
     used: set[int] = set()
 
@@ -427,7 +516,7 @@ def first_linear_extension_oracle(poset: ColoredPoset, within=None) -> tuple[int
         for x in members:
             if x in used:
                 continue
-            if all(z in used for z in poset.covered_by_x(x) if z in mset):
+            if all(z in used for z in covered_by_x(poset, x) if z in mset):
                 used.add(x)
                 out.append(x)
                 break
@@ -492,7 +581,7 @@ def rank_function(poset: ColoredPoset) -> dict[int, int]:
                     if y not in comp_rank:
                         comp_rank[y] = r
                         queue.append(y)
-            for y in poset.covered_by_x(x):
+            for y in covered_by_x(poset, x):
                 if y in comp:
                     r = comp_rank[x] + 1
                     if comp_rank.get(y, r) != r:
@@ -584,7 +673,7 @@ def splits_oracle(p: ColoredPoset) -> list[Split]:
             for x in p.elements:
                 if x in ideal:
                     continue
-                if all(z in ideal for z in p.covered_by_x(x)):
+                if all(z in ideal for z in covered_by_x(p, x)):
                     grown = ideal | {x}
                     if grown not in seen:
                         seen.add(grown)
@@ -601,7 +690,7 @@ def split_masks_oracle(p: ColoredPoset) -> list[int]:
     `splits` replaced).  The k-th smallest of n ids owns bit n-1-k."""
     n = len(p.elements)
     bit = {x: 1 << (n - 1 - k) for k, x in enumerate(p.elements)}
-    growth = [(bit[x], sum(bit[z] for z in p.covered_by_x(x))) for x in p.elements]
+    growth = [(bit[x], sum(bit[z] for z in covered_by_x(p, x))) for x in p.elements]
     masks = [0]
     level = [0]
     while level:
@@ -625,7 +714,7 @@ def operator_maps_oracle(p: ColoredPoset, masks: list[int]) -> tuple[dict, dict,
         # only the chain-next a-element can be minimal in the filter
         chain = p.class_chain(a)
         class_mask = sum(bit[x] for x in chain)
-        steps = [(bit[x], sum(bit[z] for z in p.covered_by_x(x))) for x in chain] + [(0, -1)]
+        steps = [(bit[x], sum(bit[z] for z in covered_by_x(p, x))) for x in chain] + [(0, -1)]
         ups = []
         for m in masks:
             b, below = steps[(m & class_mask).bit_count()]
@@ -658,7 +747,7 @@ def build_operators_oracle(
             mins_f = [
                 x
                 for x in s.filter
-                if p.color(x) == a and all(z in s.ideal for z in p.covered_by_x(x))
+                if p.color(x) == a and all(z in s.ideal for z in covered_by_x(p, x))
             ]
             maxs_i = [
                 x

@@ -6,15 +6,12 @@ import pytest
 
 from minuscule import axioms
 from minuscule.axioms import (
-    NotConnectedPoset,
-    NotDComplete,
     UnknownProperty,
     check,
     frontier_censuses,
     is_d_complete,
     is_dominant_minuscule_heap,
     is_minuscule,
-    is_slant_irreducible,
 )
 from minuscule.catalog import FamilyId, all_family_ids, build, indexed, top_tree_Y
 from minuscule.classify import classify
@@ -24,9 +21,12 @@ from minuscule.poset import ColoredPoset, connected_components, disjoint_union, 
 
 from helpers import (
     FrozensetOrder,
+    NotConnectedPoset,
+    NotDComplete,
     _frontier_oracle,
     check_oracle,
     differential_posets,
+    is_slant_irreducible,
     random_colored_poset,
     random_filter_poset,
     seed_from_env,

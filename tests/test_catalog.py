@@ -20,6 +20,7 @@ from minuscule.poset import colored_isomorphism, order_dual, top_tree
 from helpers import (
     automorphisms,
     class_chain_renumbered,
+    covered_by_x,
     family_oracle,
     indexed_oracle,
     rank_function,
@@ -142,7 +143,7 @@ def test_a_standard_shape():
     x = p.maximal_elements()[0]
     while True:
         colors_downward.append(p.color(x))
-        below = p.covered_by_x(x)
+        below = covered_by_x(p, x)
         if not below:
             break
         x = below[0]
@@ -343,7 +344,7 @@ def test_top_tree_y():
     tree = top_tree(y)
     assert tree.shape() == (2, 2, 2)
     s = tree.splitting_element()
-    assert len(y.covered_by_x(s)) == 2
+    assert len(covered_by_x(y, s)) == 2
 
     with pytest.raises(BadParameters):
         top_tree_Y(1, 2, 1)

@@ -2,11 +2,15 @@ import itertools
 import random
 import time
 
+import pytest
+
+from minuscule import catalog
 from minuscule.axioms import check, is_minuscule
 from minuscule.catalog import (
     FamilyId,
     all_family_ids,
     build,
+    family_of,
     indexed,
     minuscule_indices,
     top_tree_Y,
@@ -22,7 +26,15 @@ from minuscule.poset import (
     order_dual,
 )
 
-from helpers import classify_connected_oracle, random_colored_poset, scrambled, seed_from_env
+from helpers import (
+    classify_connected_build_oracle,
+    classify_connected_oracle,
+    component_element_sets_oracle,
+    random_colored_poset,
+    scrambled,
+    seed_from_env,
+    subposet,
+)
 
 
 def test_examples():
@@ -223,3 +235,116 @@ def test_a_connected_input_lists_its_ec_and_ac_failures_globally():
         assert not result.minuscule and not result.components[0].minuscule
         doc = result.to_json()
         assert [r["property"] for r in doc.get("global_failures", [])] == list(failing)
+
+
+def _scrambled_unions(rng, posets, count):
+    """count disjoint unions of 2 to 4 scrambled posets, each scrambled whole."""
+    for _ in range(count):
+        parts = [scrambled(rng.choice(posets), rng) for _ in range(rng.randint(2, 4))]
+        yield scrambled(disjoint_union(parts), rng)
+
+
+def test_walk_on_the_input_equals_the_build_route():
+    """Family, matches, witness and failures agree with the route that built
+    the family's poset a second time, on every family through rank 12 as
+    built and scrambled, on every minuscule index through rank 12 with its
+    colors renamed and listed in scrambled order, and componentwise on
+    scrambled unions."""
+    rng = random.Random(seed_from_env() + 50)
+    families = [build(f) for f in all_family_ids(12)]
+    indices = [indexed(*index) for index in minuscule_indices(12)]
+    for p in families + [scrambled(q, rng) for q in families + indices]:
+        assert classify_connected(p).to_json() == classify_connected_build_oracle(p).to_json()
+    small = [q for q in families + indices if len(q.diagram) <= 6]
+    for u in _scrambled_unions(rng, small, 30):
+        want = [
+            classify_connected_build_oracle(subposet(u, comp)).to_json()
+            for comp in component_element_sets_oracle(u)
+        ]
+        assert [c.to_json() for c in classify(u).components] == want
+
+
+def test_classify_builds_no_catalog_poset(monkeypatch):
+    rng = random.Random(seed_from_env() + 51)
+    families = all_family_ids(8)
+    posets = [scrambled(build(f), rng) for f in families]
+    unions = list(_scrambled_unions(rng, posets, 10))
+
+    def refuse(*args):
+        raise AssertionError("classify built a catalog poset")
+
+    monkeypatch.setattr(catalog, "build", refuse)
+    monkeypatch.setattr(catalog, "diagram_of_type", refuse)
+    for f, p in zip(families, posets):
+        assert classify(p).family_multiset() == (str(_reported(f)),)
+    for u in unions:
+        assert classify(u).minuscule
+
+
+def _reported(f):
+    """The family classification names for a poset of family f: A_exterior(n,j)
+    and A_exterior(n,n+1-j) are one poset, reported under the lesser index."""
+    return FamilyId(f.kind, f.n, min(f.j, f.n + 1 - f.j)) if f.j else f
+
+
+def _catalog_through_rank_6():
+    """Every family and minuscule index through rank 6, with the family
+    classification reports for it."""
+    out = [(build(f), _reported(f)) for f in all_family_ids(6)]
+    return out + [(indexed(*i), _reported(family_of(*i))) for i in minuscule_indices(6)]
+
+
+def test_classify_recovers_the_families_of_random_unions():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    posets = _catalog_through_rank_6()
+
+    @hypothesis.settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @hypothesis.given(
+        st.lists(st.integers(0, len(posets) - 1), min_size=2, max_size=6),
+        st.randoms(use_true_random=False),
+    )
+    def recovers(picks, rng):
+        parts = [scrambled(posets[i][0], rng) for i in picks]
+        result = classify(scrambled(disjoint_union(parts), rng))
+        assert result.minuscule
+        assert result.family_multiset() == tuple(sorted(str(posets[i][1]) for i in picks))
+
+    recovers()
+
+
+def test_relabeling_keeps_the_family_and_carries_the_witness():
+    """Permuted ids and renamed colors, listed in the same order, give the
+    same families and the witness composed with the relabeling; listing the
+    colors in another order keeps the families and a valid witness."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    posets = _catalog_through_rank_6()
+
+    @hypothesis.settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @hypothesis.given(st.integers(0, len(posets) - 1), st.randoms(use_true_random=False))
+    def carries(i, rng):
+        p = scrambled(posets[i][0], rng)
+        ids = dict(zip(p.elements, rng.sample(range(1, 4 * len(p) + 10), len(p))))
+        names = {a: f"r{a}" for a in p.diagram.colors}
+        q = ColoredPoset(
+            validate([names[a] for a in p.diagram.colors], p.diagram.matrix),
+            {ids[x]: names[a] for x, a in p.coloring.items()},
+            [(ids[x], ids[y]) for x, y in p.covers],
+        )
+        e, f = classify_connected(p), classify_connected(q)
+        assert e.family == posets[i][1]
+        assert (f.family, f.all_matches) == (e.family, e.all_matches)
+        (pi, gamma), (pi_q, gamma_q) = e.witness, f.witness
+        assert pi_q == {ids[x]: y for x, y in pi.items()}
+        assert gamma_q == {names[a]: b for a, b in gamma.items()}
+
+        r = scrambled(q, rng)
+        g = classify_connected(r)
+        assert (g.family, g.all_matches) == (e.family, e.all_matches)
+        pi_r, gamma_r = g.witness
+        target = build(g.family)
+        assert {(pi_r[x], pi_r[y]) for x, y in r.covers} == target.covers
+        assert all(gamma_r[r.color(x)] == target.color(pi_r[x]) for x in r.elements)
+
+    carries()

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from minuscule.catalog import diagram_of_type
+from minuscule.catalog import diagram_of_type, minuscule_indices
 from minuscule.dynkin import (
     AsymmetricZero,
     DiagonalNotTwo,
@@ -64,26 +64,39 @@ def test_acyclic():
 
 
 def test_cyclic_affine_a_shape_not_finite_type():
-    n = 5
-    rows = [
-        [2 if i == j else (-1 if (i - j) % n in (1, n - 1) else 0) for j in range(n)]
-        for i in range(n)
-    ]
-    cycle = validate(list(range(n)), rows)
-    assert not is_acyclic(cycle)
-    assert recognize_finite_type(cycle) is None
+    """A connected diagram is a tree iff it has one edge fewer than colors, so
+    no cycle, single or with a double edge, has a finite type."""
+    for n in (3, 4, 5):
+        for double in (False, True):
+            rows = [
+                [2 if i == j else (-1 if (i - j) % n in (1, n - 1) else 0) for j in range(n)]
+                for i in range(n)
+            ]
+            if double:
+                rows[0][1] = -2
+            cycle = validate(list(range(n)), rows)
+            assert not is_acyclic(cycle)
+            assert recognize_finite_type(cycle) is None, (n, double)
 
 
 def test_recognize_paths_and_templates():
-    ft = recognize_finite_type(diagram_of_type("A", 5))
-    assert (ft.letter, ft.rank) == ("A", 5)
+    """Every Kac-numbered catalog diagram through rank 12 is typed with the
+    identity numbering, and a copy with renamed colors listed in random order
+    with an isomorphism onto it."""
     assert len(automorphisms(diagram_of_type("A", 5))) == 2
-
-    for letter, n in [("B", 2), ("B", 5), ("C", 3), ("C", 6), ("D", 4), ("D", 6), ("E", 6), ("E", 7)]:
-        ft = recognize_finite_type(diagram_of_type(letter, n))
+    rng = random.Random(seed_from_env() + 60)
+    for letter, n in sorted({(letter, n) for letter, n, _ in minuscule_indices(12)}):
+        template = diagram_of_type(letter, n)
+        ft = recognize_finite_type(template)
         assert (ft.letter, ft.rank) == (letter, n)
-        # numbering is a bijection onto 1..n
-        assert sorted(i for _, i in ft.numbering) == list(range(1, n + 1))
+        assert ft.numbering_map == {i: i for i in range(1, n + 1)}
+        order = rng.sample(range(n), n)
+        names = [f"x{i}" for i in order]
+        copy = validate(names, [[template.matrix[a][b] for b in order] for a in order])
+        ft = recognize_finite_type(copy)
+        nu = ft.numbering_map
+        assert (ft.letter, ft.rank) == (letter, n)
+        assert all(copy.theta(a, b) == template.theta(nu[a], nu[b]) for a in names for b in names)
 
 
 def test_recognize_b3_from_decorated_edge():
@@ -258,3 +271,4 @@ def test_sparse_structure_equals_the_dense_tables():
         keep = [c for c in d.colors if rng.random() < 0.6]
         sub = d.restrict(keep)
         assert sub.matrix == tuple(tuple(d.theta(a, b) for b in keep) for a in keep)
+

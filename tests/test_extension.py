@@ -24,6 +24,7 @@ from helpers import (
     rank_function,
     run_extension_oracle,
     seed_from_env,
+    subposet,
 )
 
 
@@ -201,7 +202,7 @@ def test_run_extension_trace_ranks():
 
 def test_run_extension_multiply_laced_seed_extrapolated():
     b2 = build(FamilyId("B", 2))
-    seed = b2.subposet(top_tree(b2).elements)
+    seed = subposet(b2, top_tree(b2).elements)
     outcome = run_extension(seed)
     assert outcome.extrapolated
     assert outcome.verdict == "minuscule"
@@ -218,7 +219,7 @@ def test_run_extension_rejects_bad_seed():
 def test_run_extension_reconstructs_catalog_from_top_trees():
     for fam in [FamilyId("A_exterior", 6, 3), FamilyId("D_spin", 7), FamilyId("E6", 6)]:
         p = build(fam)
-        seed = p.subposet(top_tree(p).elements)
+        seed = subposet(p, top_tree(p).elements)
         outcome = run_extension(seed)
         assert outcome.verdict == "minuscule"
         assert colored_isomorphism(outcome.poset, p) is not None, str(fam)
@@ -251,7 +252,7 @@ def test_growth_state_matches_per_stage_oracle_on_catalog_top_trees():
     # multiply laced seeds weigh their censuses by pairings other than -1
     for fam in all_family_ids(6) + [FamilyId("E6", 6), FamilyId("E7", 7)]:
         p = build(fam)
-        seed = p.subposet(top_tree(p).elements)
+        seed = subposet(p, top_tree(p).elements)
         assert run_extension(seed) == run_extension_oracle(seed), str(fam)
 
 

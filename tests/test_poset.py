@@ -25,12 +25,15 @@ from helpers import (
     colored_isomorphism_oracle,
     component_element_sets_oracle,
     differential_posets,
+    down_set,
     first_linear_extension_oracle,
+    is_filter,
     linear_extensions,
     random_colored_poset,
     rank_function,
     scrambled,
     seed_from_env,
+    subposet,
 )
 
 
@@ -93,7 +96,7 @@ def test_order_and_induced_covers_match_brute_force():
         )
         assert p.induced_covers(keep) == expected
         if keep:
-            assert sorted(p.subposet(keep).covers) == expected
+            assert sorted(subposet(p, keep).covers) == expected
 
 
 def test_order_queries_equal_the_frozenset_oracle():
@@ -102,12 +105,11 @@ def test_order_queries_equal_the_frozenset_oracle():
         o = FrozensetOrder(p)
         for x in p.elements:
             assert p.up_set(x) == o.up_set(x)
-            assert p.down_set(x) == o.down_set(x)
+            assert down_set(p, x) == o.down_set(x)
             covering = {y for z, y in p.covers if z == x}
             assert p.members(p.cover_masks[p.position[x]]) == tuple(sorted(covering))
             covered = tuple(sorted(z for z, y in p.covers if y == x))
             assert p.members(p.lower_cover_masks[p.position[x]]) == covered
-            assert p.covered_by_x(x) == covered
             for y in p.elements:
                 assert p.lt(x, y) == o.lt(x, y)
                 assert p.open_interval(x, y) == o.open_interval(x, y)
@@ -122,17 +124,35 @@ def test_order_queries_equal_the_frozenset_oracle():
 
 
 def test_connected_components_equal_the_bfs_oracle():
+    """On random posets, on posets with one maximal element (each its own only
+    component), on scrambled unions and on the empty poset; each component
+    carries exactly the covers between its elements, over the diagram
+    restricted to its colors."""
     rng = random.Random(seed_from_env() + 32)
     posets = list(differential_posets(rng))
     for _ in range(40):
         parts = [random_colored_poset(rng, 6, 3) for _ in range(rng.randint(2, 4))]
         posets.append(scrambled(disjoint_union(parts), rng))
+    one_top = [build(f) for f in all_family_ids(6)]
+    one_top += [order_dual(p) for p in one_top]
+    one_top += [p for p in posets if len(p.maximal_elements()) == 1]
+    for _ in range(20):
+        parts = rng.sample(one_top, rng.randint(2, 4))
+        posets.append(scrambled(disjoint_union(parts), rng))
+    posets.append(ColoredPoset(validate([], []), {}, []))
     split = 0
-    for p in posets:
+    for p in posets + one_top:
         want = [tuple(sorted(comp)) for comp in component_element_sets_oracle(p)]
-        assert [c.elements for c in connected_components(p)] == want, p
+        comps = connected_components(p)
+        assert [c.elements for c in comps] == want, p
+        if len(p.maximal_elements()) == 1:
+            assert comps == [p]
+        for c in comps:
+            assert c.covers == {(x, y) for x, y in p.covers if x in c.coloring}
+            assert c.diagram == p.diagram.restrict(set(c.coloring.values()))
         split += len(want) > 1
-    assert split > 50
+    assert split > 70
+    assert sum(len(p.maximal_elements()) == 1 for p in one_top) > 100
 
 
 def test_redundant_cover_named_as_the_first_in_cover_set_order():
@@ -175,7 +195,7 @@ def test_top_tree_examples():
     tree = top_tree(e7)
     assert len(tree.elements) == 7
     assert tree.shape() == (4, 1, 2)
-    assert tree.is_filter()
+    assert is_filter(tree)
 
     a42 = indexed("A", 4, 2)
     tree = top_tree(a42)

@@ -24,6 +24,7 @@ from helpers import (
     brute_force_ideal_count,
     build_operators_oracle,
     commutator,
+    covered_by_x,
     differential_posets,
     entries,
     mat_scale,
@@ -64,7 +65,7 @@ def test_split_structure_and_order():
         assert s.filter | s.ideal == frozenset(p.elements)
         assert not s.filter & s.ideal
         for x in s.ideal:
-            assert all(z in s.ideal for z in p.covered_by_x(x))
+            assert all(z in s.ideal for z in covered_by_x(p, x))
 
 
 def _walked_posets() -> list[ColoredPoset]:
@@ -93,7 +94,7 @@ def test_the_cover_walk_equals_the_per_element_oracle():
             (s, x, position[m | b])
             for s, m in enumerate(basis.masks)
             for x, b in basis.bit.items()
-            if not m & b and all(m & basis.bit[z] for z in p.covered_by_x(x))
+            if not m & b and all(m & basis.bit[z] for z in covered_by_x(p, x))
         }
         kept = sum(len(sources) for sources, _ in basis.covers.values())
         assert kept == len(walked) == len(expected)

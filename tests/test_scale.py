@@ -54,6 +54,12 @@ The fifteenth builds the `CorootSystem` of the A1200 diagram cold, finite
 type recognition included, with a budget on the best of three calls: three
 times the median of five runs, 0.0069 s (0.0067 to 0.0071 s).  Reading a
 dense table of the pairings in Kac order took 0.18 s.
+The sixteenth classifies fresh prebuilt copies of A_standard(1200) and B(30)
+cold, both axiom passes included, with a budget each on the best of three
+calls: three times the medians of fourteen runs, 0.014 s and 0.0018 s (0.011
+to 0.020 s and 0.0017 to 0.0028 s).  While classification built each family's
+poset a second time, the chain took 0.083 to 0.129 s and B(30) 0.0034 to
+0.0037 s.
 """
 
 import contextlib
@@ -95,6 +101,8 @@ ISO_A1200_BUDGET_S = 0.037
 B14_FULL_SWEEP_BUDGET_S = 0.79
 B16_BUDGET_S = 1.6
 COROOT_SYSTEM_A1200_BUDGET_S = 0.021
+CLASSIFY_A1200_BUDGET_S = 0.042
+CLASSIFY_B30_BUDGET_S = 0.0054
 
 
 def test_relations_hold_at_thousands_of_splits():
@@ -288,3 +296,20 @@ def test_coroot_system_of_a1200_cold():
     elapsed = min(times)
     budget = COROOT_SYSTEM_A1200_BUDGET_S
     assert elapsed <= budget, f"{elapsed:.4f} s over the {budget} s budget"
+
+
+def test_classify_a_chain_of_1200_and_b30_cold():
+    for fam, budget in [
+        (FamilyId("A_standard", 1200), CLASSIFY_A1200_BUDGET_S),
+        (FamilyId("B", 30), CLASSIFY_B30_BUDGET_S),
+    ]:
+        built = build(fam)
+        times = []
+        for _ in range(3):
+            p = ColoredPoset(built.diagram, built.coloring, built.covers)  # no pass has run
+            started = time.perf_counter()
+            result = classify(p)
+            times.append(time.perf_counter() - started)
+            assert result.family_multiset() == (str(fam),)
+        elapsed = min(times)
+        assert elapsed <= budget, f"{fam}: {elapsed:.4f} s over the {budget} s budget"
