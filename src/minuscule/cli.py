@@ -292,11 +292,9 @@ def cmd_catalog(args) -> int:
 
 def cmd_extend(args) -> int:
     outcome = extension.run_extension(catalog.top_tree_Y(*_fields(args.shape, "i,j,k")))
-    data = outcome.to_json()
+    data = outcome.to_json(stages=args.trace)
     data["version"] = SCHEMA_VERSION
     data["poset"] = outcome.poset.to_json()
-    if not args.trace:
-        del data["stages"]
     _emit(data)
     return 0 if outcome.verdict == "minuscule" else 1
 

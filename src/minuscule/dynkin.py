@@ -148,10 +148,11 @@ class DynkinDiagram:
         return len(self.components()) == 1
 
     def restrict(self, colors: Iterable[Color]) -> "DynkinDiagram":
-        """Sub-diagram induced on the given colors (kept in canonical order)."""
-        wanted = set(colors)
-        keep = [c for c in self.colors if c in wanted]
-        at = {self._index[c]: k for k, c in enumerate(keep)}
+        """Sub-diagram induced on the given colors (kept in canonical order);
+        the cost grows with the colors kept, not with the diagram."""
+        index = self._index
+        keep = sorted({c for c in colors if c in index}, key=index.__getitem__)
+        at = {index[c]: k for k, c in enumerate(keep)}
         rows = [[0] * len(keep) for _ in keep]
         for i, k in at.items():
             rows[k][k] = 2
@@ -292,9 +293,13 @@ def recognize_finite_type(diagram: DynkinDiagram) -> Optional[FiniteTypeId]:
     if not diagram.is_connected():
         raise NotConnected("finite type recognition needs a connected diagram")
     n = len(diagram.colors)
-    # a connected graph is a tree iff it has n - 1 edges
-    if sum(map(len, diagram._edges)) != 2 * (n - 1):
-        return None
+    # No test for a tree is needed: every template match below returns None on
+    # a connected diagram with a cycle.  `_path_order` needs two ends and no
+    # degree above 2, and a connected graph of degree at most 2 with a cycle
+    # is the bare cycle, which has no end.  With one branch node, of degree 3,
+    # and every other node of degree at most 2, the cycle passes through the
+    # branch node, so the arm walked into it comes back there and meets two
+    # ways on.
 
     # both entries of an edge are negative integers, so an edge whose product
     # is 1 is -1 both ways: every edge but those listed here is single

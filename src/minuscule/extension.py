@@ -162,13 +162,15 @@ class ExtensionOutcome:
     assessments: int
     extrapolated: bool = False
 
-    def to_json(self) -> dict:
+    def to_json(self, stages: bool = True) -> dict:
+        """The outcome as a document; the stage records only when asked for."""
         out = {
             "verdict": self.verdict,
             "assessments": self.assessments,
-            "stages": [s.to_json() for s in self.trace],
             "extrapolated": self.extrapolated,
         }
+        if stages:
+            out["stages"] = [s.to_json() for s in self.trace]
         if self.verdict == "blocked":
             out["reason"] = self.reason.to_json()
         return out

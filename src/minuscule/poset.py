@@ -35,7 +35,7 @@ __all__ = [
     "order_dual",
     "top_tree",
     "colored_isomorphism",
-    "connected_components",
+    "component_masks",
 ]
 
 
@@ -69,9 +69,7 @@ class ColoredPoset:
         self.diagram = diagram
         self.elements: tuple[int, ...] = tuple(sorted(coloring))
         self.coloring: dict[int, Color] = {x: coloring[x] for x in self.elements}
-        self.covers: frozenset[tuple[int, int]] = frozenset(
-            (int(x), int(y)) for x, y in covers
-        )
+        self.covers: frozenset[tuple[int, int]] = frozenset(map(tuple, covers))
         position = self.position = {x: i for i, x in enumerate(self.elements)}
         n = len(self.elements)
         ups: list[list[int]] = [[] for _ in range(n)]
@@ -139,10 +137,6 @@ class ColoredPoset:
     def color(self, x: int) -> Color:
         return self.coloring[x]
 
-    def covers_of(self, x: int) -> tuple[int, ...]:
-        """Elements covering x, in id order."""
-        return self.members(self.cover_masks[self.position[x]])
-
     def members(self, mask: int) -> tuple[int, ...]:
         """The elements a mask stands for, in id order."""
         ids = self.elements
@@ -177,11 +171,12 @@ class ColoredPoset:
         """The elements of color a in id order; () for a color not in the diagram."""
         return self.members(self.class_masks.get(a, 0))
 
-    def class_chain(self, a: Color) -> tuple[int, ...]:
-        """The color class of a, bottom first: its elements by the number of
-        elements below them.  Under EC the class is a chain, in this order."""
+    def class_chain(self, a: Color, within: int = -1) -> tuple[int, ...]:
+        """The color class of a, or its part in the mask `within`, bottom
+        first: its elements by the number of elements below them.  Under EC
+        the class is a chain, in this order."""
         down = self.down_masks
-        bottom_first = sorted(bits(self.class_masks[a]), key=lambda i: down[i].bit_count())
+        bottom_first = sorted(bits(self.class_masks[a] & within), key=lambda i: down[i].bit_count())
         return tuple(self.elements[i] for i in bottom_first)
 
     def induced_covers(self, keep: Iterable[int]) -> list[tuple[int, int]]:
@@ -442,20 +437,18 @@ def colored_isomorphism(
     return dict(zip(p1.elements, (p2.elements[j] for j in pi))), {a: gamma[a] for a in d1.colors}
 
 
-def connected_components(poset: ColoredPoset) -> list[ColoredPoset]:
-    """Connected components, each carrying its induced (surjective) sub-diagram,
-    in the order of their least elements.
+def component_masks(poset: ColoredPoset) -> list[int]:
+    """The connected components as position masks, in the order of their
+    least elements.
 
     A poset with one maximal element is connected, every element lying below
     it, and is its own only component.  Otherwise each component is flooded
-    over the upper and lower cover masks.  It is up- and down-closed, so its
-    covers are exactly the covers of the poset between its elements, handed
-    out to the components in one pass."""
+    over the upper and lower cover masks from the least position left."""
+    everything = (1 << len(poset)) - 1
     if sum(not m for m in poset.cover_masks) == 1:
-        return [poset]
+        return [everything]
     links = [u | d for u, d in zip(poset.cover_masks, poset.lower_cover_masks)]
-    comps, owner = [], [0] * len(poset)
-    rest = (1 << len(poset)) - 1
+    comps, rest = [], everything
     while rest:
         comp = reached = rest & -rest
         while reached:
@@ -464,20 +457,9 @@ def connected_components(poset: ColoredPoset) -> list[ColoredPoset]:
                 step |= links[i]
             reached = step & ~comp
             comp |= reached
-        for i in bits(comp):
-            owner[i] = len(comps)
-        comps.append(poset.members(comp))
+        comps.append(comp)
         rest &= ~comp
-    if len(comps) == 1:
-        return [poset]
-    covers: list[list[tuple[int, int]]] = [[] for _ in comps]
-    for x, y in poset.covers:
-        covers[owner[poset.position[x]]].append((x, y))
-    out = []
-    for comp, below in zip(comps, covers):
-        coloring = {x: poset.coloring[x] for x in comp}
-        out.append(ColoredPoset(poset.diagram.restrict(set(coloring.values())), coloring, below))
-    return out
+    return comps
 
 
 def disjoint_union(posets: Iterable[ColoredPoset]) -> ColoredPoset:

@@ -18,7 +18,7 @@ from minuscule.catalog import (
     family_of,
     kac_automorphisms,
 )
-from minuscule.classify import ComponentClassification
+from minuscule.classify import Classification, ComponentClassification, classify_connected
 from minuscule.coroots import (
     Coroot,
     CorootSystem,
@@ -59,7 +59,7 @@ from minuscule.poset import (
     PosetError,
     TopTree,
     bits,
-    connected_components,
+    component_masks,
     disjoint_union,
     order_dual,
     top_tree,
@@ -71,6 +71,11 @@ def seed_from_env(default: int = 20250808) -> int:
 
 
 # -- queries only the tests read --------------------------------------------
+
+
+def covers_of(p: ColoredPoset, x: int) -> tuple[int, ...]:
+    """Elements covering x, in id order."""
+    return p.members(p.cover_masks[p.position[x]])
 
 
 def covered_by_x(p: ColoredPoset, x: int) -> tuple[int, ...]:
@@ -92,10 +97,19 @@ def subposet(p: ColoredPoset, keep) -> ColoredPoset:
     return ColoredPoset(sub, coloring, p.induced_covers(coloring))
 
 
+def connected_components(p: ColoredPoset) -> list[ColoredPoset]:
+    """The connected components of `component_masks` as posets, each over
+    the diagram restricted to its colors; a connected p is its own."""
+    masks = component_masks(p)
+    if len(masks) == 1:
+        return [p]
+    return [subposet(p, p.members(m)) for m in masks]
+
+
 def is_filter(tree: TopTree) -> bool:
     """Whether every element covering a top-tree element lies in the tree."""
     eset = set(tree.elements)
-    return all(set(tree.poset.covers_of(x)) <= eset for x in tree.elements)
+    return all(set(covers_of(tree.poset, x)) <= eset for x in tree.elements)
 
 
 class NotDComplete(ValueError):
@@ -388,7 +402,7 @@ def classify_connected_oracle(p: ColoredPoset) -> ComponentClassification:
     against every candidate family, the first match in family order named."""
     ok, reports = is_minuscule(p)
     if not ok:
-        return ComponentClassification(p, None, (), None, tuple(reports))
+        return ComponentClassification(p.elements, None, (), None, tuple(reports))
     matches = []
     for fam in sorted(candidate_families(p), key=FamilyId.sort_key):
         iso = colored_isomorphism_oracle(p, build(fam))
@@ -397,7 +411,7 @@ def classify_connected_oracle(p: ColoredPoset) -> ComponentClassification:
     if not matches:
         raise AssertionError("minuscule poset matched no family")
     fam, iso = matches[0]
-    return ComponentClassification(p, fam, tuple(f for f, _ in matches), iso, ())
+    return ComponentClassification(p.elements, fam, tuple(f for f, _ in matches), iso, ())
 
 
 # The route `classify_connected` took before it walked the component's own
@@ -408,7 +422,7 @@ def classify_connected_build_oracle(p: ColoredPoset) -> ComponentClassification:
     number, the witness zipped along the class chains of `build(family)`."""
     ok, reports = is_minuscule(p)
     if not ok:
-        return ComponentClassification(p, None, (), None, tuple(reports))
+        return ComponentClassification(p.elements, None, (), None, tuple(reports))
     ftype = recognize_finite_type(p.diagram)
     maxima = p.maximal_elements()
     if ftype is None or len(maxima) != 1:
@@ -430,7 +444,17 @@ def classify_connected_build_oracle(p: ColoredPoset) -> ComponentClassification:
     }
     if len(pi) != len(p) or len(p) != len(q) or {(pi[x], pi[y]) for x, y in p.covers} != q.covers:
         raise AssertionError(f"minuscule poset does not match {matches[0]}")
-    return ComponentClassification(p, matches[0], tuple(matches), (pi, gamma), ())
+    return ComponentClassification(p.elements, matches[0], tuple(matches), (pi, gamma), ())
+
+
+# The route `classify` took before it classified a disconnected input on
+# itself: a component poset for each component, both axiom passes on each,
+# then the cross-component EC and AC checks on the input.
+def classify_oracle(p: ColoredPoset) -> Classification:
+    """Reference classification through component posets."""
+    entries = tuple(classify_connected(c) for c in connected_components(p))
+    cross = tuple(r for r in (check(p, "EC"), check(p, "AC")) if not r.holds)
+    return Classification(entries, cross)
 
 
 def split_count_oracle(p: ColoredPoset) -> int:
@@ -573,7 +597,7 @@ def rank_function(poset: ColoredPoset) -> dict[int, int]:
         queue = [root]
         while queue:
             x = queue.pop()
-            for y in poset.covers_of(x):
+            for y in covers_of(poset, x):
                 if y in comp:
                     r = comp_rank[x] - 1
                     if comp_rank.get(y, r) != r:
@@ -752,7 +776,7 @@ def build_operators_oracle(
             maxs_i = [
                 x
                 for x in s.ideal
-                if p.color(x) == a and all(z in s.filter for z in p.covers_of(x))
+                if p.color(x) == a and all(z in s.filter for z in covers_of(p, x))
             ]
             for x in mins_f:
                 target = Split(s.filter - {x}, s.ideal | {x})
@@ -1231,7 +1255,7 @@ def _s3_oracle(p: ColoredPoset, o: FrozensetOrder) -> list[Witness]:
         for x in cls:
             if any(o.lt(x, y) for y in cls):
                 continue
-            above = p.covers_of(x)
+            above = covers_of(p, x)
             if len(above) > 1:
                 bad.append(Witness((x,) + above, value=len(above), note="covered twice"))
                 continue

@@ -21,7 +21,6 @@ from minuscule.extension import run_extension
 from minuscule.poset import (
     ColoredPoset,
     colored_isomorphism,
-    connected_components,
     disjoint_union,
     order_dual,
 )
@@ -29,7 +28,10 @@ from minuscule.poset import (
 from helpers import (
     classify_connected_build_oracle,
     classify_connected_oracle,
+    classify_oracle,
     component_element_sets_oracle,
+    connected_components,
+    down_set,
     random_colored_poset,
     scrambled,
     seed_from_env,
@@ -348,3 +350,121 @@ def test_relabeling_keeps_the_family_and_carries_the_witness():
         assert all(gamma_r[r.color(x)] == target.color(pi_r[x]) for x in r.elements)
 
     carries()
+
+
+def _shared_union(parts):
+    """The union of posets whose diagrams are restrictions of the first's, over
+    that diagram with the colors kept, so components may share colors."""
+    coloring, covers, offset = {}, [], 0
+    for q in parts:
+        coloring.update((x + offset, a) for x, a in q.coloring.items())
+        covers += [(x + offset, y + offset) for x, y in q.covers]
+        offset += max(q.elements) + 1
+    return ColoredPoset(parts[0].diagram, coloring, covers)
+
+
+def _dropped_cover(p, rng):
+    """p with one cover dropped, which may split it."""
+    return ColoredPoset(p.diagram, p.coloring, p.covers - {rng.choice(sorted(p.covers))})
+
+
+def _recolored(p, rng):
+    """p with one element of a class of two or more moved to another color."""
+    x = rng.choice([x for x in p.elements if len(p.color_class(p.color(x))) > 1])
+    a = rng.choice([a for a in p.diagram.colors if a != p.color(x)])
+    return ColoredPoset(p.diagram, {**p.coloring, x: a}, p.covers)
+
+
+def _affine_chain():
+    """A chain of six colored around the cyclic diagram of three colors: not of
+    finite type, failing UCB1 and LCB1."""
+    d = validate(["a", "b", "c"], [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]])
+    return ColoredPoset(d, dict(enumerate("abcabc")), [(x, x + 1) for x in range(5)])
+
+
+def test_union_route_equals_the_component_poset_oracle():
+    """`classify` on the input itself equals classification through component
+    posets on every family through rank 8, scrambled; on unions with a
+    dropped-cover or recolored component, with a blocked-extension and a
+    non-finite-type component, and with random components; on unions whose
+    components share colors; and on the empty poset."""
+    rng = random.Random(seed_from_env() + 52)
+    families = [scrambled(build(f), rng) for f in all_family_ids(8)]
+    for p in families:
+        assert classify(p).to_json() == classify_oracle(p).to_json()
+    small = [p for p in families if len(p) <= 12]
+    odd = [run_extension(top_tree_Y(3, 1, 3)).poset, _affine_chain()]
+    inputs = []
+    for _ in range(30):
+        parts = [scrambled(rng.choice(small), rng) for _ in range(rng.randint(1, 3))]
+        parts.append(_dropped_cover(rng.choice([p for p in small if p.covers]), rng))
+        parts.append(_recolored(rng.choice([p for p in small if len(p) > len(p.diagram)]), rng))
+        parts.append(scrambled(rng.choice(odd), rng))
+        parts.append(random_colored_poset(rng, 6, 3))
+        rng.shuffle(parts)
+        inputs.append(scrambled(disjoint_union(parts), rng))
+    for _ in range(30):
+        # a poset, copies of it and of its up-sets and down-sets, on one diagram
+        p = rng.choice(small)
+        parts = [p] + [
+            rng.choice([p, subposet(p, p.up_set(x)), subposet(p, down_set(p, x))])
+            for x in rng.sample(p.elements, rng.randint(1, min(3, len(p))))
+        ]
+        inputs.append(scrambled(_shared_union(parts), rng))
+    inputs.append(ColoredPoset(validate([], []), {}, []))
+    shared = 0
+    for u in inputs:
+        got = classify(u)
+        assert got.to_json() == classify_oracle(u).to_json()
+        comps = [set(c.elements) for c in got.components]
+        shared += any(
+            len({u.color(x) for x in c} & {u.color(x) for x in e}) > 0
+            for i, c in enumerate(comps)
+            for e in comps[:i]
+        )
+    assert shared >= 25
+
+
+def test_union_routes_agree_on_random_unions():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    posets = [p for p, _ in _catalog_through_rank_6()]
+    posets += [run_extension(top_tree_Y(3, 1, 3)).poset, _affine_chain()]
+
+    @hypothesis.settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @hypothesis.given(
+        st.lists(st.tuples(st.integers(0, len(posets) - 1), st.integers(0, 2)), min_size=2, max_size=6),
+        st.randoms(use_true_random=False),
+    )
+    def agree(picks, rng):
+        how = (lambda p, rng: p, _dropped_cover, _recolored)
+        parts = []
+        for i, k in picks:
+            p = scrambled(posets[i], rng)
+            if k and len(p.covers) and len(p) > len(p.diagram):
+                p = how[k](p, rng)
+            parts.append(p)
+        u = scrambled(disjoint_union(parts), rng)
+        assert classify(u).to_json() == classify_oracle(u).to_json()
+
+    agree()
+
+
+def test_a_failing_component_reads_its_own_reports_off_the_union():
+    # 2 and 3 of color a are incomparable (EC), 4 < 5 are both b (NA), so the
+    # interval between them is empty (ICE2 census 0), and 1 and 3 below the
+    # least b weigh 2 (LCB1)
+    d = validate(["a", "b", "c"], [[2, -1, 0], [-1, 2, -1], [0, -1, 2]])
+    hand = ColoredPoset(
+        d, {1: "c", 2: "a", 3: "a", 4: "b", 5: "b"}, [(1, 4), (3, 4), (4, 5), (2, 5)]
+    )
+    u = disjoint_union([hand, build(FamilyId("B", 3)), hand])
+    result = classify(u)
+    assert [c.elements for c in result.components][0] == hand.elements
+    for c in result.components[::2]:
+        own = subposet(u, c.elements)
+        assert c.failures == tuple(is_minuscule(own)[1])
+        failing = {r.property for r in c.failures if not r.holds}
+        assert {"EC", "NA", "ICE2", "LCB1"} <= failing
+    assert str(result.components[1].family) == "B(3)"
+    assert result.to_json() == classify_oracle(u).to_json()

@@ -64,19 +64,22 @@ def test_acyclic():
 
 
 def test_cyclic_affine_a_shape_not_finite_type():
-    """A connected diagram is a tree iff it has one edge fewer than colors, so
-    no cycle, single or with a double edge, has a finite type."""
+    """No cycle, single or with a double edge, bare or with a tail of one or
+    two colors hung on it, has a finite type."""
     for n in (3, 4, 5):
         for double in (False, True):
-            rows = [
-                [2 if i == j else (-1 if (i - j) % n in (1, n - 1) else 0) for j in range(n)]
-                for i in range(n)
-            ]
-            if double:
-                rows[0][1] = -2
-            cycle = validate(list(range(n)), rows)
-            assert not is_acyclic(cycle)
-            assert recognize_finite_type(cycle) is None, (n, double)
+            for tail in (0, 1, 2):
+                size = n + tail
+                rows = [[2 if i == j else 0 for j in range(size)] for i in range(size)]
+                edges = [(i, (i + 1) % n) for i in range(n)]
+                edges += [(n + t - 1 if t else 0, n + t) for t in range(tail)]
+                for i, j in edges:
+                    rows[i][j] = rows[j][i] = -1
+                if double:
+                    rows[0][1] = -2
+                cycle = validate(list(range(size)), rows)
+                assert not is_acyclic(cycle)
+                assert recognize_finite_type(cycle) is None, (n, double, tail)
 
 
 def test_recognize_paths_and_templates():

@@ -10,7 +10,7 @@ import pytest
 from minuscule.axioms import is_d_complete, is_minuscule
 from minuscule.catalog import FamilyId, all_family_ids, build, indexed, top_tree_Y
 from minuscule.cli import run
-from minuscule.extension import run_extension
+from minuscule.extension import StageRecord, run_extension
 from minuscule.dynkin import validate
 from minuscule.poset import ColoredPoset, colored_isomorphism, top_tree
 
@@ -18,6 +18,7 @@ from helpers import (
     ColorAbsent,
     NotExtendable,
     assess,
+    covers_of,
     extend_by,
     lower_frontier_census,
     random_colored_poset,
@@ -91,7 +92,7 @@ def test_extension_preserves_filter_and_d_completeness():
             assert is_d_complete(grown)[0]
             new = max(grown.elements)
             assert set(p.elements) == set(grown.elements) - {new}
-            assert not grown.covers_of(new) == ()  # new element is below something
+            assert not covers_of(grown, new) == ()  # new element is below something
             p = grown
 
 
@@ -268,6 +269,18 @@ def test_growth_state_matches_per_stage_oracle_on_random_d_complete_seeds():
     outcome = run_extension(chain)
     assert outcome.reason.kind == "adjacent_pair" and outcome.reason.witness_pair == (2, 3)
     assert outcome == run_extension_oracle(chain)
+
+
+def test_extend_builds_stage_records_only_under_trace(monkeypatch):
+    def refuse(self):
+        raise AssertionError("a stage record was written without --trace")
+
+    monkeypatch.setattr(StageRecord, "to_json", refuse)
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert run(["extend", "--shape", "2,1,13"]) == 0
+    assert "stages" not in json.loads(out.getvalue())
+    with pytest.raises(AssertionError, match="without --trace"):
+        run(["extend", "--shape", "2,1,13", "--trace"])
 
 
 def test_extend_stdout_matches_per_stage_oracle():

@@ -9,7 +9,7 @@ from minuscule.poset import (
     ColoredPoset,
     PosetError,
     colored_isomorphism,
-    connected_components,
+    component_masks,
     disjoint_union,
     first_linear_extension,
     order_dual,
@@ -23,6 +23,7 @@ from helpers import (
     brute_force_linear_extension_count,
     ch_set,
     colored_isomorphism_oracle,
+    connected_components,
     component_element_sets_oracle,
     differential_posets,
     down_set,
@@ -62,6 +63,16 @@ def test_constructor_rejects_cycle_and_nonsurjective():
         ColoredPoset(d, {1: "a", 2: "b", 3: "a"}, [(1, 2), (2, 3), (3, 1)])
     with pytest.raises(PosetError, match="not surjective"):
         ColoredPoset(d, {1: "a"}, [])
+
+
+def test_constructor_takes_cover_ids_as_given():
+    # a string id is not an element, even one that reads as an element's id
+    d = validate(["a", "b"], [[2, -1], [-1, 2]])
+    for covers in ([("1", 2)], [(1, "2")], [("1", "2")]):
+        with pytest.raises(PosetError, match="uses an unknown element"):
+            ColoredPoset(d, {1: "a", 2: "b"}, covers)
+    p = ColoredPoset(d, {1: "a", 2: "b"}, [[1, 2]])
+    assert p.covers == {(1, 2)} and p.lt(1, 2)
 
 
 def brute_force_less(elements, covers) -> set[tuple[int, int]]:
@@ -125,9 +136,9 @@ def test_order_queries_equal_the_frozenset_oracle():
 
 def test_connected_components_equal_the_bfs_oracle():
     """On random posets, on posets with one maximal element (each its own only
-    component), on scrambled unions and on the empty poset; each component
-    carries exactly the covers between its elements, over the diagram
-    restricted to its colors."""
+    component, the mask of all its positions), on scrambled unions and on the
+    empty poset; each component poset of the test helper carries exactly the
+    covers between its elements, over the diagram restricted to its colors."""
     rng = random.Random(seed_from_env() + 32)
     posets = list(differential_posets(rng))
     for _ in range(40):
@@ -143,10 +154,12 @@ def test_connected_components_equal_the_bfs_oracle():
     split = 0
     for p in posets + one_top:
         want = [tuple(sorted(comp)) for comp in component_element_sets_oracle(p)]
+        masks = component_masks(p)
+        assert [p.members(m) for m in masks] == want, p
         comps = connected_components(p)
         assert [c.elements for c in comps] == want, p
         if len(p.maximal_elements()) == 1:
-            assert comps == [p]
+            assert masks == [(1 << len(p)) - 1] and comps == [p]
         for c in comps:
             assert c.covers == {(x, y) for x, y in p.covers if x in c.coloring}
             assert c.diagram == p.diagram.restrict(set(c.coloring.values()))

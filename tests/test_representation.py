@@ -8,7 +8,7 @@ import pytest
 from minuscule.axioms import check, is_minuscule
 from minuscule.catalog import FamilyId, all_family_ids, build, indexed
 from minuscule.dynkin import DynkinDiagram, validate
-from minuscule.poset import ColoredPoset, connected_components, order_dual
+from minuscule.poset import ColoredPoset, order_dual
 from minuscule.representation import (
     ECViolated,
     Split,
@@ -24,6 +24,7 @@ from helpers import (
     brute_force_ideal_count,
     build_operators_oracle,
     commutator,
+    connected_components,
     covered_by_x,
     differential_posets,
     entries,
