@@ -31,7 +31,7 @@ import itertools
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from math import inf
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .dynkin import DynkinDiagram
 from .poset import ColoredPoset
@@ -89,55 +89,28 @@ class FamilyId:
 # -- diagram templates ---------------------------------------------------------
 
 
-def _tree_rows(n: int, edges: Iterable[tuple[int, int]]) -> list[list[int]]:
-    """The pairing rows of nodes 1..n joined by the given single edges."""
-    rows = [[0] * n for _ in range(n)]
-    for i in range(n):
-        rows[i][i] = 2
-    for a, b in edges:
-        rows[a - 1][b - 1] = rows[b - 1][a - 1] = -1
-    return rows
+def _numbered(n: int, edges: list[tuple[int, int]], double: tuple = ()) -> DynkinDiagram:
+    """The diagram on colors 1..n joined by the given edges, each single but
+    for theta[a][b] = -2 at the pair (a, b) = double."""
+    pairings = [(a, b, -2 if (a, b) == double else -1) for e in edges for a, b in (e, e[::-1])]
+    return DynkinDiagram.from_pairings(range(1, n + 1), pairings)
 
 
-def _numbered(rows: list[list[int]]) -> DynkinDiagram:
-    """The diagram on colors 1..n with the given rows, integers already."""
-    return DynkinDiagram(tuple(range(1, len(rows) + 1)), tuple(map(tuple, rows)))
-
-
-def _path_diagram(n: int) -> DynkinDiagram:
-    return _numbered(_tree_rows(n, [(t, t + 1) for t in range(1, n)]))
-
-
-def _bc_diagram(n: int, letter: str) -> DynkinDiagram:
-    rows = _tree_rows(n, [(t, t + 1) for t in range(1, n)])
-    if letter == "B":
-        # short node n: theta[n-1][n] = -2, theta[n][n-1] = -1
-        rows[n - 2][n - 1] = -2
-    else:
-        rows[n - 1][n - 2] = -2
-    return _numbered(rows)
-
-
-def _d_diagram(n: int) -> DynkinDiagram:
-    # path 1..n-2 with nodes n-1 and n both attached to node n-2
-    edges = [(t, t + 1) for t in range(1, n - 2)] + [(n - 2, n - 1), (n - 2, n)]
-    return _numbered(_tree_rows(n, edges))
-
-
-def _e_diagram(n: int) -> DynkinDiagram:
-    # path 1..n-1 with node n attached to node 3
-    edges = [(t, t + 1) for t in range(1, n - 1)] + [(3, n)]
-    return _numbered(_tree_rows(n, edges))
+def _path(n: int) -> list[tuple[int, int]]:
+    return [(t, t + 1) for t in range(1, n)]
 
 
 # type letter -> (least rank, most rank, the Kac-numbered diagram of rank n,
-# its minuscule nodes), in the order `minuscule_indices` lists them
+# its minuscule nodes), in the order `minuscule_indices` lists them.  B has
+# its short node n, theta[n-1][n] = -2, and C its long node n, theta[n][n-1] =
+# -2; D is the path 1..n-2 with n-1 and n on n-2, E the path 1..n-1 with n on 3
 _TYPES = {
-    "A": (1, inf, _path_diagram, lambda n: range(1, n + 1)),
-    "B": (2, inf, lambda n: _bc_diagram(n, "B"), lambda n: (n,)),
-    "C": (3, inf, lambda n: _bc_diagram(n, "C"), lambda n: (1,)),
-    "D": (4, inf, _d_diagram, lambda n: (1, n - 1, n)),
-    "E": (6, 7, _e_diagram, lambda n: {6: (1, 5), 7: (6,)}[n]),
+    "A": (1, inf, lambda n: _numbered(n, _path(n)), lambda n: range(1, n + 1)),
+    "B": (2, inf, lambda n: _numbered(n, _path(n), (n - 1, n)), lambda n: (n,)),
+    "C": (3, inf, lambda n: _numbered(n, _path(n), (n, n - 1)), lambda n: (1,)),
+    "D": (4, inf, lambda n: _numbered(n, _path(n - 2) + [(n - 2, n - 1), (n - 2, n)]),
+          lambda n: (1, n - 1, n)),
+    "E": (6, 7, lambda n: _numbered(n, _path(n - 1) + [(3, n)]), lambda n: {6: (1, 5), 7: (6,)}[n]),
 }
 
 
@@ -206,9 +179,7 @@ def _heap(letter: str, n: int, j: int) -> ColoredPoset:
     """The heap of the orbit walk from node j of the Kac-numbered diagram
     letter_n, colored by Kac numbers."""
     diagram = diagram_of_type(letter, n)
-    m = diagram.matrix  # node i is row i - 1
-    rows = [()] + [[(k, m[i - 1][k - 1]) for k in diagram.neighbors(i)] for i in range(1, n + 1)]
-    word, covers = orbit_walk(letter, rows, j)
+    word, covers = orbit_walk(letter, diagram.numbered_rows({i: i for i in diagram.colors}), j)
     return ColoredPoset(diagram, dict(enumerate(word, 1)), covers)
 
 
@@ -290,21 +261,11 @@ def top_tree_Y(i: int, j: int, k: int) -> ColoredPoset:
     if i < 1 or j < 1 or k < j:
         raise BadParameters(f"need i >= 1 and k >= j >= 1, got ({i},{j},{k})")
     total = i + j + k
-    s = i
-    left_first, right_first = i + 1, i + j + 1
-    # the path 1..total, but the right leg hangs from s, not from the left leg's end
-    edges = [(t, t + 1) for t in range(1, total) if t != i + j] + [(s, right_first)]
-    diagram = _numbered(_tree_rows(total, edges))
+    # the path 1..total, but the right leg hangs from the splitting element i,
+    # not from the left leg's end; an edge (t, u), t < u, puts u below t
+    edges = [(t, t + 1) for t in range(1, total) if t != i + j] + [(i, i + j + 1)]
     coloring = {x: x for x in range(1, total + 1)}
-    covers = []
-    for t in range(2, i + 1):
-        covers.append((t, t - 1))
-    covers += [(left_first, s), (right_first, s)]
-    for t in range(left_first + 1, i + j + 1):
-        covers.append((t, t - 1))
-    for t in range(right_first + 1, total + 1):
-        covers.append((t, t - 1))
-    return ColoredPoset(diagram, coloring, covers)
+    return ColoredPoset(_numbered(total, edges), coloring, [(u, t) for t, u in edges])
 
 
 def all_family_ids(max_n: int) -> list[FamilyId]:

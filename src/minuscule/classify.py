@@ -139,9 +139,7 @@ def _classified(
     # the component's own diagram read through nu: row nu(a) lists a's pairings
     _, _, _, _, top_of = FAMILIES[matches[0].kind]
     top = top_of(matches[0].n, matches[0].j)
-    rows = [()] * (ftype.rank + 1)
-    for a, row in zip(d.colors, d.matrix):
-        rows[nu[a]] = [(nu[b], row[d.index(b)]) for b in d.neighbors(a)]
+    rows = d.numbered_rows(nu)
     word, walked = orbit_walk(ftype.letter, rows, top)
     # of the pairings sending top to top, the least along d's color order: the
     # one the test oracle, a search through d's colors in order, meets first

@@ -85,14 +85,11 @@ class CorootSystem:
         self.diagram = diagram
         self.type: FiniteTypeId = ft
         self.n = ft.rank
-        # the nonzero entries of each row of theta in Kac order: node i and
-        # its neighbours, by node
-        nu = ft.numbering_map
-        self._row_support: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
-        for a in diagram.colors:
-            i = nu[a] - 1
-            row = [(nu[b] - 1, diagram.theta(a, b)) for b in diagram.neighbors(a)]
-            self._row_support[i] = sorted(row + [(i, 2)])
+        # the nonzero entries of each row of theta in Kac order, 0-based, by node
+        rows = diagram.numbered_rows(ft.numbering_map)
+        self._row_support: list[list[tuple[int, int]]] = [
+            sorted([(i - 1, 2)] + [(k - 1, v) for k, v in rows[i]]) for i in range(1, self.n + 1)
+        ]
         self._positive: Optional[tuple[Coroot, ...]] = None
         self._filters: dict[int, tuple[Coroot, ...]] = {}
 

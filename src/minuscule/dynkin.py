@@ -13,19 +13,19 @@ it is zero.  ``a`` is *k-adjacent to b* when ``theta[a][b] == -k``.  The
 canonical total order on colors is their construction order; all outputs
 follow it.
 
-A diagram reads its table once, in one pass per row that lists the row's
-nonzero off-diagonal entries: the edges.  Validation checks those lists
-(each entry negative, each mirror nonzero, each diagonal entry 2) and scans
-the whole table only to name the first violation of a bad one, in row-major
-order.  Neighbours, components, acyclicity, simple lacing and finite-type
-recognition read the edge lists, so they cost O(n + edges), not O(n^2).
+A diagram stores its colors and each color's nonzero off-diagonal pairings
+(b, theta[a][b]) in canonical order, the edges: `from_pairings` takes them as
+given, and `DynkinDiagram(colors, matrix)` reads a dense table in one pass per
+row, scanning a bad table whole only to name its first violation, row-major.
+Queries, equality, the hash (taken once), restriction, the Kac-numbered rows
+and recognition cost O(n + edges); only `to_json` and `matrix` build a table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress
-from typing import Hashable, Iterable, Mapping, Optional, Sequence
+from typing import Hashable, ItemsView, Iterable, Mapping, Optional, Sequence
 
 Color = Hashable
 
@@ -65,37 +65,69 @@ class NotConnected(ValueError):
     """An operation that needs a connected diagram got a disconnected one."""
 
 
-@dataclass(frozen=True)
 class DynkinDiagram:
-    """Immutable diagram: ordered colors plus the full pairing matrix."""
+    """Immutable diagram: ordered colors and each color's nonzero off-diagonal
+    pairings, in canonical order; equal exactly when colors and dense tables are."""
 
-    colors: tuple[Color, ...]
-    matrix: tuple[tuple[int, ...], ...]
+    __slots__ = ("colors", "_index", "_pairs", "_hash")
 
-    def __post_init__(self) -> None:
-        n = len(self.colors)
-        if len(set(self.colors)) != n:
+    def __init__(self, colors: Sequence[Color], matrix: Sequence[Sequence[int]]) -> None:
+        colors = tuple(colors)
+        n = len(colors)
+        if len(set(colors)) != n:
             raise DiagramError("duplicate colors")
-        if len(self.matrix) != n or any(len(row) != n for row in self.matrix):
+        if len(matrix) != n or any(len(row) != n for row in matrix):
             raise DiagramError("pairing table is not square over the color set")
-        # one pass per row lists the nonzero entries; the table is valid iff each
-        # diagonal entry is 2 and every other listed entry is negative with a
-        # nonzero mirror, and only a bad table is scanned whole
-        m, span = self.matrix, range(n)
-        rows = [list(compress(span, row)) for row in m]
-        for i, row in enumerate(rows):
-            if m[i][i] != 2:
-                _raise_first_violation(self.colors, m)
-            row.remove(i)
-            for j in row:
-                if m[i][j] > 0 or not m[j][i]:
-                    _raise_first_violation(self.colors, m)
-        object.__setattr__(self, "_index", {a: i for i, a in enumerate(self.colors)})
-        # a nonzero off-diagonal entry is an edge
-        object.__setattr__(self, "_edges", tuple(map(tuple, rows)))
-        object.__setattr__(self, "_neighbors", {
-            a: tuple(self.colors[j] for j in rows[i]) for i, a in enumerate(self.colors)
-        })
+        # one pass per row lists its nonzero entries, and only a bad table is
+        # scanned whole, to name its first violation
+        span = range(n)
+        pairs = {
+            a: {colors[j]: row[j] for j in compress(span, row) if j != i}
+            for i, (a, row) in enumerate(zip(colors, matrix))
+        }
+        if any(row[i] != 2 for i, row in enumerate(matrix)) or not _valid(pairs):
+            _raise_first_violation(colors, matrix)
+        self._set(colors, pairs)
+
+    @classmethod
+    def from_pairings(
+        cls, colors: Sequence[Color], pairings: Iterable[tuple[Color, Color, int]]
+    ) -> "DynkinDiagram":
+        """The diagram whose nonzero off-diagonal pairings are the triples
+        (a, b, theta(a, b)) given, in any order, built in O(n + pairings)."""
+        # bucketed by b, then read back in color order: each row sorted, no sort
+        column: dict[Color, list] = {b: [] for b in colors}
+        for a, b, v in pairings:
+            column[b].append((a, v))
+        pairs: dict[Color, dict[Color, int]] = {a: {} for a in colors}
+        for b, entries in column.items():
+            for a, v in entries:
+                pairs[a][b] = v
+        if len(pairs) != len(colors) or not _valid(pairs):
+            raise DiagramError("duplicate colors, or a pairing that is not one side of an edge")
+        diagram = cls.__new__(cls)
+        diagram._set(colors, pairs)
+        return diagram
+
+    def _set(self, colors: Sequence[Color], pairs: dict[Color, dict[Color, int]]) -> None:
+        object.__setattr__(self, "colors", tuple(colors))
+        object.__setattr__(self, "_index", {a: i for i, a in enumerate(colors)})
+        object.__setattr__(self, "_pairs", pairs)
+        object.__setattr__(self, "_hash", None)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, DynkinDiagram):
+            return NotImplemented
+        return (self.colors, self._pairs) == (other.colors, other._pairs)
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            rows = tuple(tuple(row.items()) for row in self._pairs.values())
+            object.__setattr__(self, "_hash", hash((self.colors, rows)))
+        return self._hash
 
     # -- basic queries ----------------------------------------------------
 
@@ -103,20 +135,32 @@ class DynkinDiagram:
         return self._index[a]
 
     def theta(self, a: Color, b: Color) -> int:
-        return self.matrix[self._index[a]][self._index[b]]
+        return 2 if a == b else self._pairs[a].get(b, 0)
 
     def adjacent(self, a: Color, b: Color) -> bool:
-        return a != b and self.theta(a, b) < 0
+        return b in self._pairs[a]
 
     def distant(self, a: Color, b: Color) -> bool:
-        return a != b and self.theta(a, b) == 0
+        return a != b and b not in self._pairs[a]
 
     def neighbors(self, a: Color) -> tuple[Color, ...]:
         """The colors adjacent to a, in canonical order."""
-        return self._neighbors[a]
+        return tuple(self._pairs[a])
 
     def degree(self, a: Color) -> int:
-        return len(self._neighbors[a])
+        return len(self._pairs[a])
+
+    def pairings(self, a: Color) -> ItemsView[Color, int]:
+        """(b, theta(a, b)) for the colors b adjacent to a, in canonical order."""
+        return self._pairs[a].items()
+
+    def numbered_rows(self, numbering: Mapping[Color, int]) -> list[list[tuple[int, int]]]:
+        """Row numbering[a] lists (numbering[b], theta(a, b)) as `pairings(a)`
+        does, for a numbering of the colors onto 1..n; row 0 is empty."""
+        rows: list[list[tuple[int, int]]] = [[] for _ in range(len(self.colors) + 1)]
+        for a, row in self._pairs.items():
+            rows[numbering[a]] = [(numbering[b], v) for b, v in row.items()]
+        return rows
 
     def __len__(self) -> int:
         return len(self.colors)
@@ -128,20 +172,17 @@ class DynkinDiagram:
 
     def components(self) -> list[tuple[Color, ...]]:
         """Connected components of the underlying simple graph, in color order."""
-        seen: set[int] = set()
+        seen: set[Color] = set()
         out: list[tuple[Color, ...]] = []
-        for i in range(len(self.colors)):
-            if i in seen:
-                continue
-            comp = {i}
-            stack = [i]
-            while stack:
-                for j in self._edges[stack.pop()]:
-                    if j not in comp:
-                        comp.add(j)
-                        stack.append(j)
-            seen |= comp
-            out.append(tuple(self.colors[j] for j in sorted(comp)))
+        for a in self.colors:
+            if a not in seen:
+                comp, stack = {a}, [a]
+                while stack:
+                    fresh = self._pairs[stack.pop()].keys() - comp
+                    comp |= fresh
+                    stack += fresh
+                seen |= comp
+                out.append(tuple(sorted(comp, key=self._index.__getitem__)))
         return out
 
     def is_connected(self) -> bool:
@@ -152,42 +193,49 @@ class DynkinDiagram:
         the cost grows with the colors kept, not with the diagram."""
         index = self._index
         keep = sorted({c for c in colors if c in index}, key=index.__getitem__)
-        at = {index[c]: k for k, c in enumerate(keep)}
-        rows = [[0] * len(keep) for _ in keep]
-        for i, k in at.items():
-            rows[k][k] = 2
-            for j in self._edges[i]:
-                if j in at:
-                    rows[k][at[j]] = self.matrix[i][j]
-        return DynkinDiagram(tuple(keep), tuple(map(tuple, rows)))
+        kept = set(keep)
+        return DynkinDiagram.from_pairings(
+            keep, [(a, b, v) for a in keep for b, v in self._pairs[a].items() if b in kept]
+        )
+
+    # -- the dense table: a view for JSON output and the tests ----------------
+
+    @property
+    def matrix(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(tuple, self._rows()))
+
+    def _rows(self) -> list[list[int]]:
+        """The dense table as lists, row-major in canonical order."""
+        n, index, rows = len(self.colors), self._index, []
+        for i, row in enumerate(self._pairs.values()):
+            rows.append([0] * n)
+            rows[i][i] = 2
+            for b, v in row.items():
+                rows[i][index[b]] = v
+        return rows
 
     # -- serialization -----------------------------------------------------
 
     def to_json(self) -> dict:
-        return {
-            "colors": [str(c) for c in self.colors],
-            "theta": [list(row) for row in self.matrix],
-        }
+        return {"colors": [str(c) for c in self.colors], "theta": self._rows()}
 
     @staticmethod
     def from_json(data: Mapping) -> "DynkinDiagram":
-        """The diagram of a document whose colors are strings and whose theta
-        rows are lists of ints, as `ColoredPoset.from_json` checks them: the
-        rows are read once, here."""
-        return DynkinDiagram(tuple(data["colors"]), tuple(map(tuple, data["theta"])))
+        """The diagram of a document as `ColoredPoset.from_json` checks it: its
+        theta rows are read once, here."""
+        return DynkinDiagram(data["colors"], data["theta"])
 
     def to_dot(self) -> str:
         """Graphviz source: undirected single edges, decorated directed pairs."""
         lines = ["digraph dynkin {", "  edge [dir=none];"]
         for a in self.colors:
             lines.append(f'  "{a}";')
-        for i, a in enumerate(self.colors):
-            for j, b in enumerate(self.colors):
-                if j <= i:
+        index, pairs = self._index, self._pairs
+        for a, row in pairs.items():
+            for b, tab in row.items():
+                if index[b] <= index[a]:
                     continue
-                tab, tba = self.matrix[i][j], self.matrix[j][i]
-                if tab == 0:
-                    continue
+                tba = pairs[b][a]
                 if tab * tba == 1:
                     lines.append(f'  "{a}" -> "{b}";')
                 else:
@@ -214,6 +262,11 @@ def _raise_first_violation(colors: Sequence[Color], m: Sequence[Sequence[int]]) 
                 )
 
 
+def _valid(pairs: Mapping[Color, Mapping[Color, int]]) -> bool:
+    """Every listed pairing is off the diagonal and negative, its mirror listed."""
+    return all(a != b and v < 0 and a in pairs[b] for a, row in pairs.items() for b, v in row.items())
+
+
 def validate(colors: Sequence[Color], table: Sequence[Sequence[int]]) -> DynkinDiagram:
     """Build a diagram from a raw pairing table, naming any violated condition.
     Every entry must be an exact int: floats, bools and strings are refused, not
@@ -228,13 +281,12 @@ def validate(colors: Sequence[Color], table: Sequence[Sequence[int]]) -> DynkinD
 
 def is_simply_laced(diagram: DynkinDiagram) -> bool:
     """True iff every pairing lies in {-1, 0, 2}."""
-    m = diagram.matrix
-    return all(m[i][j] == -1 for i, row in enumerate(diagram._edges) for j in row)
+    return all(v == -1 for row in diagram._pairs.values() for v in row.values())
 
 
 def is_acyclic(diagram: DynkinDiagram) -> bool:
     """True iff the underlying simple graph has no cycle."""
-    edges = sum(map(len, diagram._edges)) // 2
+    edges = sum(map(len, diagram._pairs.values())) // 2
     # a simple graph is a forest iff |E| = |V| - #components
     return edges == len(diagram.colors) - len(diagram.components())
 
@@ -303,12 +355,12 @@ def recognize_finite_type(diagram: DynkinDiagram) -> Optional[FiniteTypeId]:
 
     # both entries of an edge are negative integers, so an edge whose product
     # is 1 is -1 both ways: every edge but those listed here is single
-    m, colors = diagram.matrix, diagram.colors
+    index, pairs = diagram._index, diagram._pairs
     doubles = [
-        (colors[i], colors[j])
-        for i, row in enumerate(diagram._edges)
-        for j in row
-        if i < j and m[i][j] * m[j][i] > 1
+        (a, b)
+        for a, row in pairs.items()
+        for b, v in row.items()
+        if index[a] < index[b] and v * pairs[b][a] > 1
     ]
     if len(doubles) > 1:
         return None
@@ -332,7 +384,6 @@ def recognize_finite_type(diagram: DynkinDiagram) -> Optional[FiniteTypeId]:
             letter = "B"
             if diagram.theta(end, inner) != -1:
                 path.reverse()
-                end, inner = path[0], path[1]
         else:
             letter = "C"
         numbering = tuple((c, n - i) for i, c in enumerate(path))

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .axioms import AxiomReport, Witness, check
 from .catalog import BadParameters
-from .dynkin import validate
+from .dynkin import DynkinDiagram
 from .poset import ColoredPoset, PosetError
 
 __all__ = ["PeriodicWindow", "verify_window", "cyclic_chain_window", "window_of"]
@@ -99,15 +99,10 @@ def cyclic_chain_window(n: int, periods: int) -> PeriodicWindow:
         raise BadParameters("the cyclic diagram needs at least 3 colors")
     if periods < 2:
         raise BadParameters("need at least 2 periods")
-    colors = list(range(n))
-    rows = [
-        [
-            2 if i == j else (-1 if (i - j) % n in (1, n - 1) else 0)
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    diagram = validate(colors, rows)
+    # the n edges of the cycle, each pairing -1 both ways
+    diagram = DynkinDiagram.from_pairings(
+        range(n), [(i, (i + s) % n, -1) for i in range(n) for s in (1, -1)]
+    )
     total = n * periods
     coloring = {m: m % n for m in range(total)}
     covers = [(m, m + 1) for m in range(total - 1)]

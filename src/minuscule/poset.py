@@ -25,7 +25,7 @@ from heapq import heappop, heappush
 from itertools import chain
 from typing import Iterable, Iterator, Mapping, Optional
 
-from .dynkin import Color, DynkinDiagram, validate
+from .dynkin import Color, DynkinDiagram
 
 __all__ = [
     "ColoredPoset",
@@ -460,29 +460,3 @@ def component_masks(poset: ColoredPoset) -> list[int]:
         comps.append(comp)
         rest &= ~comp
     return comps
-
-
-def disjoint_union(posets: Iterable[ColoredPoset]) -> ColoredPoset:
-    """
-    Disjoint union; element ids are shifted and colors are tagged per part so
-    the resulting diagram is the disjoint union of the parts' diagrams.
-    """
-    colors: list = []
-    rows: list[list[int]] = []
-    coloring: dict[int, Color] = {}
-    covers: list[tuple[int, int]] = []
-    offset = 0
-    for part_idx, p in enumerate(posets):
-        tag = {c: f"{part_idx}.{c}" for c in p.diagram.colors}
-        base = len(colors)
-        colors += [tag[c] for c in p.diagram.colors]
-        for row in rows:
-            row.extend([0] * len(p.diagram))
-        for i in range(len(p.diagram)):
-            rows.append([0] * base + list(p.diagram.matrix[i]))
-        for x in p.elements:
-            coloring[x + offset] = tag[p.color(x)]
-        covers += [(x + offset, y + offset) for x, y in p.covers]
-        offset += max(p.elements) + 1
-    diagram = validate(colors, rows)
-    return ColoredPoset(diagram, coloring, covers)

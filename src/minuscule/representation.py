@@ -459,8 +459,7 @@ def verify_relations(
     if maps is None:
         maps = operator_maps(p)
     n = len(maps.basis)
-    colors = p.diagram.colors
-    matrix = p.diagram.matrix
+    d, colors = p.diagram, p.diagram.colors
     classes = p.class_masks
     rows: list[Row] = []
 
@@ -514,15 +513,16 @@ def verify_relations(
     # full_sweep, then one distant pair per color, which keeps the depth-1
     # commutation covered
     pairs: list[tuple[Color, Color, int]] = []
-    for i, a in enumerate(colors):
-        for j, b in enumerate(colors):
-            if j != i and (full_sweep or matrix[i][j] < 0):
-                pairs.append((a, b, 1 - matrix[j][i]))
+    for a in colors:
+        for b in (colors if full_sweep else d.neighbors(a)):
+            if b != a:
+                pairs.append((a, b, 1 - d.theta(b, a)))
     if not full_sweep:
-        for i, a in enumerate(colors):
-            j = next((j for j, v in enumerate(matrix[i]) if not v), None)
-            if j is not None:
-                pairs.append((a, colors[j], 1))
+        # the first distant color comes within degree + 2 steps of the scan
+        for a in colors:
+            b = next((b for b in colors if d.distant(a, b)), None)
+            if b is not None:
+                pairs.append((a, b, 1))
 
     for a, b, depth in pairs:
         if depth == 1:
@@ -542,11 +542,13 @@ def verify_relations(
     # code[s] packs h_b(s) for every b, the last color in the lowest digit:
     # h_b is -1 on the sources of the b-covers, and +1 on their targets
     # where X_b is not defined
-    radix = 3 + max((abs(v) for row in matrix for v in row), default=0)
+    radix = 3 + max([2] + [-v for a in colors for _, v in d.pairings(a)])
     code = [0] * n
     digit = radix ** len(colors)
+    place: dict[Color, int] = {}
     for b in colors:
         digit //= radix
+        place[b] = digit
         raises = maps.up[b]
         sources, targets = covers[b]
         for s in sources:
@@ -555,17 +557,15 @@ def verify_relations(
             if raises[t] < 0:
                 code[t] += digit
 
-    for i, a in enumerate(colors):
+    for a in colors:
         sources, targets = covers[a]
-        row = matrix[i]
-        shift = 0
-        for v in row:
-            shift = shift * radix + v
+        # the packed row theta(a, .), from its diagonal entry and its pairings
+        shift = 2 * place[a] + sum(v * place[b] for b, v in d.pairings(a))
         hx: dict[Color, int] = {}
         hy: dict[Color, int] = {}
         if [code[t] for t in targets] != [code[s] + shift for s in sources]:
-            for b, v in zip(colors, row):
-                hb = maps.h[b]
+            for b in colors:
+                v, hb = d.theta(a, b), maps.h[b]
                 failing = [(s, t) for s, t in zip(sources, targets) if hb[t] - hb[s] != v]
                 if failing:
                     hx[b] = min(s for s, _ in failing)

@@ -60,7 +60,6 @@ from minuscule.poset import (
     TopTree,
     bits,
     component_masks,
-    disjoint_union,
     order_dual,
     top_tree,
 )
@@ -95,6 +94,27 @@ def subposet(p: ColoredPoset, keep) -> ColoredPoset:
     coloring = {x: p.coloring[x] for x in sorted(set(keep))}
     sub = p.diagram.restrict(set(coloring.values()))
     return ColoredPoset(sub, coloring, p.induced_covers(coloring))
+
+
+def disjoint_union(posets) -> ColoredPoset:
+    """
+    Disjoint union; element ids are shifted and colors are tagged per part so
+    the resulting diagram is the disjoint union of the parts' diagrams.
+    """
+    colors: list = []
+    pairings: list[tuple[str, str, int]] = []
+    coloring: dict[int, str] = {}
+    covers: list[tuple[int, int]] = []
+    offset = 0
+    for part_idx, p in enumerate(posets):
+        tag = {c: f"{part_idx}.{c}" for c in p.diagram.colors}
+        colors += tag.values()
+        pairings += [(tag[a], tag[b], v) for a in tag for b, v in p.diagram.pairings(a)]
+        for x in p.elements:
+            coloring[x + offset] = tag[p.color(x)]
+        covers += [(x + offset, y + offset) for x, y in p.covers]
+        offset += max(p.elements) + 1
+    return ColoredPoset(DynkinDiagram.from_pairings(colors, pairings), coloring, covers)
 
 
 def connected_components(p: ColoredPoset) -> list[ColoredPoset]:
@@ -250,7 +270,8 @@ def scrambled(p: ColoredPoset, rng: random.Random, order=None) -> ColoredPoset:
     rename = dict(zip(p.diagram.colors, names))
     if order is None:
         order = rng.sample(range(n), n)
-    rows = [[p.diagram.matrix[a][b] for b in order] for a in order]
+    m = p.diagram.matrix  # the dense view, built once
+    rows = [[m[a][b] for b in order] for a in order]
     diagram = validate([names[i] for i in order], rows)
     ids = dict(zip(p.elements, rng.sample(range(1, 4 * len(p) + 10), len(p))))
     coloring = {ids[x]: rename[p.color(x)] for x in p.elements}
@@ -484,11 +505,12 @@ def automorphisms(diagram: DynkinDiagram) -> list[dict[Color, Color]]:
         for a in diagram.colors
     }
     out: list[dict[Color, Color]] = []
+    m = diagram.matrix
     for perm in itertools.permutations(range(n)):
         if any(sig[diagram.colors[i]] != sig[diagram.colors[perm[i]]] for i in range(n)):
             continue
         if all(
-            diagram.matrix[i][j] == diagram.matrix[perm[i]][perm[j]]
+            m[i][j] == m[perm[i]][perm[j]]
             for i in range(n)
             for j in range(n)
         ):
@@ -1270,8 +1292,8 @@ def _s3_oracle(p: ColoredPoset, o: FrozensetOrder) -> list[Witness]:
 
 def _s4_oracle(p: ColoredPoset, o: FrozensetOrder) -> list[Witness]:
     # a simple graph is a forest iff |E| = |V| - #components
-    n = len(p.diagram)
-    edges = sum(1 for i in range(n) for j in range(i + 1, n) if p.diagram.matrix[i][j] != 0)
+    n, m = len(p.diagram), p.diagram.matrix
+    edges = sum(1 for i in range(n) for j in range(i + 1, n) if m[i][j] != 0)
     if edges == n - len(p.diagram.components()):
         return []
     return [Witness((), note="diagram has a cycle")]

@@ -30,10 +30,10 @@ from minuscule.coroots import (
 )
 from minuscule.extension import run_extension
 from minuscule.heapwindow import cyclic_chain_window, verify_window, window_of
-from minuscule.poset import colored_isomorphism, disjoint_union, order_dual, top_tree
+from minuscule.poset import colored_isomorphism, order_dual, top_tree
 from minuscule.representation import splits, verify_relations
 
-from helpers import random_colored_poset, random_filter_poset, seed_from_env, split_count_oracle
+from helpers import disjoint_union, random_colored_poset, random_filter_poset, seed_from_env, split_count_oracle
 
 
 def report(number: int, name: str, started: float, budget: float) -> None:

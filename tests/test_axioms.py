@@ -17,7 +17,7 @@ from minuscule.catalog import FamilyId, all_family_ids, build, indexed, top_tree
 from minuscule.classify import classify
 from minuscule.dynkin import is_simply_laced, validate
 from minuscule.extension import run_extension
-from minuscule.poset import ColoredPoset, disjoint_union, order_dual
+from minuscule.poset import ColoredPoset, order_dual
 
 from helpers import (
     FrozensetOrder,
@@ -27,6 +27,7 @@ from helpers import (
     check_oracle,
     connected_components,
     differential_posets,
+    disjoint_union,
     is_slant_irreducible,
     random_colored_poset,
     random_filter_poset,

@@ -1,6 +1,6 @@
 import pytest
 
-from minuscule import catalog
+from minuscule import coroots
 from minuscule.axioms import is_minuscule
 from minuscule.catalog import (
     BadParameters,
@@ -15,6 +15,9 @@ from minuscule.catalog import (
     minuscule_indices,
     top_tree_Y,
 )
+from minuscule.classify import classify
+from minuscule.coroots import coroot_system
+from minuscule.dynkin import DynkinDiagram
 from minuscule.poset import colored_isomorphism, order_dual, top_tree
 
 from helpers import (
@@ -105,34 +108,26 @@ def test_minuscule_nodes_are_those_whose_walk_never_meets_two():
                 assert ((letter, n, j) in listed) == (not walk_meets_two(diagram, j)), (letter, n, j)
 
 
-def test_the_walk_reads_no_zero_pairing(monkeypatch):
-    zeros = []
+def test_build_classify_and_coroots_never_build_the_dense_table(monkeypatch):
+    """The catalog, classification and the coroot systems read each color's
+    pairings only: the dense table, which `_rows` alone builds, is never
+    asked for."""
 
-    class Row(tuple):
-        """A pairing row that records every read of a zero entry."""
+    def refuse(diagram):
+        raise AssertionError("the dense pairing table was built")
 
-        def __getitem__(self, k):
-            value = tuple.__getitem__(self, k)
-            if value == 0:
-                zeros.append(k)
-            return value
-
-        def __iter__(self):
-            zeros.extend(k for k, value in enumerate(tuple.__iter__(self)) if value == 0)
-            return tuple.__iter__(self)
-
-    def watched(letter, n):
-        diagram = diagram_of_type(letter, n)
-        object.__setattr__(diagram, "matrix", tuple(map(Row, diagram.matrix)))
-        return diagram
-
-    monkeypatch.setattr(catalog, "diagram_of_type", watched)
+    monkeypatch.setattr(DynkinDiagram, "_rows", refuse)
+    monkeypatch.setattr(coroots, "_SYSTEMS", {})
     for fam in all_family_ids(9):
-        build(fam)
-        assert not zeros, str(fam)
-    for index in minuscule_indices(9):
-        indexed(*index)
-        assert not zeros, index
+        p = build(fam)
+        assert fam in classify(p).components[0].all_matches
+        coroot_system(p.diagram)
+    for letter, n, j in minuscule_indices(9):
+        p = indexed(letter, n, j)
+        assert classify(p).minuscule
+        assert coroot_system(p.diagram) is coroot_system(diagram_of_type(letter, n))
+    with pytest.raises(AssertionError):
+        build(FamilyId("B", 3)).diagram.matrix
 
 
 def test_a_standard_shape():

@@ -21,7 +21,6 @@ from minuscule.extension import run_extension
 from minuscule.poset import (
     ColoredPoset,
     colored_isomorphism,
-    disjoint_union,
     order_dual,
 )
 
@@ -31,6 +30,7 @@ from helpers import (
     classify_oracle,
     component_element_sets_oracle,
     connected_components,
+    disjoint_union,
     down_set,
     random_colored_poset,
     scrambled,

@@ -373,7 +373,8 @@ def test_row_support_equals_the_dense_kac_ordered_table():
         order = list(range(n))
         rng.shuffle(order)
         colors = tuple(f"c{rng.randrange(10**6)}:{i}" for i in order)
-        matrix = tuple(tuple(d.matrix[i][j] for j in order) for i in order)
+        m = d.matrix
+        matrix = tuple(tuple(m[i][j] for j in order) for i in order)
         relabeled = DynkinDiagram(colors, matrix)
         system = CorootSystem(relabeled)
         by_node = sorted(colors, key=system.type.numbering_map.__getitem__)

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from minuscule.catalog import diagram_of_type, minuscule_indices
+from minuscule.catalog import diagram_of_type, minuscule_indices, top_tree_Y
 from minuscule.dynkin import (
     AsymmetricZero,
     DiagonalNotTwo,
@@ -16,7 +16,13 @@ from minuscule.dynkin import (
     validate,
 )
 
-from helpers import automorphisms, random_diagram, seed_from_env, validate_oracle
+from helpers import (
+    automorphisms,
+    differential_posets,
+    random_diagram,
+    seed_from_env,
+    validate_oracle,
+)
 
 
 def a4():
@@ -95,7 +101,8 @@ def test_recognize_paths_and_templates():
         assert ft.numbering_map == {i: i for i in range(1, n + 1)}
         order = rng.sample(range(n), n)
         names = [f"x{i}" for i in order]
-        copy = validate(names, [[template.matrix[a][b] for b in order] for a in order])
+        m = template.matrix
+        copy = validate(names, [[m[a][b] for b in order] for a in order])
         ft = recognize_finite_type(copy)
         nu = ft.numbering_map
         assert (ft.letter, ft.rank) == (letter, n)
@@ -192,8 +199,9 @@ def test_simply_laced_tables_are_symmetric():
     for _ in range(50):
         d = random_diagram(rng, rng.randint(1, 5))
         if is_simply_laced(d):
+            m = d.matrix
             assert all(
-                d.matrix[i][j] == d.matrix[j][i]
+                m[i][j] == m[j][i]
                 for i in range(len(d))
                 for j in range(len(d))
             )
@@ -275,3 +283,63 @@ def test_sparse_structure_equals_the_dense_tables():
         sub = d.restrict(keep)
         assert sub.matrix == tuple(tuple(d.theta(a, b) for b in keep) for a in keep)
 
+
+
+def diagrams_of_every_source(rng):
+    """The catalog templates through rank 12, Y seeds, the diagrams of
+    `differential_posets`, random diagrams, and a random restriction of
+    each of them."""
+    out = [diagram_of_type(letter, n) for letter, n in sorted({i[:2] for i in minuscule_indices(12)})]
+    out += [top_tree_Y(i, j, k).diagram for i in (1, 2, 5) for j in (1, 2) for k in (2, 4)]
+    out += [p.diagram for p in differential_posets(rng)]
+    out += [random_diagram(rng, rng.randint(1, 8), multiply_laced=rng.random() < 0.5) for _ in range(100)]
+    return out + [d.restrict([c for c in d.colors if rng.random() < 0.6]) for d in out]
+
+
+def test_dense_and_pairing_constructors_give_one_diagram():
+    rng = random.Random(seed_from_env() + 43)
+    diagrams = diagrams_of_every_source(rng)
+    # the hash reads the pairings, so it tells most distinct diagrams apart;
+    # not all, since hash(-1) == hash(-2) in CPython
+    distinct = set(diagrams)
+    assert len({hash(d) for d in distinct}) > 0.8 * len(distinct)
+    for d in diagrams:
+        pairings = [(a, b, v) for a in d.colors for b, v in d.pairings(a)]
+        rng.shuffle(pairings)
+        sparse = DynkinDiagram.from_pairings(d.colors, pairings)
+        dense = DynkinDiagram(d.colors, d.matrix)
+        assert sparse == dense == d and hash(sparse) == hash(dense) == hash(d), d.colors
+        assert sparse.matrix == d.matrix
+        assert [sparse.neighbors(a) for a in d.colors] == [dense.neighbors(a) for a in d.colors]
+        # JSON names every color by its string
+        named = DynkinDiagram([str(c) for c in d.colors], d.matrix)
+        again = DynkinDiagram.from_json(d.to_json())
+        assert again == named and hash(again) == hash(named)
+        assert (again == d) == all(type(c) is str for c in d.colors)
+        if pairings:
+            # one pairing changed, or the colors listed in another order, is
+            # another diagram
+            a, b, v = pairings[0]
+            table = [list(row) for row in d.matrix]
+            table[d.index(a)][d.index(b)] = v - 1
+            assert DynkinDiagram(d.colors, table) != d
+            order = d.colors[::-1]
+            m = d.matrix
+            flipped = [[m[d.index(x)][d.index(y)] for y in order] for x in order]
+            assert DynkinDiagram(order, flipped) != d
+
+
+def test_the_pairing_constructor_refuses_what_is_not_a_diagram():
+    for colors, pairings in [
+        ("ab", [("a", "b", -1)]),  # no mirror
+        ("ab", [("a", "b", -1), ("b", "a", 0)]),  # a zero listed as a pairing
+        ("ab", [("a", "b", 1), ("b", "a", -1)]),
+        ("ab", [("a", "a", -1)]),
+        ("aa", []),
+    ]:
+        with pytest.raises(DiagramError):
+            DynkinDiagram.from_pairings(colors, pairings)
+    with pytest.raises(KeyError):
+        DynkinDiagram.from_pairings("ab", [("a", "c", -1), ("c", "a", -1)])
+    d = DynkinDiagram.from_pairings("abc", [("c", "a", -2), ("a", "c", -1)])
+    assert d.matrix == ((2, 0, -1), (0, 2, 0), (-2, 0, 2)) and d.neighbors("a") == ("c",)

@@ -10,7 +10,6 @@ from minuscule.poset import (
     PosetError,
     colored_isomorphism,
     component_masks,
-    disjoint_union,
     first_linear_extension,
     order_dual,
     top_tree,
@@ -26,6 +25,7 @@ from helpers import (
     connected_components,
     component_element_sets_oracle,
     differential_posets,
+    disjoint_union,
     down_set,
     first_linear_extension_oracle,
     is_filter,

@@ -7,8 +7,8 @@ larger.  The second classifies a 400-element chain and the 465-element
 staircase B(30).  The third closes the 5050 positive coroots of A100 and
 realizes B(12) and D_spin(12) as coroot filters.  The fourth grows the Y seed
 (2,1,40) down to the 903-element D_spin(43).  The fifth builds and classifies
-the 1200-element chain A_standard(1200), whose diagram has 1.44 million
-pairing entries.  The sixth runs `minuscule classify` in-process on that
+the 1200-element chain A_standard(1200), whose dense pairing table would
+hold 1.44 million entries; its diagram keeps the 2398 nonzero pairings.  The sixth runs `minuscule classify` in-process on that
 chain's file, reading its pairing table as well.  The seventh builds B(14)
 and verifies its relations on 16384 splits, the size at which a
 representation must verify in seconds.  The eighth realizes the 465-element
@@ -20,18 +20,17 @@ a budget each on the best of three batches.  The tenth builds the operator
 maps of a fresh B(14) cold, its EC check and the walk over its 16384 splits
 included, with a budget on the best of three calls.  The eleventh builds
 A_standard(1200) once and B(30) twenty times as one batch, with a budget
-each on the best of three.  The orbit walk reads only the nonzero pairings
-of each letter's row.  The chain's diagram is a dense table, so a walk that
-scans whole rows costs only a few times more (0.17 s to scan every row once,
-0.23 s to scan each letter's row, against this budget of 0.22 s):
-`test_catalog` checks that no zero pairing is read, and this test bounds the
-whole build.
+each on the best of three.  The diagram is built from its edges and the
+orbit walk reads only the nonzero pairings of each letter's row;
+`test_catalog` checks that no dense table is built, and this test bounds the
+whole build.  While the templates filled and validated a dense table, the
+chain took 0.055 to 0.073 s, 0.052 s of it in the diagram.
 Each budget is three times the time measured on a 2-vCPU container (Python
 3.11.7): 0.95 s, 0.75 s, 0.37 s, 0.07 s, 0.22 s, 0.35 s, 0.96 s, 0.053 s and
 0.050 s, 0.157 s and 0.036 s (the last four are medians of 75 cold
 measurements), 0.09 s (the best of three, taken in five runs: 0.071 to
-0.105 s), and 0.073 s and 0.043 s (the medians of five runs of the best of
-three: 0.068 to 0.095 s and 0.041 to 0.066 s).
+0.105 s), and 0.0051 s and 0.043 s (the medians of seven and five runs of
+the best of three: 0.0050 to 0.0053 s and 0.041 to 0.066 s).
 The twelfth searches for a colored isomorphism from A_standard(400) and C(400)
 to copies scrambled with their colors listed every fifth along the path, and
 from A_standard(1200) to a randomly scrambled copy, with a budget each on the
@@ -66,6 +65,13 @@ included, with a budget on the best of three calls: three times the median
 of five runs, 0.0049 s (0.0048 to 0.0073 s).  While classification built a
 poset for each component and ran both passes on each, it took 0.0068 to
 0.0075 s.
+The eighteenth compares two A1200 diagrams built apart, with their hashes,
+and the nineteenth runs `minuscule window --chain 2000,2` in-process, with a
+budget each on the best of three calls: three times the medians of seven
+runs, 0.000079 s (0.000077 to 0.000081 s) and 0.031 s (0.030 to 0.034 s).
+While a diagram stored its dense table, the hash and the comparison took
+4.6 and 4.0 ms, and the window 0.91 s, 0.88 s of it in building and
+validating the 2000-color table.
 """
 
 import contextlib
@@ -82,10 +88,10 @@ from minuscule.classify import classify
 from minuscule.cli import run
 from minuscule.coroots import CorootSystem, psi
 from minuscule.extension import run_extension
-from minuscule.poset import ColoredPoset, colored_isomorphism, disjoint_union
+from minuscule.poset import ColoredPoset, colored_isomorphism
 from minuscule.representation import operator_maps, splits, verify_relations
 
-from helpers import scrambled
+from helpers import disjoint_union, scrambled
 
 BUDGET_S = 2.85
 CLASSIFY_BUDGET_S = 2.25
@@ -99,7 +105,7 @@ PSI_D_SPIN30_BUDGET_S = 0.15
 AXIOMS_A1200_BUDGET_S = 0.47
 AXIOMS_B30_BUDGET_S = 0.11
 B14_MAPS_BUDGET_S = 0.27
-BUILD_A1200_BUDGET_S = 0.22
+BUILD_A1200_BUDGET_S = 0.016
 BUILD_B30_BATCH_BUDGET_S = 0.13
 ISO_A400_BUDGET_S = 0.0085
 ISO_C400_BUDGET_S = 0.017
@@ -110,6 +116,8 @@ COROOT_SYSTEM_A1200_BUDGET_S = 0.021
 CLASSIFY_A1200_BUDGET_S = 0.042
 CLASSIFY_B30_BUDGET_S = 0.0054
 CLASSIFY_UNION40_BUDGET_S = 0.0147
+DIAGRAM_EQ_A1200_BUDGET_S = 0.00024
+WINDOW_CHAIN_2000_BUDGET_S = 0.093
 
 
 def test_relations_hold_at_thousands_of_splits():
@@ -337,3 +345,31 @@ def test_classify_a_union_of_40_cold():
     elapsed = min(times)
     budget = CLASSIFY_UNION40_BUDGET_S
     assert elapsed <= budget, f"{elapsed:.4f} s over the {budget} s budget"
+
+
+def test_hash_and_equality_of_a1200_diagrams():
+    d1, d2 = diagram_of_type("A", 1200), diagram_of_type("A", 1200)
+    assert d1 is not d2
+    times = []
+    for _ in range(3):
+        started = time.perf_counter()
+        same = hash(d1) == hash(d2) and d1 == d2
+        times.append(time.perf_counter() - started)
+        assert same
+    elapsed = min(times)
+    budget = DIAGRAM_EQ_A1200_BUDGET_S
+    assert elapsed <= budget, f"{elapsed:.6f} s over the {budget} s budget"
+
+
+def test_window_verb_on_a_cyclic_chain_of_2000_colors():
+    times = []
+    for _ in range(3):
+        out = io.StringIO()
+        started = time.perf_counter()
+        with contextlib.redirect_stdout(out):
+            code = run(["window", "--chain", "2000,2"])
+        times.append(time.perf_counter() - started)
+        assert code == 0 and json.loads(out.getvalue())["boundary"] == [0, 3999]
+    elapsed = min(times)
+    budget = WINDOW_CHAIN_2000_BUDGET_S
+    assert elapsed <= budget, f"{elapsed:.3f} s over the {budget} s budget"
