@@ -1,6 +1,6 @@
 """Exact-arithmetic toolkit for colored d-complete and minuscule posets."""
 
-from .dynkin import DynkinDiagram, FiniteTypeId, recognize_finite_type, validate
+from .dynkin import DynkinDiagram, FiniteTypeId, recognize_finite_type
 from .poset import ColoredPoset, colored_isomorphism, order_dual, top_tree
 from .axioms import check, is_d_complete, is_dominant_minuscule_heap, is_minuscule
 from .catalog import FamilyId, build, indexed, top_tree_Y
@@ -14,7 +14,6 @@ __all__ = [
     "DynkinDiagram",
     "FiniteTypeId",
     "recognize_finite_type",
-    "validate",
     "ColoredPoset",
     "colored_isomorphism",
     "order_dual",

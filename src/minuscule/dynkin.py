@@ -16,7 +16,10 @@ follow it.
 A diagram stores its colors and each color's nonzero off-diagonal pairings
 (b, theta[a][b]) in canonical order, the edges: `from_pairings` takes them as
 given, and `DynkinDiagram(colors, matrix)` reads a dense table in one pass per
-row, scanning a bad table whole only to name its first violation, row-major.
+row, scanning a bad table whole only to name its first violation, row-major:
+first a cell that is not an exact int (a bool or float is refused, not
+converted).  `to_json` writes the diagram document, and `from_json`, the one
+reader of it, checks its shape before the constructor checks its cells.
 Queries, equality, the hash (taken once), restriction, the Kac-numbered rows
 and recognition cost O(n + edges); only `to_json` and `matrix` build a table.
 """
@@ -24,8 +27,8 @@ and recognition cost O(n + edges); only `to_json` and `matrix` build a table.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
-from typing import Hashable, ItemsView, Iterable, Mapping, Optional, Sequence
+from itertools import chain, compress
+from typing import Hashable, ItemsView, Iterable, KeysView, Mapping, Optional, Sequence
 
 Color = Hashable
 
@@ -38,7 +41,6 @@ __all__ = [
     "PositiveOffDiagonal",
     "AsymmetricZero",
     "NotConnected",
-    "validate",
     "is_simply_laced",
     "is_acyclic",
     "recognize_finite_type",
@@ -73,6 +75,12 @@ class DynkinDiagram:
 
     def __init__(self, colors: Sequence[Color], matrix: Sequence[Sequence[int]]) -> None:
         colors = tuple(colors)
+        # a non-int cell outside the square is left to the square check
+        if not set(map(type, chain.from_iterable(matrix))) <= {int}:
+            for a, row in zip(colors, matrix):
+                for b, v in zip(colors, row):
+                    if type(v) is not int:
+                        raise DiagramError(f"theta[{a!r}][{b!r}] = {v!r} is not an integer")
         n = len(colors)
         if len(set(colors)) != n:
             raise DiagramError("duplicate colors")
@@ -143,9 +151,9 @@ class DynkinDiagram:
     def distant(self, a: Color, b: Color) -> bool:
         return a != b and b not in self._pairs[a]
 
-    def neighbors(self, a: Color) -> tuple[Color, ...]:
-        """The colors adjacent to a, in canonical order."""
-        return tuple(self._pairs[a])
+    def neighbors(self, a: Color) -> KeysView[Color]:
+        """The colors adjacent to a, in canonical order, as a live view."""
+        return self._pairs[a].keys()
 
     def degree(self, a: Color) -> int:
         return len(self._pairs[a])
@@ -220,10 +228,16 @@ class DynkinDiagram:
         return {"colors": [str(c) for c in self.colors], "theta": self._rows()}
 
     @staticmethod
-    def from_json(data: Mapping) -> "DynkinDiagram":
-        """The diagram of a document as `ColoredPoset.from_json` checks it: its
-        theta rows are read once, here."""
-        return DynkinDiagram(data["colors"], data["theta"])
+    def from_json(data: object) -> "DynkinDiagram":
+        """The diagram of a document's diagram object: a list of string colors
+        and a theta list of lists, whose cells the constructor checks."""
+        ok = isinstance(data, dict) and isinstance(data.get("colors"), list)
+        theta = data.get("theta") if ok else None
+        if not isinstance(theta, list) or not set(map(type, theta)) <= {list}:
+            raise DiagramError("diagram must hold a colors list and a theta table of integers")
+        if not set(map(type, data["colors"])) <= {str}:
+            raise DiagramError("diagram colors must be strings")
+        return DynkinDiagram(data["colors"], theta)
 
     def to_dot(self) -> str:
         """Graphviz source: undirected single edges, decorated directed pairs."""
@@ -265,18 +279,6 @@ def _raise_first_violation(colors: Sequence[Color], m: Sequence[Sequence[int]]) 
 def _valid(pairs: Mapping[Color, Mapping[Color, int]]) -> bool:
     """Every listed pairing is off the diagonal and negative, its mirror listed."""
     return all(a != b and v < 0 and a in pairs[b] for a, row in pairs.items() for b, v in row.items())
-
-
-def validate(colors: Sequence[Color], table: Sequence[Sequence[int]]) -> DynkinDiagram:
-    """Build a diagram from a raw pairing table, naming any violated condition.
-    Every entry must be an exact int: floats, bools and strings are refused, not
-    converted, the first one in row-major order named."""
-    colors, m = tuple(colors), tuple(map(tuple, table))
-    for a, row in zip(colors, m):
-        for b, v in zip(colors, row):
-            if type(v) is not int:
-                raise DiagramError(f"theta[{a!r}][{b!r}] = {v!r} is not an integer")
-    return DynkinDiagram(colors, m)
 
 
 def is_simply_laced(diagram: DynkinDiagram) -> bool:

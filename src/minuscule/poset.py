@@ -228,12 +228,7 @@ class ColoredPoset:
         missing = [key for key in ("diagram", "elements", "covers") if key not in data]
         if missing:
             raise PosetError(f"missing keys {missing}")
-        d = data["diagram"]
-        colors, theta = (d.get("colors"), d.get("theta")) if isinstance(d, dict) else (None, None)
-        if not isinstance(colors, list) or not _int_rows(theta):
-            raise PosetError("diagram must hold a colors list and a theta table of integers")
-        if not set(map(type, colors)) <= {str}:
-            raise PosetError("diagram colors must be strings")
+        diagram = DynkinDiagram.from_json(data["diagram"])
         elements = data["elements"]
         if not isinstance(elements, list) or not all(
             isinstance(e, dict) and type(e.get("id")) is int and type(e.get("color")) is str
@@ -243,9 +238,16 @@ class ColoredPoset:
         coloring = {e["id"]: e["color"] for e in elements}
         if len(coloring) != len(elements):
             raise PosetError("duplicate element ids")
-        if not _int_rows(data["covers"], width=2):
+        covers = data["covers"]
+        # integers by exact type: JSON true and false decode to bool, a subclass of int
+        if not (
+            isinstance(covers, list)
+            and set(map(type, covers)) <= {list}
+            and set(map(len, covers)) <= {2}
+            and set(map(type, chain.from_iterable(covers))) <= {int}
+        ):
             raise PosetError("covers must be a list of integer pairs")
-        return ColoredPoset(DynkinDiagram.from_json(d), coloring, data["covers"])
+        return ColoredPoset(diagram, coloring, covers)
 
     def to_dot(self) -> str:
         lines = ["digraph hasse {", "  rankdir=BT;", "  node [shape=box];"]
@@ -255,19 +257,6 @@ class ColoredPoset:
             lines.append(f"  {x} -> {y};")
         lines.append("}")
         return "\n".join(lines) + "\n"
-
-
-def _int_rows(value, width: Optional[int] = None) -> bool:
-    """Whether value is a list of integer lists, each of the given width.
-
-    Integers are tested by exact type throughout the loaders: JSON true and
-    false decode to bool, a subclass of int."""
-    return (
-        isinstance(value, list)
-        and set(map(type, value)) <= {list}
-        and (width is None or set(map(len, value)) <= {width})
-        and set(map(type, chain.from_iterable(value))) <= {int}
-    )
 
 
 class TopTree:

@@ -399,7 +399,8 @@ def verify_relations(
     - HX for every b at once.  Along an a-cover s -> t the (a, b) relation
       sends e_s to (h_b(t) - h_b(s) - theta(a,b)) e_t.  Pack the eigenvalues
       of e_s into one int code[s], one digit per color, in radix
-      max|theta| + 3, which exceeds every digit of that mismatch.  Then X_a
+      1 + max(2, max|theta|), which exceeds the size of every digit of that
+      mismatch, as the comment at the radix argues.  Then X_a
       satisfies all its (a, b) relations exactly when code[t] - code[s] is
       the packed row theta(a, .) on every a-cover.  The code is summed
       along the covers too: h_b is -1 on the sources of the b-covers and +1
@@ -541,8 +542,13 @@ def verify_relations(
 
     # code[s] packs h_b(s) for every b, the last color in the lowest digit:
     # h_b is -1 on the sources of the b-covers, and +1 on their targets
-    # where X_b is not defined
-    radix = 3 + max([2] + [-v for a in colors for _, v in d.pairings(a)])
+    # where X_b is not defined.  Along an a-cover s -> t, b's digit of
+    # code[t] - code[s] - shift is h_b(t) - h_b(s) - theta(a, b): -2 or 0 for
+    # b = a, as h_a(s) = -1 and h_a(t) = +-1.  For b != a, a b-element
+    # addable at s is addable at t, and one maximal in t is maximal in s, so
+    # h_b cannot rise and the digit lies in [-2, m], m the largest -theta.
+    # Digits smaller in size than the radix sum to zero only when all are zero
+    radix = 1 + max([2] + [-v for a in colors for _, v in d.pairings(a)])
     code = [0] * n
     digit = radix ** len(colors)
     place: dict[Color, int] = {}

@@ -39,7 +39,6 @@ from minuscule.dynkin import (
     PositiveOffDiagonal,
     is_simply_laced,
     recognize_finite_type,
-    validate,
 )
 from minuscule.extension import (
     STAGE_CAP_FACTOR,
@@ -171,7 +170,7 @@ def random_diagram(rng: random.Random, n_colors: int, multiply_laced: bool = Tru
             else:
                 rows[i][j] = -rng.choice([1, 2])
                 rows[j][i] = -rng.choice([1, 2])
-    return validate(list(range(1, n_colors + 1)), rows)
+    return DynkinDiagram(list(range(1, n_colors + 1)), rows)
 
 
 def random_colored_poset(
@@ -272,7 +271,7 @@ def scrambled(p: ColoredPoset, rng: random.Random, order=None) -> ColoredPoset:
         order = rng.sample(range(n), n)
     m = p.diagram.matrix  # the dense view, built once
     rows = [[m[a][b] for b in order] for a in order]
-    diagram = validate([names[i] for i in order], rows)
+    diagram = DynkinDiagram([names[i] for i in order], rows)
     ids = dict(zip(p.elements, rng.sample(range(1, 4 * len(p) + 10), len(p))))
     coloring = {ids[x]: rename[p.color(x)] for x in p.elements}
     return ColoredPoset(diagram, coloring, [(ids[x], ids[y]) for x, y in p.covers])
@@ -1324,9 +1323,9 @@ def check_oracle(p: ColoredPoset, prop: str) -> AxiomReport:
 
 
 def validate_oracle(colors, table) -> DynkinDiagram:
-    """Reference `validate`: the checks in row-major order over every cell,
-    raising the first violation before the diagram is built.  An entry that
-    is not exactly an int is refused first."""
+    """Reference for the `DynkinDiagram` constructor's checks: the checks in
+    row-major order over every cell, raising the first violation before the
+    diagram is built.  An entry that is not exactly an int is refused first."""
     colors = tuple(colors)
     m = tuple(tuple(row) for row in table)
     n = len(colors)
@@ -1351,7 +1350,7 @@ def validate_oracle(colors, table) -> DynkinDiagram:
                 raise AsymmetricZero(
                     f"theta[{a!r}][{b!r}] = {m[i][j]} but theta[{b!r}][{a!r}] = {m[j][i]}"
                 )
-    return validate(colors, m)
+    return DynkinDiagram(colors, m)
 
 
 def dropped_cover(p: ColoredPoset, rng: random.Random) -> ColoredPoset:

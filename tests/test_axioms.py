@@ -1,6 +1,8 @@
 import dataclasses
 import functools
+import math
 import random
+import re
 
 import pytest
 
@@ -15,9 +17,10 @@ from minuscule.axioms import (
 )
 from minuscule.catalog import FamilyId, all_family_ids, build, indexed, top_tree_Y
 from minuscule.classify import classify
-from minuscule.dynkin import is_simply_laced, validate
+from minuscule.dynkin import DynkinDiagram, is_simply_laced
 from minuscule.extension import run_extension
 from minuscule.poset import ColoredPoset, order_dual
+from minuscule.representation import splits, verify_relations
 
 from helpers import (
     FrozensetOrder,
@@ -39,7 +42,7 @@ PROPERTIES = COLORING + ("S1", "S2", "S3", "S4")
 
 
 def test_ec_counterexample_with_witness():
-    d = validate(["a"], [[2]])
+    d = DynkinDiagram(["a"], [[2]])
     anti = ColoredPoset(d, {1: "a", 2: "a"}, [])
     report = check(anti, "EC")
     assert not report.holds
@@ -64,7 +67,7 @@ def test_ice2_type_b_single_element_interval():
 
 
 def test_ucb1_failure_census_two():
-    d = validate(["a", "b", "c"], [[2, -1, -1], [-1, 2, 0], [-1, 0, 2]])
+    d = DynkinDiagram(["a", "b", "c"], [[2, -1, -1], [-1, 2, 0], [-1, 0, 2]])
     v = ColoredPoset(d, {1: "b", 2: "c", 3: "a"}, [(3, 1), (3, 2)])
     report = check(v, "UCB1")
     assert not report.holds
@@ -115,7 +118,7 @@ def test_minuscule_closed_under_order_dual():
 
 
 def test_s4_failure_over_cycle_diagram():
-    tri = validate(["a", "b", "c"], [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]])
+    tri = DynkinDiagram(["a", "b", "c"], [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]])
     p = ColoredPoset(tri, {1: "a", 2: "b", 3: "c"}, [(2, 1), (3, 2)])
     assert not check(p, "S4").holds
     assert not is_dominant_minuscule_heap(p)
@@ -161,7 +164,7 @@ def test_slant_irreducible_requires_connected_and_d_complete():
     union = disjoint_union([indexed("A", 1, 1), indexed("A", 1, 1)])
     with pytest.raises(NotConnectedPoset):
         is_slant_irreducible(union)
-    d = validate(["a"], [[2]])
+    d = DynkinDiagram(["a"], [[2]])
     two_chain = ColoredPoset(d, {1: "a", 2: "a"}, [(2, 1)])
     with pytest.raises(NotDComplete):
         is_slant_irreducible(two_chain)
@@ -279,3 +282,50 @@ def test_frontier_censuses_equal_the_oracle_censuses():
             assert got == want, (p, side)
         posets += 1
     assert posets > 400
+
+
+def _relabeled(p: ColoredPoset, ids: dict[int, int], names: dict) -> ColoredPoset:
+    """p with element x renamed ids[x] and color a renamed names[a], the
+    colors listed in the same order."""
+    return ColoredPoset(
+        DynkinDiagram([names[a] for a in p.diagram.colors], p.diagram.matrix),
+        {ids[x]: names[a] for x, a in p.coloring.items()},
+        [(ids[x], ids[y]) for x, y in p.covers],
+    )
+
+
+def test_relabeling_keeps_every_verdict_and_carries_its_witnesses():
+    """Permuted ids and renamed colors keep every report's verdict, and its
+    witnesses are the relabeled poset's under the permutation, as sets, their
+    notes naming the renamed colors.  The relation rows are equal up to the
+    renaming: in verdict under any permutation, and in failing split index
+    too under an order-keeping one, which keeps the canonical split order."""
+    rng = random.Random(seed_from_env() + 91)
+    posets = list(differential_posets(rng)) + [build(fam) for fam in all_family_ids(8)]
+    related = failing = 0
+    for p in posets:
+        names = {a: f"renamed {i}" for i, a in enumerate(p.diagram.colors)}
+        back = {repr(names[a]): repr(a) for a in p.diagram.colors}
+
+        def named_back(note: str) -> str:
+            return re.sub(r"'renamed \d+'", lambda m: back[m.group(0)], note)
+
+        pi = dict(zip(p.elements, rng.sample(range(1, 4 * len(p) + 10), len(p))))
+        q = _relabeled(p, pi, names)
+        for name in PROPERTIES:
+            e, f = check(p, name), check(q, name)
+            assert (f.property, f.holds) == (e.property, e.holds), (p, name)
+            carried = sorted((sorted(pi[x] for x in w.elements), w.value, w.note) for w in e.witnesses)
+            got = sorted((sorted(w.elements), w.value, named_back(w.note)) for w in f.witnesses)
+            assert got == carried, (p, name)
+        if not check(p, "EC").holds or math.prod(len(splits(c)) for c in connected_components(p)) > 512:
+            continue
+        want = verify_relations(p)
+        related, failing = related + 1, failing + (not want.all_pass)
+        verdicts = [(r, names[a], names[b], s is None) for r, a, b, s in want.rows]
+        assert [(r, a, b, s is None) for r, a, b, s in verify_relations(q).rows] == verdicts, p
+        kept = _relabeled(p, {x: 2 * x + 5 for x in p.elements}, names)
+        got = verify_relations(kept)
+        assert got.rows == tuple((r, names[a], names[b], s) for r, a, b, s in want.rows), p
+        assert got.eigenvalues_in_range == want.eigenvalues_in_range
+    assert related > 200 and failing > 50

@@ -16,7 +16,7 @@ from minuscule.catalog import (
     top_tree_Y,
 )
 from minuscule.classify import classify, classify_connected
-from minuscule.dynkin import validate
+from minuscule.dynkin import DynkinDiagram
 from minuscule.extension import run_extension
 from minuscule.poset import (
     ColoredPoset,
@@ -63,7 +63,7 @@ def test_single_element_and_unions():
     assert result.minuscule
     assert result.family_multiset() == ("A_standard(2)", "B(2)")
 
-    d = validate(["a"], [[2]])
+    d = DynkinDiagram(["a"], [[2]])
     bad = ColoredPoset(d, {1: "a", 2: "a"}, [])
     mixed = disjoint_union([build(FamilyId("A_standard", 2)), bad])
     result = classify(mixed)
@@ -123,10 +123,10 @@ def _all_labeled_posets(n):
 
 
 def _two_color_diagrams():
-    yield validate([1, 2], [[2, -1], [-1, 2]])
-    yield validate([1, 2], [[2, -2], [-1, 2]])
-    yield validate([1, 2], [[2, -1], [-2, 2]])
-    yield validate([1, 2], [[2, -2], [-2, 2]])
+    yield DynkinDiagram([1, 2], [[2, -1], [-1, 2]])
+    yield DynkinDiagram([1, 2], [[2, -2], [-1, 2]])
+    yield DynkinDiagram([1, 2], [[2, -1], [-2, 2]])
+    yield DynkinDiagram([1, 2], [[2, -2], [-2, 2]])
 
 
 def _small_connected_posets():
@@ -134,7 +134,7 @@ def _small_connected_posets():
     for n in range(1, 5):
         for covers in _all_labeled_posets(n):
             for diagram in itertools.chain(
-                [validate([1], [[2]])], _two_color_diagrams()
+                [DynkinDiagram([1], [[2]])], _two_color_diagrams()
             ):
                 k = len(diagram)
                 if k > n:
@@ -218,8 +218,8 @@ def test_completeness_random_five_elements_four_colors():
 def test_a_connected_input_lists_its_ec_and_ac_failures_globally():
     # each input is connected; the global failures are its own failing EC
     # and AC reports, the very ones its classification decided on
-    distant = validate(["a", "b"], [[2, 0], [0, 2]])
-    bond = validate(["a", "b"], [[2, -1], [-1, 2]])
+    distant = DynkinDiagram(["a", "b"], [[2, 0], [0, 2]])
+    bond = DynkinDiagram(["a", "b"], [[2, -1], [-1, 2]])
     for p, failing in [
         # 1 and 2 share the upper cover 3 and a color
         (ColoredPoset(distant, {1: "a", 2: "a", 3: "b"}, [(1, 3), (2, 3)]), ("EC",)),
@@ -330,7 +330,7 @@ def test_relabeling_keeps_the_family_and_carries_the_witness():
         ids = dict(zip(p.elements, rng.sample(range(1, 4 * len(p) + 10), len(p))))
         names = {a: f"r{a}" for a in p.diagram.colors}
         q = ColoredPoset(
-            validate([names[a] for a in p.diagram.colors], p.diagram.matrix),
+            DynkinDiagram([names[a] for a in p.diagram.colors], p.diagram.matrix),
             {ids[x]: names[a] for x, a in p.coloring.items()},
             [(ids[x], ids[y]) for x, y in p.covers],
         )
@@ -378,7 +378,7 @@ def _recolored(p, rng):
 def _affine_chain():
     """A chain of six colored around the cyclic diagram of three colors: not of
     finite type, failing UCB1 and LCB1."""
-    d = validate(["a", "b", "c"], [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]])
+    d = DynkinDiagram(["a", "b", "c"], [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]])
     return ColoredPoset(d, dict(enumerate("abcabc")), [(x, x + 1) for x in range(5)])
 
 
@@ -411,7 +411,7 @@ def test_union_route_equals_the_component_poset_oracle():
             for x in rng.sample(p.elements, rng.randint(1, min(3, len(p))))
         ]
         inputs.append(scrambled(_shared_union(parts), rng))
-    inputs.append(ColoredPoset(validate([], []), {}, []))
+    inputs.append(ColoredPoset(DynkinDiagram([], []), {}, []))
     shared = 0
     for u in inputs:
         got = classify(u)
@@ -454,7 +454,7 @@ def test_a_failing_component_reads_its_own_reports_off_the_union():
     # 2 and 3 of color a are incomparable (EC), 4 < 5 are both b (NA), so the
     # interval between them is empty (ICE2 census 0), and 1 and 3 below the
     # least b weigh 2 (LCB1)
-    d = validate(["a", "b", "c"], [[2, -1, 0], [-1, 2, -1], [0, -1, 2]])
+    d = DynkinDiagram(["a", "b", "c"], [[2, -1, 0], [-1, 2, -1], [0, -1, 2]])
     hand = ColoredPoset(
         d, {1: "c", 2: "a", 3: "a", 4: "b", 5: "b"}, [(1, 4), (3, 4), (4, 5), (2, 5)]
     )

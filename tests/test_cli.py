@@ -12,7 +12,7 @@ import minuscule
 from minuscule import cli, coroots, representation
 from minuscule.catalog import FamilyId, all_family_ids, build
 from minuscule.cli import run
-from minuscule.dynkin import validate
+from minuscule.dynkin import DynkinDiagram
 from minuscule.heapwindow import cyclic_chain_window
 from minuscule.poset import ColoredPoset
 
@@ -227,7 +227,7 @@ def test_represent_builds_the_operator_maps_once(tmp_path, monkeypatch):
     assert (code, sorted(json.loads(out))) == (0, ["operators", "relations", "splits", "version", "weights"])
     assert len(calls) == 1
     # without a flag no maps are built, so a file that fails EC still counts its splits
-    anti = ColoredPoset(validate(["a"], [[2]]), {1: "a", 2: "a"}, [])
+    anti = ColoredPoset(DynkinDiagram(["a"], [[2]]), {1: "a", 2: "a"}, [])
     path.write_text(json.dumps(anti.to_json()))
     code, out, _ = capture(["represent", str(path)])
     assert (code, json.loads(out)["splits"], len(calls)) == (0, 4, 1)
@@ -263,7 +263,7 @@ def test_every_verb_accepts_the_empty_poset(tmp_path):
 
 @pytest.mark.parametrize("theta", [-1000, -10**20])
 def test_represent_relations_at_a_large_pairing_gives_a_verdict(tmp_path, theta):
-    d = validate(["a", "b"], [[2, theta], [-1, 2]])
+    d = DynkinDiagram(["a", "b"], [[2, theta], [-1, 2]])
     path = tmp_path / "chain.json"
     path.write_text(json.dumps(ColoredPoset(d, {1: "a", 2: "b"}, [(1, 2)]).to_json()))
     code, out, err = capture(["represent", str(path), "--relations"])
@@ -448,6 +448,21 @@ def malformed_documents():
     # colors must be JSON strings, not coerced to them
     int_colors = dict(good, diagram=dict(good["diagram"], colors=[1, 2]))
     list_color = dict(good, elements=[dict(good["elements"][0], color=[1])] + good["elements"][1:])
+
+    def with_theta(value):
+        return dict(good, diagram=dict(good["diagram"], theta=value))
+
+    def with_cell(value):
+        theta = [row[:] for row in good["diagram"]["theta"]]
+        theta[1][0] = value
+        return with_theta(theta)
+
+    def cell_message(value):
+        return f"error: theta['2']['1'] = {value!r} is not an integer\n"
+
+    shape = "error: diagram must hold a colors list and a theta table of integers\n"
+    # JSON Schema's integer takes a float with a zero fraction
+    bad_cells = [(-1.0, False), (-0.5, True), ("-1", True), (None, True), ([-1], True)]
     return [
         ([good], "object", POSET_VERBS, True),
         (dict(good, elements="xx"), "elements", POSET_VERBS, True),
@@ -460,12 +475,19 @@ def malformed_documents():
         (dict(window, boundary=[99]), "boundary", WINDOW_VERBS, False),
         (true_id, "elements", POSET_VERBS, True),
         (dict(good, covers=[[2, True], [3, 2]]), "covers", POSET_VERBS, True),
-        (false_theta, "theta", POSET_VERBS, True),
+        (false_theta, "error: theta['1']['3'] = False is not an integer\n", POSET_VERBS, True),
         (dict(window, boundary=[True]), "boundary", WINDOW_VERBS, True),
         (dict(good, version=True), "version", POSET_VERBS, True),
         (dict(window, version=True), "version", WINDOW_VERBS, True),
         (int_colors, "diagram colors", POSET_VERBS, True),
         (list_color, "string colors", POSET_VERBS, True),
+        *[(with_cell(v), cell_message(v), POSET_VERBS, in_schema) for v, in_schema in bad_cells],
+        (with_theta([[2, -2], 5]), shape, POSET_VERBS, True),
+        (with_theta({"1": [2, -2], "2": [-1, 2]}), shape, POSET_VERBS, True),
+        (dict(good, diagram=[["1", "2"], good["diagram"]["theta"]]), shape, POSET_VERBS, True),
+        # the diagram is read whole before the elements
+        (dict(with_theta([[2, -2], [-1, 3]]), elements=duplicate["elements"]),
+         "error: theta['2']['2'] = 3, expected 2\n", POSET_VERBS, False),
     ]
 
 
@@ -594,11 +616,14 @@ def test_poset_files_validate_against_published_schema(tmp_path):
     # the empty poset, which every verb accepts
     empty = {"version": 1, "diagram": {"colors": [], "theta": []}, "elements": [], "covers": []}
     jsonschema.validate(empty, schema)
-    # every fault the schema can express fails it as it fails the loaders
+    # every fault the schema can express fails it as it fails the loaders, and
+    # the schema takes the others
     for doc, _, _, in_schema in malformed_documents():
         if in_schema:
             with pytest.raises(jsonschema.ValidationError):
                 jsonschema.validate(doc, schema)
+        else:
+            jsonschema.validate(doc, schema)
 
 
 def test_classify_reads_stdin(monkeypatch):

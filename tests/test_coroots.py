@@ -129,9 +129,9 @@ def test_not_finite_type():
         [2 if i == j else (-1 if (i - j) % n in (1, n - 1) else 0) for j in range(n)]
         for i in range(n)
     ]
-    from minuscule.dynkin import validate
+    from minuscule.dynkin import DynkinDiagram
 
-    cycle = validate(list(range(n)), rows)
+    cycle = DynkinDiagram(list(range(n)), rows)
     with pytest.raises(NotFiniteType):
         CorootSystem(cycle)
 

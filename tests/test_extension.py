@@ -11,7 +11,7 @@ from minuscule.axioms import is_d_complete, is_minuscule
 from minuscule.catalog import FamilyId, all_family_ids, build, indexed, top_tree_Y
 from minuscule.cli import run
 from minuscule.extension import StageRecord, run_extension
-from minuscule.dynkin import validate
+from minuscule.dynkin import DynkinDiagram
 from minuscule.poset import ColoredPoset, colored_isomorphism, top_tree
 
 from helpers import (
@@ -129,7 +129,7 @@ def test_extend_by_rejects_repeated_and_adjacent_colors():
     # stand between these calls and a poset
     colors = ["a", "b", "c", "e", "d", "f"]
     edges = {("a", "b"), ("a", "c"), ("a", "e"), ("b", "d"), ("b", "f")}
-    d = validate(colors, [
+    d = DynkinDiagram(colors, [
         [2 if x == y else -1 if (x, y) in edges or (y, x) in edges else 0 for y in colors]
         for x in colors
     ])
@@ -211,7 +211,7 @@ def test_run_extension_multiply_laced_seed_extrapolated():
 
 
 def test_run_extension_rejects_bad_seed():
-    d = validate(["a"], [[2]])
+    d = DynkinDiagram(["a"], [[2]])
     bad = ColoredPoset(d, {1: "a", 2: "a"}, [(2, 1)])
     with pytest.raises(ValueError):
         run_extension(bad)
@@ -264,7 +264,7 @@ def test_growth_state_matches_per_stage_oracle_on_random_d_complete_seeds():
     for p in seeds:
         assert run_extension(p) == run_extension_oracle(p), sorted(p.covers)
     # a doubly laced chain on which two adjacent colors reach census 2 at once
-    d = validate([1, 2, 3], [[2, -2, 0], [-1, 2, -2], [0, -1, 2]])
+    d = DynkinDiagram([1, 2, 3], [[2, -2, 0], [-1, 2, -2], [0, -1, 2]])
     chain = ColoredPoset(d, {1: 1, 2: 2, 3: 3}, [(1, 2), (2, 3)])
     outcome = run_extension(chain)
     assert outcome.reason.kind == "adjacent_pair" and outcome.reason.witness_pair == (2, 3)

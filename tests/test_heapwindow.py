@@ -5,7 +5,7 @@ import pytest
 
 from minuscule.catalog import BadParameters, FamilyId, all_family_ids, build
 from minuscule.heapwindow import PeriodicWindow, cyclic_chain_window, verify_window, window_of
-from minuscule.dynkin import validate
+from minuscule.dynkin import DynkinDiagram
 from minuscule.poset import ColoredPoset
 
 from helpers import seed_from_env, verify_window_oracle
@@ -57,7 +57,7 @@ def test_finite_catalog_window_fails_g3():
 
 
 def test_window_ec_failure_on_interior_pair():
-    d = validate(["a", "b"], [[2, -1], [-1, 2]])
+    d = DynkinDiagram(["a", "b"], [[2, -1], [-1, 2]])
     p = ColoredPoset(d, {1: "a", 2: "a", 3: "b", 4: "b"}, [(1, 3), (2, 4)])
     window = PeriodicWindow(p, frozenset({3, 4}))
     reports = by_name(verify_window(window))

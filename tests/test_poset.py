@@ -4,7 +4,7 @@ import random
 import pytest
 
 from minuscule.catalog import FamilyId, all_family_ids, build, indexed, top_tree_Y
-from minuscule.dynkin import is_simply_laced, validate
+from minuscule.dynkin import DynkinDiagram, is_simply_laced
 from minuscule.poset import (
     ColoredPoset,
     PosetError,
@@ -39,22 +39,22 @@ from helpers import (
 
 
 def chain(colors):
-    d = validate(sorted(set(colors)), [
+    d = DynkinDiagram(sorted(set(colors)), [
         [2 if a == b else -1 for b in sorted(set(colors))] for a in sorted(set(colors))
-    ]) if len(set(colors)) > 1 else validate(list(set(colors)), [[2]])
+    ]) if len(set(colors)) > 1 else DynkinDiagram(list(set(colors)), [[2]])
     coloring = {i + 1: colors[i] for i in range(len(colors))}
     covers = [(i + 1, i) for i in range(1, len(colors))]
     return ColoredPoset(d, coloring, covers)
 
 
 def test_constructor_rejects_redundant_cover():
-    d = validate(["a", "b", "c"], [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]])
+    d = DynkinDiagram(["a", "b", "c"], [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]])
     with pytest.raises(PosetError, match=r"cover \(3,1\) is transitively redundant"):
         ColoredPoset(d, {1: "a", 2: "b", 3: "c"}, [(3, 2), (2, 1), (3, 1)])
 
 
 def test_constructor_rejects_cycle_and_nonsurjective():
-    d = validate(["a", "b"], [[2, -1], [-1, 2]])
+    d = DynkinDiagram(["a", "b"], [[2, -1], [-1, 2]])
     with pytest.raises(PosetError, match="covers contain a cycle"):
         ColoredPoset(d, {1: "a", 2: "b"}, [(1, 2), (2, 1)])
     with pytest.raises(PosetError, match="covers contain a cycle"):
@@ -67,7 +67,7 @@ def test_constructor_rejects_cycle_and_nonsurjective():
 
 def test_constructor_takes_cover_ids_as_given():
     # a string id is not an element, even one that reads as an element's id
-    d = validate(["a", "b"], [[2, -1], [-1, 2]])
+    d = DynkinDiagram(["a", "b"], [[2, -1], [-1, 2]])
     for covers in ([("1", 2)], [(1, "2")], [("1", "2")]):
         with pytest.raises(PosetError, match="uses an unknown element"):
             ColoredPoset(d, {1: "a", 2: "b"}, covers)
@@ -150,7 +150,7 @@ def test_connected_components_equal_the_bfs_oracle():
     for _ in range(20):
         parts = rng.sample(one_top, rng.randint(2, 4))
         posets.append(scrambled(disjoint_union(parts), rng))
-    posets.append(ColoredPoset(validate([], []), {}, []))
+    posets.append(ColoredPoset(DynkinDiagram([], []), {}, []))
     split = 0
     for p in posets + one_top:
         want = [tuple(sorted(comp)) for comp in component_element_sets_oracle(p)]
@@ -217,7 +217,7 @@ def test_top_tree_examples():
 
     # an X around s: two elements cover s, so the tree is not a Y
     colors = ["t1", "t2", "s", "l1", "l2"]
-    star = validate(colors, [
+    star = DynkinDiagram(colors, [
         [2 if a == b else -1 if "s" in (a, b) else 0 for b in colors] for a in colors
     ])
     x = ColoredPoset(star, dict(zip(range(1, 6), colors)), [(3, 1), (3, 2), (4, 3), (5, 3)])
@@ -229,7 +229,7 @@ def test_ch_set_examples():
     c = chain(["a", "b", "c"])
     assert ch_set(c) == frozenset(c.elements)
 
-    d = validate(["a", "b", "c"], [[2, -1, -1], [-1, 2, 0], [-1, 0, 2]])
+    d = DynkinDiagram(["a", "b", "c"], [[2, -1, -1], [-1, 2, 0], [-1, 0, 2]])
     v = ColoredPoset(d, {1: "b", 2: "c", 3: "a"}, [(3, 1), (3, 2)])
     assert ch_set(v) == frozenset({1, 2})
 
@@ -263,7 +263,7 @@ def test_top_tree_color_map_is_graph_isomorphism():
 
 def test_linear_extensions_counts():
     assert sum(1 for _ in linear_extensions(chain(["a", "b", "c"]))) == 1
-    d = validate(["a", "b"], [[2, 0], [0, 2]])
+    d = DynkinDiagram(["a", "b"], [[2, 0], [0, 2]])
     anti = ColoredPoset(d, {1: "a", 2: "b"}, [])
     assert sum(1 for _ in linear_extensions(anti)) == 2
     grid = indexed("A", 3, 2)
@@ -325,7 +325,7 @@ def test_colored_isomorphism_identity_and_flip():
 
 def test_colored_isomorphism_negative():
     two_chain = chain(["a", "b"])
-    d = validate(["a", "b"], [[2, 0], [0, 2]])
+    d = DynkinDiagram(["a", "b"], [[2, 0], [0, 2]])
     anti = ColoredPoset(d, {1: "a", 2: "b"}, [])
     assert colored_isomorphism(two_chain, anti) is None
 
@@ -388,13 +388,13 @@ def test_colored_isomorphism_checks_both_cover_directions_and_both_pairings():
     that maps a cover onto a non-cover.  In the second, the diagrams differ
     only in theta[b][a], which a search that compared only the pairings of a
     new color towards the placed ones never reads."""
-    d = validate(["a"], [[2]])
+    d = DynkinDiagram(["a"], [[2]])
     six = dict.fromkeys(range(6), "a")
     p1 = ColoredPoset(d, six, [(1, 3), (2, 0), (2, 4), (4, 3), (5, 0), (5, 1)])
     p2 = ColoredPoset(d, six, [(0, 2), (1, 4), (1, 5), (3, 0), (3, 4), (5, 2)])
     assert_colored_isomorphism(p1, p2, colored_isomorphism(p1, p2))
-    b2 = validate(["a", "b"], [[2, -2], [-1, 2]])
-    affine = validate(["a", "b"], [[2, -2], [-2, 2]])
+    b2 = DynkinDiagram(["a", "b"], [[2, -2], [-1, 2]])
+    affine = DynkinDiagram(["a", "b"], [[2, -2], [-2, 2]])
     q1 = ColoredPoset(b2, {1: "b", 2: "a"}, [(2, 1)])
     q2 = ColoredPoset(affine, {1: "b", 2: "a"}, [(2, 1)])
     assert colored_isomorphism(q1, q2) is None and colored_isomorphism(q2, q1) is None
@@ -431,7 +431,7 @@ def test_rank_function_conventions():
 
 def test_rank_function_rejects_unbalanced_cover_cycle():
     # two saturated chains of different lengths between the same pair
-    d = validate(
+    d = DynkinDiagram(
         ["a", "b", "c", "e", "f"],
         [
             [2, -1, -1, 0, 0],
@@ -454,7 +454,7 @@ def test_every_four_element_poset_is_ranked():
     # exhaustive: no 4-element poset can witness NotRanked
     import itertools as it
 
-    d = validate(["a", "b", "c", "e"], [
+    d = DynkinDiagram(["a", "b", "c", "e"], [
         [2, -1, -1, -1],
         [-1, 2, -1, -1],
         [-1, -1, 2, -1],

@@ -3,11 +3,11 @@ The exit-code contract under malformed input: random mutations of valid
 poset and window documents through `verify`, `classify`, `represent` and
 `window`, and malformed `coroots`, `extend` and `catalog` argv.  Every run
 exits 0, 1 or 2 and raises nothing, and every refusal is one `error:` or
-argparse `usage:` message.  A document whose pairing table `validate`
-refuses exits 2: with `validate`'s own message when the table holds only
-ints, and with the loader's, which refuses a bool or float cell before any
-other check of the table, otherwise.  Hypothesis runs derandomized, with no
-example database.
+argparse `usage:` message.  A document whose pairing table the
+`DynkinDiagram` constructor refuses, a bool or float cell included, exits 2,
+and when only the table was mutated, with exactly the constructor's message;
+the constructor names the same fault as `validate_oracle`.  Hypothesis runs
+derandomized, with no example database.
 """
 
 import contextlib
@@ -23,8 +23,10 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from minuscule.catalog import FamilyId, build  # noqa: E402
 from minuscule.cli import run  # noqa: E402
-from minuscule.dynkin import DiagramError, validate  # noqa: E402
+from minuscule.dynkin import DiagramError, DynkinDiagram  # noqa: E402
 from minuscule.heapwindow import cyclic_chain_window, window_of  # noqa: E402
+
+from helpers import validate_oracle  # noqa: E402
 
 PROBE = settings(derandomize=True, database=None, max_examples=150, deadline=None)
 
@@ -104,30 +106,29 @@ def mutated_documents(draw):
     return doc, set(kinds) <= set(TABLE_KINDS)
 
 
-def int_rows(theta) -> bool:
-    return all(type(v) is int for row in theta for v in row)
-
-
 @PROBE
 @given(mutated_documents())
 def test_mutated_documents_keep_the_exit_contract(case):
     doc, table_only = case
     theta, colors = doc["diagram"]["theta"], doc["diagram"]["colors"]
+    refusal = oracle = None
     try:
-        validate(colors, theta)
-        refusal = None
+        DynkinDiagram(colors, theta)
     except DiagramError as exc:
-        refusal = str(exc)
+        refusal = type(exc), str(exc)
+    try:
+        validate_oracle(colors, theta)
+    except DiagramError as exc:
+        oracle = type(exc), str(exc)
+    assert refusal == oracle, theta
     text = json.dumps(doc)
     for verb in DOCUMENT_VERBS:
         code, out, err = capture(verb + ["-"], text)
         assert meets_the_contract(code, out, err), (verb, code, err)
         if refusal is not None:
             assert code == 2 and out == "", (verb, refusal)
-            if table_only and int_rows(theta):
-                assert err == f"error: {refusal}\n", (verb, err)
-            elif table_only:
-                assert "theta table of integers" in err, (verb, err)
+            if table_only:
+                assert err == f"error: {refusal[1]}\n", (verb, err)
 
 
 NUMBERS = ["-1", "0", "1", "2", "3", "4", "6", "7", "8", "x", "", "2.5"]

@@ -7,7 +7,7 @@ import pytest
 
 from minuscule.axioms import check, is_minuscule
 from minuscule.catalog import FamilyId, all_family_ids, build, indexed
-from minuscule.dynkin import DynkinDiagram, validate
+from minuscule.dynkin import DynkinDiagram
 from minuscule.poset import ColoredPoset, order_dual
 from minuscule.representation import (
     ECViolated,
@@ -44,7 +44,7 @@ def test_split_counts_small():
     assert len(splits(indexed("A", 1, 1))) == 2
     assert len(splits(indexed("A", 4, 2))) == 10
 
-    d = validate(["a", "b"], [[2, 0], [0, 2]])
+    d = DynkinDiagram(["a", "b"], [[2, 0], [0, 2]])
     anti = ColoredPoset(d, {1: "a", 2: "b"}, [])
     assert len(splits(anti)) == 4
 
@@ -202,7 +202,7 @@ def test_full_sweep_matches_sampled():
 
 
 def test_relation_failure_on_ice2_violation():
-    d = validate(["a"], [[2]])
+    d = DynkinDiagram(["a"], [[2]])
     bad = ColoredPoset(d, {1: "a", 2: "a"}, [(2, 1)])
     report = verify_relations(bad)
     assert not report.all_pass
@@ -213,7 +213,7 @@ def test_relation_failure_on_ice2_violation():
 
 
 def test_build_operators_requires_ec():
-    d = validate(["a"], [[2]])
+    d = DynkinDiagram(["a"], [[2]])
     anti = ColoredPoset(d, {1: "a", 2: "a"}, [])
     with pytest.raises(ECViolated):
         build_operators(anti)
@@ -282,7 +282,7 @@ def test_operator_maps_match_matrix_oracle():
 
 
 # B2: theta(1, 2) = -1 and theta(2, 1) = -2
-DOUBLE_BOND = validate(["1", "2"], [[2, -1], [-2, 2]])
+DOUBLE_BOND = DynkinDiagram(["1", "2"], [[2, -1], [-2, 2]])
 
 
 def test_weight_check_falls_back_on_the_failing_color_only():
@@ -317,13 +317,13 @@ def _deep_diagram(rng: random.Random, n_colors: int) -> DynkinDiagram:
     for i, j in itertools.combinations(range(n_colors), 2):
         if rng.random() < 0.7:
             rows[i][j], rows[j][i] = -rng.randint(1, 4), -rng.randint(1, 4)
-    return validate([str(c) for c in range(1, n_colors + 1)], rows)
+    return DynkinDiagram([str(c) for c in range(1, n_colors + 1)], rows)
 
 
 def test_pairings_below_minus_two_match_the_oracle():
     # with theta(3, 2) = -4 the packed weight check needs a radix above 4:
     # in radix 4 the failing HX and HY checks of color 3 would pass
-    d = validate(["1", "2", "3"], [[2, -1, 0], [-2, 2, -1], [0, -4, 2]])
+    d = DynkinDiagram(["1", "2", "3"], [[2, -1, 0], [-2, 2, -1], [0, -4, 2]])
     posets = [ColoredPoset(d, {1: "1", 2: "2", 3: "3"}, [(1, 3)])]
     rng = random.Random(seed_from_env())
     while len(posets) < 40:
@@ -339,11 +339,46 @@ def test_pairings_below_minus_two_match_the_oracle():
         assert_matches_oracle(p)
 
 
+def test_packed_weight_digits_lie_within_the_radix():
+    """The argument behind the radix of the packed HX check: along an a-cover
+    s -> t of an EC poset the digit h_b(t) - h_b(s) - theta(a, b) is -2 or 0
+    for b = a and lies in [-2, m] for b != a, m the largest -theta.  So each
+    digit is smaller in size than the radix 1 + max(2, m); both ends are
+    reached."""
+    rng = random.Random(seed_from_env() + 90)
+    posets = [
+        p
+        for p in differential_posets(rng)
+        if check(p, "EC").holds and math.prod(len(splits(c)) for c in connected_components(p)) <= 5000
+    ]
+    while len(posets) < 600:
+        p = random_colored_poset(rng, 8, 4)
+        if rng.random() < 0.5:
+            deep = _deep_diagram(rng, len(p.diagram))
+            p = ColoredPoset(deep, {x: str(c) for x, c in p.coloring.items()}, p.covers)
+        if check(p, "EC").holds:
+            posets.append(p)
+    lowest, at_the_bound = set(), set()
+    for p in posets:
+        d, maps = p.diagram, operator_maps(p)
+        m = max([0] + [-v for a in d.colors for _, v in d.pairings(a)])
+        for a in d.colors:
+            for s, t in enumerate(maps.up[a]):
+                if t < 0:
+                    continue
+                for b in d.colors:
+                    digit = maps.h[b][t] - maps.h[b][s] - d.theta(a, b)
+                    assert digit in (-2, 0) if b == a else -2 <= digit <= m, (p, a, b, s)
+                    lowest.add(digit == -2)
+                    at_the_bound.add(m if digit == m >= 2 else None)
+    assert True in lowest and {2, 3, 4} <= at_the_bound
+
+
 def test_brackets_deeper_than_the_class_hold_at_any_pairing():
     # the chain a < b with theta(a, b) = theta: (b, a) is checked at depth
     # 1 - theta, far deeper than the one-element b-class
     def chain(theta: int) -> ColoredPoset:
-        d = validate(["a", "b"], [[2, theta], [-1, 2]])
+        d = DynkinDiagram(["a", "b"], [[2, theta], [-1, 2]])
         return ColoredPoset(d, {1: "a", 2: "b"}, [(1, 2)])
 
     assert_matches_oracle(chain(-20))
@@ -383,7 +418,7 @@ def test_relations_hold_exactly_on_minuscule_posets():
 
 
 # A1 x A1: the colors a and b are distant, so (a, b) is checked at depth 1
-DISTANT = validate(["a", "b"], [[2, 0], [0, 2]])
+DISTANT = DynkinDiagram(["a", "b"], [[2, 0], [0, 2]])
 
 
 def _failing(p: ColoredPoset, full_sweep: bool = False) -> dict[tuple[str, str, str], int]:
@@ -415,7 +450,7 @@ def test_depth_one_brackets_are_evaluated_where_a_cover_joins_distant_colors():
 
 def test_yy_reports_its_own_failing_index_at_depth_two():
     # A2 on the chain 1 < 2 < 3 colored a, b, b: (a, b) at depth 2
-    d = validate(["a", "b"], [[2, -1], [-1, 2]])
+    d = DynkinDiagram(["a", "b"], [[2, -1], [-1, 2]])
     p = ColoredPoset(d, {1: "a", 2: "b", 3: "b"}, [(1, 2), (2, 3)])
     failing = _failing(p, full_sweep=True)
     assert failing[("XX", "b", "a")] != failing[("YY", "b", "a")]
@@ -432,7 +467,7 @@ def test_hy_reports_its_own_failing_index():
 
 
 # A2: theta(a, b) = theta(b, a) = -1, so (a, b) is checked at depth 2
-SIMPLE_BOND = validate(["a", "b"], [[2, -1], [-1, 2]])
+SIMPLE_BOND = DynkinDiagram(["a", "b"], [[2, -1], [-1, 2]])
 
 
 @pytest.mark.parametrize("p, a, b", [
