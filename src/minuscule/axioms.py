@@ -32,8 +32,7 @@ Nothing is shared between instances.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .dynkin import Color
 from .poset import ColoredPoset, bits
@@ -55,8 +54,7 @@ class UnknownProperty(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     """One independently recheckable violation: the elements involved plus the
     offending quantity (census value, count, ...) when there is one."""
 
@@ -73,11 +71,10 @@ class Witness:
         return out
 
 
-@dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(NamedTuple):
     property: str
     holds: bool
-    witnesses: tuple[Witness, ...] = field(default_factory=tuple)
+    witnesses: tuple[Witness, ...] = ()
 
     def to_json(self) -> dict:
         return {

@@ -28,7 +28,7 @@ command line's `--family` names all read them.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from heapq import heappop, heappush
 from math import inf
 from typing import Sequence
@@ -60,21 +60,23 @@ class NotAMinusculeWeight(ValueError):
     pass
 
 
-@dataclass(frozen=True, order=True)
-class FamilyId:
-    """One family of the classification, e.g. FamilyId("A_exterior", 4, 2)."""
+class FamilyId(namedtuple("FamilyId", "kind n j", defaults=(0, 0))):
+    """One family of the classification, e.g. FamilyId("A_exterior", 4, 2).
+    Every way of making one checks its parameters, `_replace` included."""
 
-    kind: str
-    n: int = 0
-    j: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.kind not in FAMILIES:
-            raise BadParameters(f"unknown family kind {self.kind!r}")
-        _, least, most, indexed, _ = FAMILIES[self.kind]
-        n, j = self.n, self.j
+    def __new__(cls, kind: str, n: int = 0, j: int = 0) -> "FamilyId":
+        if kind not in FAMILIES:
+            raise BadParameters(f"unknown family kind {kind!r}")
+        _, least, most, indexed, _ = FAMILIES[kind]
         if not (least <= n <= most and (2 <= j <= n - 1 if indexed else j == 0)):
-            raise BadParameters(f"bad parameters for {self.kind}: n={n}, j={j}")
+            raise BadParameters(f"bad parameters for {kind}: n={n}, j={j}")
+        return super().__new__(cls, kind, n, j)
+
+    @classmethod
+    def _make(cls, iterable) -> "FamilyId":
+        return cls(*iterable)
 
     def __str__(self) -> str:
         _, least, most, indexed, _ = FAMILIES[self.kind]
@@ -83,7 +85,7 @@ class FamilyId:
         return self.kind if least == most else f"{self.kind}({self.n})"
 
     def sort_key(self) -> tuple:
-        return (list(FAMILIES).index(self.kind), self.n, self.j)
+        return (_FAMILY_RANK[self.kind], self.n, self.j)
 
 
 # -- diagram templates ---------------------------------------------------------
@@ -196,6 +198,9 @@ FAMILIES = {
     "E6": ("E", 6, 6, False, lambda n, j: 1),
     "E7": ("E", 7, 7, False, lambda n, j: 6),
 }
+
+# each kind's place in FAMILIES, the first field of `FamilyId.sort_key`
+_FAMILY_RANK = {kind: rank for rank, kind in enumerate(FAMILIES)}
 
 
 def build(family: FamilyId) -> ColoredPoset:

@@ -43,8 +43,7 @@ share a color), and its covers are handed out in one pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .axioms import AxiomReport, Witness, check, is_minuscule
 from .catalog import FAMILIES, FamilyId, family_of, kac_automorphisms, orbit_walk
@@ -54,8 +53,7 @@ from .poset import ColoredPoset, bits, component_masks
 __all__ = ["ComponentClassification", "Classification", "classify", "classify_connected"]
 
 
-@dataclass(frozen=True)
-class ComponentClassification:
+class ComponentClassification(NamedTuple):
     elements: tuple[int, ...]
     family: Optional[FamilyId]
     all_matches: tuple[FamilyId, ...]
@@ -84,8 +82,7 @@ class ComponentClassification:
         return out
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     components: tuple[ComponentClassification, ...]
     global_failures: tuple[AxiomReport, ...] = ()
 

@@ -401,22 +401,20 @@ def cmd_window(args) -> int:
     return 0 if ok else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="minuscule",
-        description="Exact-arithmetic toolkit for colored d-complete and minuscule posets",
-    )
-    sub = parser.add_subparsers(dest="verb", required=True)
-
+def _add_verify(sub) -> None:
     v = sub.add_parser("verify", help="check coloring axioms on a poset file")
     v.add_argument("file")
     v.add_argument("--property", action="append", help="check one property (repeatable)")
     v.set_defaults(func=cmd_verify)
 
+
+def _add_classify(sub) -> None:
     c = sub.add_parser("classify", help="name the family of every component")
     c.add_argument("file")
     c.set_defaults(func=cmd_classify)
 
+
+def _add_catalog(sub) -> None:
     g = sub.add_parser("catalog", help="emit a catalog poset")
     source = g.add_mutually_exclusive_group(required=True)
     source.add_argument("--family", choices=_FAMILY_NAMES)
@@ -427,11 +425,15 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--dot", action="store_true")
     g.set_defaults(func=cmd_catalog)
 
+
+def _add_extend(sub) -> None:
     e = sub.add_parser("extend", help="run the downward extension from a Y seed")
     e.add_argument("--shape", required=True, help="i,j,k")
     e.add_argument("--trace", action="store_true")
     e.set_defaults(func=cmd_extend)
 
+
+def _add_represent(sub) -> None:
     r = sub.add_parser("represent", help="operators on the split basis")
     r.add_argument("file")
     r.add_argument("--relations", action="store_true")
@@ -440,6 +442,8 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--matrices", action="store_true")
     r.set_defaults(func=cmd_represent)
 
+
+def _add_coroots(sub) -> None:
     k = sub.add_parser("coroots", help="positive coroots and the psi realization")
     k.add_argument("--type", required=True)
     k.add_argument("--n", type=int, required=True)
@@ -448,26 +452,58 @@ def build_parser() -> argparse.ArgumentParser:
     k.add_argument("--dot", action="store_true")
     k.set_defaults(func=cmd_coroots)
 
+
+def _add_window(sub) -> None:
     w = sub.add_parser("window", help="interior checks on a periodic window")
     source = w.add_mutually_exclusive_group(required=True)
     source.add_argument("file", nargs="?")
     source.add_argument("--chain", help="cyclic chain demonstrator as n,p")
     w.set_defaults(func=cmd_window)
 
+
+# each verb's subparser, in the order the help lists them
+_VERBS = {
+    "verify": _add_verify,
+    "classify": _add_classify,
+    "catalog": _add_catalog,
+    "extend": _add_extend,
+    "represent": _add_represent,
+    "coroots": _add_coroots,
+    "window": _add_window,
+}
+
+
+def build_parser(verb: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser of every verb, or, given `verb`, one that holds only that
+    verb's subparser and parses an argv starting with the verb as the full
+    parser does, with the same output and exit code."""
+    parser = argparse.ArgumentParser(
+        prog="minuscule",
+        description="Exact-arithmetic toolkit for colored d-complete and minuscule posets",
+    )
+    # the usage, printed for an unrecognized argument, lists every verb; on
+    # the full parser a metavar would also rename "argument verb" in the
+    # errors for a missing or an unknown verb
+    metavar = None if verb is None else "{" + ",".join(_VERBS) + "}"
+    sub = parser.add_subparsers(dest="verb", required=True, metavar=metavar)
+    for add in _VERBS.values() if verb is None else (_VERBS[verb],):
+        add(sub)
     return parser
 
 
-_parser: Optional[argparse.ArgumentParser] = None
+@functools.cache
+def _parser(verb: Optional[str]) -> argparse.ArgumentParser:
+    return build_parser(verb)
 
 
 def run(argv: list[str]) -> int:
-    # built on the first call, not at import, and kept: each parse starts
-    # from a fresh namespace, so one parser serves every call in a process
-    global _parser
-    if _parser is None:
-        _parser = build_parser()
+    # an argv that starts with a verb takes that verb's parser, any other
+    # (no verb, an unknown one, top-level help) the full one.  Each is built
+    # on its first call, not at import, and kept: each parse starts from a
+    # fresh namespace, so one parser serves every call in a process
+    verb = argv[0] if argv and argv[0] in _VERBS else None
     try:
-        args = _parser.parse_args(argv)
+        args = _parser(verb).parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

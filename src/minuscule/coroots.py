@@ -25,8 +25,7 @@ only the nonzero entries of its row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .axioms import is_minuscule
 from .dynkin import DynkinDiagram, FiniteTypeId, recognize_finite_type
@@ -215,8 +214,7 @@ def inversion_sequence(diagram: DynkinDiagram, word: Sequence[int]) -> list[Coro
     return out
 
 
-@dataclass(frozen=True)
-class PsiRealization:
+class PsiRealization(NamedTuple):
     """The coroot realization of a minuscule poset."""
 
     poset: ColoredPoset

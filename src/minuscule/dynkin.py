@@ -26,9 +26,8 @@ and recognition cost O(n + edges); only `to_json` and `matrix` build a table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, compress
-from typing import Hashable, ItemsView, Iterable, KeysView, Mapping, Optional, Sequence
+from typing import Hashable, ItemsView, Iterable, KeysView, Mapping, NamedTuple, Optional, Sequence
 
 Color = Hashable
 
@@ -293,8 +292,7 @@ def is_acyclic(diagram: DynkinDiagram) -> bool:
     return edges == len(diagram.colors) - len(diagram.components())
 
 
-@dataclass(frozen=True)
-class FiniteTypeId:
+class FiniteTypeId(NamedTuple):
     """A finite Lie type with its node numbering (colors -> 1..rank)."""
 
     letter: str

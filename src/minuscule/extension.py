@@ -21,8 +21,7 @@ already taken (`axioms.frontier_censuses`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Mapping, NamedTuple, Optional
 
 from .axioms import frontier_censuses, is_d_complete
 from .dynkin import Color, DynkinDiagram, is_simply_laced
@@ -39,8 +38,7 @@ __all__ = [
 STAGE_CAP_FACTOR = 64
 
 
-@dataclass(frozen=True)
-class Assessment:
+class Assessment(NamedTuple):
     """Outcome of one assessment step."""
 
     kind: str  # "continue" | "minuscule" | "census_exceeded" | "adjacent_pair"
@@ -139,8 +137,7 @@ class _Growth:
         return ColoredPoset(self.diagram, dict(zip(self.ids, self.colors)), self.covers)
 
 
-@dataclass(frozen=True)
-class StageRecord:
+class StageRecord(NamedTuple):
     stage: int
     extension_set: tuple[Color, ...]
     added: tuple[tuple[int, Color], ...]  # (element id, color)
@@ -153,8 +150,7 @@ class StageRecord:
         }
 
 
-@dataclass(frozen=True)
-class ExtensionOutcome:
+class ExtensionOutcome(NamedTuple):
     poset: ColoredPoset
     verdict: str  # "minuscule" | "blocked"
     reason: Assessment  # the terminal assessment

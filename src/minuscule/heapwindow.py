@@ -14,7 +14,7 @@ windows stand in for.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .axioms import AxiomReport, Witness, check
 from .catalog import BadParameters
@@ -24,8 +24,7 @@ from .poset import ColoredPoset, PosetError
 __all__ = ["PeriodicWindow", "verify_window", "cyclic_chain_window", "window_of"]
 
 
-@dataclass(frozen=True)
-class PeriodicWindow:
+class PeriodicWindow(NamedTuple):
     poset: ColoredPoset
     boundary: frozenset[int]
 

@@ -38,9 +38,8 @@ from __future__ import annotations
 import bisect
 import itertools
 from collections.abc import Sequence
-from dataclasses import dataclass
 from math import comb
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .axioms import check
 from .dynkin import Color
@@ -65,8 +64,7 @@ class ECViolated(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Split:
+class Split(NamedTuple):
     """A filter/ideal partition of the element set."""
 
     filter: frozenset[int]
@@ -171,8 +169,7 @@ def splits(p: ColoredPoset) -> SplitBasis:
     return SplitBasis(bit, masks, covers)
 
 
-@dataclass(frozen=True)
-class OperatorMaps:
+class OperatorMaps(NamedTuple):
     """
     Each color's operators on a split basis: `up[a][s]` and `down[a][s]` are
     the indices of X_a e_s and Y_a e_s (-1 where the image is zero), and
@@ -289,8 +286,7 @@ def build_operators(
 Row = tuple[str, Color, Color, Optional[int]]
 
 
-@dataclass(frozen=True)
-class RelationCheck:
+class RelationCheck(NamedTuple):
     relation: str
     a: Color
     b: Color
@@ -298,8 +294,7 @@ class RelationCheck:
     failing_basis_index: Optional[int] = None
 
 
-@dataclass(frozen=True)
-class RelationReport:
+class RelationReport(NamedTuple):
     """
     Every relation check as one (relation, a, b, index) row, in check order:
     index is the least failing basis index, or None where the check holds.
@@ -368,6 +363,23 @@ def _crossable(gaps: list[int], b_class: int, length: int) -> bool:
             return True
         total += new - old
     return total <= 1
+
+
+def _weight_failures(
+    p: ColoredPoset, maps: OperatorMaps, a: Color, sources: list[int], targets: list[int]
+) -> tuple[dict[Color, int], dict[Color, int]]:
+    """The HX and HY relations of color a evaluated per b along the a-covers
+    s -> t: for each b whose relation fails, the least source and the least
+    target of a cover where h_b(t) - h_b(s) is not theta(a, b)."""
+    hx: dict[Color, int] = {}
+    hy: dict[Color, int] = {}
+    for b in p.diagram.colors:
+        v, hb = p.diagram.theta(a, b), maps.h[b]
+        failing = [(s, t) for s, t in zip(sources, targets) if hb[t] - hb[s] != v]
+        if failing:
+            hx[b] = min(s for s, _ in failing)
+            hy[b] = min(t for _, t in failing)
+    return hx, hy
 
 
 def verify_relations(
@@ -567,15 +579,8 @@ def verify_relations(
         sources, targets = covers[a]
         # the packed row theta(a, .), from its diagonal entry and its pairings
         shift = 2 * place[a] + sum(v * place[b] for b, v in d.pairings(a))
-        hx: dict[Color, int] = {}
-        hy: dict[Color, int] = {}
-        if [code[t] for t in targets] != [code[s] + shift for s in sources]:
-            for b in colors:
-                v, hb = d.theta(a, b), maps.h[b]
-                failing = [(s, t) for s, t in zip(sources, targets) if hb[t] - hb[s] != v]
-                if failing:
-                    hx[b] = min(s for s, _ in failing)
-                    hy[b] = min(t for _, t in failing)
+        held = [code[t] for t in targets] == [code[s] + shift for s in sources]
+        hx, hy = ({}, {}) if held else _weight_failures(p, maps, a, sources, targets)
         both = None
         if (a, a) in joined:
             lowers = maps.down[a]

@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import math
 import random
@@ -208,7 +207,7 @@ def test_checks_equal_the_pair_scan_oracle():
         for name in PROPERTIES:
             report = check(p, name)
             expected = check_oracle(p, name.replace("(", "").replace(")", ""))
-            assert report == dataclasses.replace(expected, property=name), (
+            assert report == expected._replace(property=name), (
                 name,
                 sorted(p.coloring.items()),
                 sorted(p.covers),

@@ -583,6 +583,52 @@ def test_one_parser_serves_a_sequence_of_calls(tmp_path, monkeypatch):
             assert capture(argv) == expected, argv
 
 
+PARSER_CORPUS = [
+    [],
+    ["-h"],
+    ["--help"],
+    ["frobnicate"],
+    ["ver"],
+    ["--", "verify"],
+    *([verb, "-h"] for verb in cli._VERBS),
+    ["verify"],
+    ["classify"],
+    ["catalog"],
+    ["extend"],
+    ["represent"],
+    ["coroots", "--type", "A"],
+    ["catalog", "--family", "b", "--n", "x"],
+    ["coroots", "--type", "A", "--n", "x"],
+    ["catalog", "--family", "b", "--index", "A,3,1"],
+    ["window"],
+    ["window", "w.json", "--chain", "4,2"],
+    ["verify", "p.json", "--bogus"],
+    ["extend", "--shape", "1,1,2", "--bogus", "x"],
+    ["extend", "--shape", "1,1,2"],
+    ["catalog", "--family", "a-standard", "--n", "2"],
+]
+
+
+@pytest.mark.parametrize("argv", PARSER_CORPUS, ids=argv_id)
+def test_each_verb_parser_prints_and_exits_as_the_full_parser(argv, monkeypatch):
+    # help text wraps at the terminal width, so both sides get the same one
+    monkeypatch.setenv("COLUMNS", "80")
+    got = capture(argv)
+    monkeypatch.setattr(cli, "_parser", lambda verb: cli.build_parser())
+    assert got == capture(argv)
+
+
+def test_a_missing_or_unknown_verb_is_named_verb():
+    # the full parser's errors name the argument by its dest, as no metavar is set
+    code, _, err = capture([])
+    assert (code, err.splitlines()[-1]) == (
+        2, "minuscule: error: the following arguments are required: verb"
+    )
+    code, _, err = capture(["frobnicate"])
+    assert code == 2
+    assert err.splitlines()[-1].startswith("minuscule: error: argument verb: invalid choice")
+
+
 def test_dot_outputs():
     code, out, _ = capture(["catalog", "--family", "e6", "--dot"])
     assert code == 0

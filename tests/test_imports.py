@@ -7,11 +7,17 @@ A name counts as used when it is read anywhere in the module, appears in a
 quoted annotation, or is re-exported through ``__all__``.  ``__init__.py``
 and ``__future__`` imports are skipped.  Since ``__all__`` counts as a use,
 each of its entries must name an attribute of the imported module.
+
+Importing the package loads neither ``dataclasses`` nor ``inspect``, whose
+import and code generation would cost every command line start-up.
 """
 
 import ast
 import importlib
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -82,3 +88,11 @@ def test_the_check_sees_an_unused_import():
     )
     unused = set(imported_names(tree)) - used_names(tree)
     assert unused == {"itertools"}
+
+
+@pytest.mark.parametrize("module", ["minuscule", "minuscule.cli"])
+def test_importing_loads_neither_dataclasses_nor_inspect(module):
+    code = f"import sys, {module}; print(sorted({{'dataclasses', 'inspect'}} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")

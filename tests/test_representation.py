@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from minuscule import representation
 from minuscule.axioms import check, is_minuscule
 from minuscule.catalog import FamilyId, all_family_ids, build, indexed
 from minuscule.dynkin import DynkinDiagram
@@ -292,6 +293,19 @@ def test_weight_check_falls_back_on_the_failing_color_only():
     weight_failures = {(c.relation, c.a, c.b) for c in report.failures() if c.relation[0] == "H"}
     assert weight_failures == {("HX", "2", "1"), ("HY", "2", "1")}
     assert_matches_oracle(p)
+
+
+def test_the_packed_weight_check_holds_for_every_color_on_the_catalog(monkeypatch):
+    # every HX relation holds on a minuscule poset, so there the packed check
+    # holds for every color and the per-b evaluation never runs
+    def evaluated(*args):
+        raise AssertionError("the packed weight check failed for a color")
+
+    monkeypatch.setattr(representation, "_weight_failures", evaluated)
+    families = all_family_ids(8)
+    assert len(families) == 53
+    for fam in families:
+        assert verify_relations(build(fam)).all_pass, str(fam)
 
 
 def test_depth_three_brackets_on_a_double_bond():
